@@ -23,7 +23,7 @@ from .corpus import (
     load_corpus,
 )
 from .emotion import EmotionLexicon, EmotionProfile, aggregate_profiles, classify, dominant_classes, load_emotion_lexicon
-from .ngrams import NgramTable, build_table, extract_ngrams, word_cloud_weights
+from .ngrams import NgramTable, build_table, word_cloud_weights
 from .pipeline import RunConfig, RunManifest, run_pipeline
 from .polarity import (
     PolarityLexicon,
@@ -37,6 +37,6 @@ from .polarity import (
 )
 from .scenario import ScenarioOutcome, SentimentTrend, classify_scenario, derive_trend
 from .synth import generate_synthetic_corpus, write_synthetic_corpus
-from .textprep import CleanOptions, MaskLedger, TokenStream, clean_text, mask_abusive, prepare, remove_stopwords, tokenize
+from .textprep import MaskLedger, Sentences, clean_text, mask_abusive, prepare, remove_stopwords
 
 __version__ = "0.1.0"

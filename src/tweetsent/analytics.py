@@ -18,7 +18,7 @@ from .corpus import Corpus
 from .emotion import EMOTION_CLASSES, EmotionProfile
 from .errors import EmptyInputError
 from .polarity import PolarityScore, classify_polarity
-from .textprep import CleanOptions, clean_text
+from .textprep import Sentences
 
 DEVICE_CLASSES = ("Twitter for iPhone", "Twitter for Android")
 
@@ -111,22 +111,25 @@ def rank_locations(c: Corpus, k: int, field: str = "stated") -> RankedTable:
 
 
 def device_group_report(
-    c: Corpus, categories: dict[str, list[str]] | None = None
+    c: Corpus, prepared: list[Sentences], categories: dict[str, list[str]] | None = None
 ) -> DeviceGroupReport:
     """Within-group share of records mentioning each keyword category.
 
+    `prepared` holds each record's prepared text, aligned with the records.
     Only the two major device classes are reported; smaller classes are
-    ignored. A record matches a category when its cleaned text contains any
-    of the category's keywords.
+    ignored. A record matches a category when its cleaned text (its tokens
+    joined by spaces) contains any of the category's keywords.
     """
     categories = categories if categories is not None else DEFAULT_DEVICE_CATEGORIES
     if not categories:
         raise ValueError("categories must be non-empty")
-    options = CleanOptions()
+    if len(prepared) != len(c.records):
+        raise ValueError("prepared texts must align 1:1 with corpus records")
     per_device: dict[str, list[str]] = {d: [] for d in DEVICE_CLASSES}
-    for record in c.records:
-        if record.source_device in per_device:
-            per_device[record.source_device].append(clean_text(record.text, options))
+    for record, sentences in zip(c.records, prepared):
+        texts = per_device.get(record.source_device)
+        if texts is not None:
+            texts.append(" ".join(" ".join(s) for s in sentences))
 
     groups: dict[str, tuple[int, dict[str, float]]] = {}
     for device, texts in per_device.items():

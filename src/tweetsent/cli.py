@@ -122,12 +122,14 @@ def cmd_ingest(args) -> None:
 
 
 def cmd_ngrams(args) -> None:
+    if args.top < 1:
+        raise ConfigError("--top must be >= 1")
     corpus = load_corpus(args.input, args.format)
     corpus, streams = _prepare_streams(corpus, args)
     if args.n <= 2:
         stoplist = textprep.load_stoplist(args.stopwords)
         streams = [textprep.remove_stopwords(ts, stoplist) for ts in streams]
-    table = ngrams.build_table(streams, args.n)
+    table = ngrams.build_table(streams, args.n, args.top)
     if args.output:
         if args.export == "csv":
             ngram_table_to_csv(table, args.output, args.top)
@@ -135,7 +137,7 @@ def cmd_ngrams(args) -> None:
             write_json(ngram_table_to_rows(table, args.top), args.output)
         print(f"wrote {args.output}")
     else:
-        for rank, (gram, count) in enumerate(table.entries[: args.top], start=1):
+        for rank, (gram, count) in enumerate(table.entries, start=1):
             print(f"{rank}\t{' '.join(gram)}\t{count}")
 
 
@@ -187,8 +189,8 @@ def cmd_report(args) -> None:
         return
 
     if what == "devices":
-        corpus, _ = _prepare_streams(corpus, args)
-        report = analytics.device_group_report(corpus)
+        corpus, full_streams = _prepare_streams(corpus, args)
+        report = analytics.device_group_report(corpus, full_streams)
         payload = device_report_to_dict(report)
         if args.export == "csv":
             with open(args.output, "w", encoding="utf-8", newline="") as fh:

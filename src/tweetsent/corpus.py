@@ -10,7 +10,6 @@ from __future__ import annotations
 import bisect
 import csv
 import json
-import re
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -32,7 +31,6 @@ CSV_COLUMNS = [
 
 _TRUE_STRINGS = {"true", "t", "1", "yes"}
 _FALSE_STRINGS = {"false", "f", "0", "no", ""}
-_WS_RE = re.compile(r"\s+")
 
 
 @dataclass(slots=True)
@@ -257,16 +255,15 @@ def filter_country(c: Corpus, code: str) -> Corpus:
 
 
 def normalize_for_dedup(text: str) -> str:
-    return _WS_RE.sub(" ", text.casefold()).strip()
+    return " ".join(text.casefold().split())
 
 
-def _duplicate_flags(records: list[TweetRecord], window: float) -> list[bool]:
+def _duplicate_flags(records: list[TweetRecord], keys: list[str], window: float) -> list[bool]:
     # nearest earlier occurrence of the same normalized text decides; earlier
     # means earlier in input order, distance measured on timestamps
     seen: dict[str, list[float]] = {}
     flags = [False] * len(records)
-    for i, record in enumerate(records):
-        key = normalize_for_dedup(record.text)
+    for i, (record, key) in enumerate(zip(records, keys)):
         ts = record.created_at.timestamp()
         stamps = seen.setdefault(key, [])
         if stamps:
@@ -302,17 +299,18 @@ def filter_bots_and_duplicates(c: Corpus, policy: BotPolicy) -> Corpus:
     record removed by several rules is counted once, under the first matching
     rule in the order duplicate, burst, low_token.
     """
-    dup_flags = _duplicate_flags(c.records, policy.dup_window_seconds)
+    keys = [normalize_for_dedup(r.text) for r in c.records]
+    dup_flags = _duplicate_flags(c.records, keys, policy.dup_window_seconds)
     burst = _burst_users(c.records, policy.burst_per_minute)
 
     kept: list[TweetRecord] = []
     counts = {"duplicate": 0, "burst": 0, "low_token": 0}
-    for record, is_dup in zip(c.records, dup_flags):
+    for record, key, is_dup in zip(c.records, keys, dup_flags):
         if is_dup:
             counts["duplicate"] += 1
         elif record.user_id in burst:
             counts["burst"] += 1
-        elif len(set(normalize_for_dedup(record.text).split())) < policy.min_distinct_tokens:
+        elif len(set(key.split())) < policy.min_distinct_tokens:
             counts["low_token"] += 1
         else:
             kept.append(record)
@@ -325,11 +323,12 @@ def filter_bots_and_duplicates(c: Corpus, policy: BotPolicy) -> Corpus:
 
 def mask_corpus(c: Corpus, abusive_lexicon: set[str], ledger) -> Corpus:
     """Apply abusive-word masking to every record's text (non-filtering stage)."""
-    from .textprep import mask_abusive
+    from .textprep import mask_pattern, mask_text
 
+    pattern = mask_pattern(abusive_lexicon)
     records = []
     for record in c.records:
-        masked, ledger = mask_abusive(record.text, abusive_lexicon, ledger)
+        masked = mask_text(record.text, pattern, ledger)
         records.append(replace(record, text=masked) if masked != record.text else record)
     return Corpus(records=records, provenance=c.provenance.copy())
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import SchemaError
-from .textprep import TokenStream
+from .textprep import Sentences
 
 EMOTION_CLASSES = (
     "anger",
@@ -77,16 +77,17 @@ class EmotionProfile:
         return {"counts": {c: self.counts[c] for c in ALL_CATEGORIES}, "token_total": self.token_total}
 
 
-def classify(ts: TokenStream, lex: EmotionLexicon) -> EmotionProfile:
+def classify(sentences: Sentences, lex: EmotionLexicon) -> EmotionProfile:
     """Count category hits per token occurrence; sentence structure is ignored."""
-    profile = EmotionProfile(token_total=len(ts.tokens))
+    profile = EmotionProfile(token_total=sum(map(len, sentences)))
     counts = profile.counts
     entries = lex.entries
-    for token in ts.tokens:
-        categories = entries.get(token)
-        if categories:
-            for category in categories:
-                counts[category] += 1
+    for sentence in sentences:
+        for token in sentence:
+            categories = entries.get(token)
+            if categories:
+                for category in categories:
+                    counts[category] += 1
     return profile
 
 

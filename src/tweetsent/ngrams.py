@@ -1,4 +1,4 @@
-"""Ranked word-frequency and n-gram (n = 1..4) tables over token streams.
+"""Ranked word-frequency and n-gram (n = 1..4) tables over prepared texts.
 
 Grams never cross sentence boundaries. Tables order entries by count
 descending, ties broken lexicographically on the space-joined gram, which
@@ -7,11 +7,13 @@ makes every table a total order and re-runs byte-identical.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InvalidNError
-from .textprep import TokenStream
+from .textprep import Sentences
 
 MAX_N = 4
 
@@ -23,23 +25,35 @@ class NgramTable:
     total_grams: int
 
 
-def extract_ngrams(ts: TokenStream, n: int) -> list[tuple[str, ...]]:
-    """Width-n sliding windows per sentence; a sentence shorter than n yields none."""
+def _rank_key(item: tuple[tuple[str, ...], int]) -> tuple[int, str]:
+    return -item[1], " ".join(item[0])
+
+
+def build_table(corpus: list[Sentences], n: int, top: int | None = None) -> NgramTable:
+    """Exact counts over all texts with deterministic ordering.
+
+    Width-n sliding windows per sentence; a sentence shorter than n yields
+    none. Only the first `top` entries of the order are kept (all of them
+    when `top` is None); `total_grams` always counts every gram.
+    """
     if not 1 <= n <= MAX_N:
         raise InvalidNError(f"n must be in 1..{MAX_N}, got {n}")
-    grams: list[tuple[str, ...]] = []
-    for sentence in ts.sentences():
-        for i in range(len(sentence) - n + 1):
-            grams.append(tuple(sentence[i : i + n]))
-    return grams
-
-
-def build_table(corpus_streams: list[TokenStream], n: int) -> NgramTable:
-    """Exact counts over all streams with deterministic ordering."""
-    counts: Counter[tuple[str, ...]] = Counter()
-    for ts in corpus_streams:
-        counts.update(extract_ngrams(ts, n))
-    entries = sorted(counts.items(), key=lambda item: (-item[1], " ".join(item[0])))
+    # a sentence's windows zip its n copies shifted by 0..n-1 tokens
+    shifts = [slice(i, None) for i in range(n)]
+    counts: Counter[tuple[str, ...]] = Counter(
+        chain.from_iterable(
+            zip(*map(sentence.__getitem__, shifts))
+            for sentences in corpus
+            for sentence in sentences
+        )
+    )
+    k = len(counts) if top is None else top
+    # only entries counting at least the k-th highest count can be kept, so
+    # the rank key is built for those alone; nsmallest sorts them outright
+    # when k reaches their number
+    floor = min(heapq.nlargest(k, counts.values()), default=0)
+    candidates = [item for item in counts.items() if item[1] >= floor]
+    entries = heapq.nsmallest(k, candidates, key=_rank_key)
     return NgramTable(n=n, entries=entries, total_grams=sum(counts.values()))
 
 

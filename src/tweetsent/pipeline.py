@@ -212,7 +212,11 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
     tables = {}
     for n in (1, 2, 3, 4):
         streams = stopped_streams if n <= 2 else full_streams
-        tables[n] = _run_stage(f"ngrams_{n}", lambda n=n, s=streams: ngrams.build_table(s, n))
+        # the unigram table also feeds the word cloud
+        top = max(cfg.ngram_top, cfg.wordcloud_top) if n == 1 else cfg.ngram_top
+        tables[n] = _run_stage(
+            f"ngrams_{n}", lambda n=n, s=streams, k=top: ngrams.build_table(s, n, k)
+        )
     cloud = _run_stage(
         "wordcloud", lambda: ngrams.word_cloud_weights(tables[1], cfg.wordcloud_top)
     )
@@ -246,7 +250,8 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
         "report", lambda: analytics.rank_locations(corpus, cfg.rank_top, "stated")
     )
     devices = _run_stage(
-        "report", lambda: analytics.device_group_report(corpus, cfg.device_categories)
+        "report",
+        lambda: analytics.device_group_report(corpus, full_streams, cfg.device_categories),
     )
     daily = _run_stage("report", lambda: analytics.daily_emotion_series(corpus, profiles))
     dist = _run_stage("distribution", lambda: analytics.polarity_distribution(scores))

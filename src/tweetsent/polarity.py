@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import EmptyInputError, SchemaError
-from .textprep import TokenStream
+from .textprep import Sentences
 
 NEGATOR = "negator"
 AMPLIFIER = "amplifier"
@@ -51,7 +52,6 @@ class ScoringParams:
 class PolarityScore:
     value: float
     n_sentences: int
-    per_sentence: list[float] = field(default_factory=list)
 
 
 def load_polarity_lexicon(polarity_path=None, shifter_path=None) -> PolarityLexicon:
@@ -98,7 +98,7 @@ def load_polarity_lexicon(polarity_path=None, shifter_path=None) -> PolarityLexi
     return PolarityLexicon(entries=entries, shifters=shifters)
 
 
-def score_sentence(tokens: list[str], lex: PolarityLexicon, params: ScoringParams | None = None) -> float:
+def score_sentence(tokens: Sequence[str], lex: PolarityLexicon, params: ScoringParams | None = None) -> float:
     """Score one sentence of lowercase tokens; empty sentences score 0."""
     if not tokens:
         return 0.0
@@ -143,13 +143,12 @@ def score_sentence(tokens: list[str], lex: PolarityLexicon, params: ScoringParam
     return total / math.sqrt(len(tokens))
 
 
-def score_text(ts: TokenStream, lex: PolarityLexicon, params: ScoringParams | None = None) -> PolarityScore:
+def score_text(sentences: Sentences, lex: PolarityLexicon, params: ScoringParams | None = None) -> PolarityScore:
     """Sum of per-sentence scores; the total may exceed 1 in magnitude."""
-    per_sentence = [score_sentence(s, lex, params) for s in ts.sentences()]
+    params = params or ScoringParams()
     return PolarityScore(
-        value=sum(per_sentence),
-        n_sentences=len(per_sentence),
-        per_sentence=per_sentence,
+        value=sum(score_sentence(s, lex, params) for s in sentences),
+        n_sentences=len(sentences),
     )
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .analytics import PolarityDistribution
 from .emotion import EmotionProfile, dominant_classes
-from .errors import TiedTrendError
+from .errors import SchemaError, TiedTrendError
 
 TIMINGS = ("now", "later")
 
@@ -41,13 +41,21 @@ _SCENARIOS = {
 
 def derive_trend(dist: PolarityDistribution, agg: EmotionProfile) -> SentimentTrend:
     """Trend direction from the share comparison; equal shares are an error
-    the caller must resolve."""
+    the caller must resolve, and a positive or negative share outside
+    [0, 1] is refused.
+
+    The dominant emotions are the top two classes with at least one hit.
+    """
+    for name in ("pos_share", "neg_share"):
+        share = getattr(dist, name)
+        if not 0.0 <= share <= 1.0:  # false for NaN too
+            raise SchemaError(f"{name} must be a share in [0, 1], got {share}")
     if dist.pos_share == dist.neg_share:
         raise TiedTrendError(
             f"positive and negative shares tie at {dist.pos_share}"
         )
     direction = "positive" if dist.pos_share > dist.neg_share else "negative"
-    dominant = [cls for cls, _ in dominant_classes(agg, 2)]
+    dominant = [cls for cls, count in dominant_classes(agg, 2) if count > 0]
     return SentimentTrend(
         direction=direction,
         pos_share=dist.pos_share,

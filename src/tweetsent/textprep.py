@@ -1,8 +1,9 @@
-"""Text normalization: cleaning, tokenization, stopword removal, abusive-word masking.
+"""Text normalization: cleaning, sentence splitting, stopword removal, abusive-word masking.
 
-Cleaning keeps intra-word apostrophes so contractions ("can't") survive as
-single tokens. Sentence boundaries come from terminal punctuation (., !, ?)
-in the raw text; a tweet without terminal punctuation is one sentence.
+A prepared text is a list of sentences, each a tuple of tokens. Cleaning
+keeps intra-word apostrophes so contractions ("can't") survive as single
+tokens. Sentence boundaries come from terminal punctuation (., !, ?) in the
+raw text; a tweet without terminal punctuation is one sentence.
 """
 
 from __future__ import annotations
@@ -13,105 +14,52 @@ from importlib import resources
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
-_SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
-# everything outside ASCII alphanumerics, apostrophe and whitespace is punctuation;
-# emoji and other non-ASCII symbols fall under this rule and are dropped
-_PUNCT_RE = re.compile(r"[^a-z0-9'\s]+")
+# everything outside ASCII alphanumerics, apostrophe, whitespace and the
+# sentence terminators is punctuation; emoji and other non-ASCII symbols fall
+# under this rule and are dropped
+_PUNCT_RE = re.compile(r"[^a-z0-9'\s.!?]+")
 _EDGE_APOSTROPHE_RE = re.compile(r"(?<![a-z0-9])'|'(?![a-z0-9])")
-_WS_RE = re.compile(r"\s+")
+
+Sentences = list[tuple[str, ...]]
 
 
-@dataclass
-class CleanOptions:
-    remove_mentions: bool = True
+def prepare(raw: str) -> Sentences:
+    """Raw text to its sentences of cleaned tokens; each rule runs once over
+    the whole text, sentence splitting last.
 
-
-@dataclass
-class TokenStream:
-    """Ordered tokens plus indices of the first token of each sentence."""
-
-    tokens: list[str]
-    sentence_boundaries: list[int]
-
-    def sentences(self) -> list[list[str]]:
-        """Token slices per sentence, in order."""
-        out = []
-        bounds = self.sentence_boundaries
-        for i, start in enumerate(bounds):
-            end = bounds[i + 1] if i + 1 < len(bounds) else len(self.tokens)
-            out.append(self.tokens[start:end])
-        return out
-
-
-def clean_text(raw: str, options: CleanOptions | None = None) -> str:
-    """Normalize raw tweet text to lowercase space-separated words.
-
-    Rules, in order: strip URLs; strip @mentions (when enabled); strip '#'
-    keeping the tag word; drop punctuation except intra-word apostrophes;
-    lowercase; collapse whitespace. Idempotent.
+    Rules, in order: strip URLs (before sentence splitting, so dots inside
+    links do not spawn boundaries); strip @mentions; strip '#' keeping the
+    tag word; lowercase; drop punctuation except intra-word apostrophes;
+    split sentences on runs of terminal punctuation (., !, ?) and each
+    sentence on whitespace. Sentences left without tokens are dropped.
     """
-    options = options or CleanOptions()
-    text = _URL_RE.sub(" ", raw)
-    if options.remove_mentions:
+    text = raw
+    # each guard skips a regex scan over a text it cannot match
+    if "://" in text or "ww." in text.lower():
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:
         text = _MENTION_RE.sub(" ", text)
-    text = text.replace("#", "")
-    text = text.lower()
-    text = _PUNCT_RE.sub(" ", text)
-    text = _EDGE_APOSTROPHE_RE.sub(" ", text)
-    return _WS_RE.sub(" ", text).strip()
+    text = _PUNCT_RE.sub(" ", text.replace("#", "").lower())
+    if "'" in text:
+        text = _EDGE_APOSTROPHE_RE.sub(" ", text)
+    chunks = text.replace("!", ".").replace("?", ".").split(".")
+    return [tuple(words) for chunk in chunks if (words := chunk.split())]
 
 
-def tokenize(clean: str) -> TokenStream:
-    """Split cleaned text on whitespace.
-
-    Terminal punctuation (., !, ?) still present in the input marks sentence
-    boundaries and is not emitted as token content. Fully cleaned input is a
-    single sentence.
-    """
-    tokens: list[str] = []
-    boundaries: list[int] = []
-    for chunk in _SENTENCE_SPLIT_RE.split(clean):
-        words = chunk.split()
-        if not words:
-            continue
-        boundaries.append(len(tokens))
-        tokens.extend(words)
-    return TokenStream(tokens=tokens, sentence_boundaries=boundaries)
+def clean_text(raw: str) -> str:
+    """Cleaned text as lowercase space-separated words (the tokens of
+    `prepare`, joined). Idempotent."""
+    return " ".join(token for sentence in prepare(raw) for token in sentence)
 
 
-def prepare(raw: str, options: CleanOptions | None = None) -> TokenStream:
-    """Raw text to TokenStream: sentence-split on raw terminal punctuation,
-    then clean and whitespace-tokenize each sentence.
-
-    URLs are stripped before sentence splitting so dots inside links do not
-    spawn spurious boundaries.
-    """
-    without_urls = _URL_RE.sub(" ", raw)
-    tokens: list[str] = []
-    boundaries: list[int] = []
-    for chunk in _SENTENCE_SPLIT_RE.split(without_urls):
-        words = clean_text(chunk, options).split()
-        if not words:
-            continue
-        boundaries.append(len(tokens))
-        tokens.extend(words)
-    return TokenStream(tokens=tokens, sentence_boundaries=boundaries)
-
-
-def remove_stopwords(ts: TokenStream, stoplist: set[str]) -> TokenStream:
-    """Drop stoplist tokens; re-index boundaries to the surviving tokens.
-
-    Sentences emptied entirely lose their boundary entry.
-    """
-    tokens: list[str] = []
-    boundaries: list[int] = []
-    for sentence in ts.sentences():
+def remove_stopwords(sentences: Sentences, stoplist: set[str]) -> Sentences:
+    """Drop stoplist tokens; sentences emptied entirely are dropped too."""
+    out = []
+    for sentence in sentences:
         kept = [t for t in sentence if t not in stoplist]
-        if not kept:
-            continue
-        boundaries.append(len(tokens))
-        tokens.extend(kept)
-    return TokenStream(tokens=tokens, sentence_boundaries=boundaries)
+        if kept:
+            out.append(tuple(kept))
+    return out
 
 
 def load_stoplist(path=None) -> set[str]:
@@ -159,21 +107,20 @@ class MaskLedger:
         return mask
 
 
-_mask_pattern_cache: dict[frozenset, re.Pattern | None] = {}
+def mask_pattern(abusive_lexicon) -> re.Pattern | None:
+    """Whole-word, case-insensitive alternation of the lexicon; None if empty."""
+    if not abusive_lexicon:
+        return None
+    # longest-first so longer entries win over prefixes
+    words = sorted(abusive_lexicon, key=len, reverse=True)
+    return re.compile(r"\b(?:" + "|".join(re.escape(w) for w in words) + r")\b", re.IGNORECASE)
 
 
-def _mask_pattern(lexicon: frozenset) -> re.Pattern | None:
-    if lexicon not in _mask_pattern_cache:
-        if lexicon:
-            # longest-first so longer entries win over prefixes
-            words = sorted(lexicon, key=len, reverse=True)
-            _mask_pattern_cache[lexicon] = re.compile(
-                r"\b(?:" + "|".join(re.escape(w) for w in words) + r")\b",
-                re.IGNORECASE,
-            )
-        else:
-            _mask_pattern_cache[lexicon] = None
-    return _mask_pattern_cache[lexicon]
+def mask_text(raw: str, pattern: re.Pattern | None, ledger: MaskLedger) -> str:
+    """Replace each `mask_pattern` hit with its mask token from the ledger."""
+    if pattern is None:
+        return raw
+    return pattern.sub(lambda m: ledger.mask_for(m.group(0).lower()), raw)
 
 
 def mask_abusive(
@@ -182,10 +129,7 @@ def mask_abusive(
     """Replace each whole-word, case-insensitive lexicon hit with its mask token.
 
     Runs on raw text, before tokenization, so downstream analysis only ever
-    sees masks. The ledger is updated in place and returned.
+    sees masks. The ledger is updated in place and returned. Compiles the
+    lexicon on every call; `mask_corpus` compiles it once per corpus.
     """
-    pattern = _mask_pattern(frozenset(abusive_lexicon))
-    if pattern is None:
-        return raw, ledger
-    masked = pattern.sub(lambda m: ledger.mask_for(m.group(0).lower()), raw)
-    return masked, ledger
+    return mask_text(raw, mask_pattern(abusive_lexicon), ledger), ledger

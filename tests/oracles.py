@@ -8,15 +8,41 @@ paths, so oracle-equality tests actually cross-check two implementations.
 from __future__ import annotations
 
 import math
+import re
 
 
-def ngram_counts(streams, n):
-    """Plain-dict n-gram counting over sentence slices."""
+def clean_chunk(text):
+    """The cleaning rules, one pass each: strip URLs, strip @mentions, drop
+    '#', lowercase, punctuation (anything but ASCII letters, digits,
+    apostrophes and whitespace) to space, apostrophes not between two
+    letters/digits to space, collapse whitespace."""
+    text = re.sub(r"(?:https?://|www\.)\S+", " ", text, flags=re.IGNORECASE)
+    text = re.sub(r"@\w+", " ", text)
+    text = text.replace("#", "")
+    text = text.lower()
+    text = re.sub(r"[^a-z0-9'\s]+", " ", text)
+    text = re.sub(r"(?<![a-z0-9])'|'(?![a-z0-9])", " ", text)
+    return re.sub(r"\s+", " ", text).strip()
+
+
+def prepare(raw):
+    """Multi-pass text preparation: strip URLs from the raw text, split it on
+    runs of terminal punctuation, clean each chunk on its own, and keep the
+    chunks that still hold words, as token tuples."""
+    without_urls = re.sub(r"(?:https?://|www\.)\S+", " ", raw, flags=re.IGNORECASE)
+    sentences = []
+    for chunk in re.split(r"[.!?]+", without_urls):
+        words = clean_chunk(chunk).split()
+        if words:
+            sentences.append(tuple(words))
+    return sentences
+
+
+def ngram_counts(texts, n):
+    """Plain-dict n-gram counting over each text's sentences."""
     counts = {}
-    for ts in streams:
-        bounds = list(ts.sentence_boundaries) + [len(ts.tokens)]
-        for s in range(len(bounds) - 1):
-            sentence = ts.tokens[bounds[s] : bounds[s + 1]]
+    for sentences in texts:
+        for sentence in sentences:
             if len(sentence) < n:
                 continue
             for i in range(len(sentence) - n + 1):

@@ -37,7 +37,7 @@ def _ok(num: int, message: str) -> None:
 def test_criterion_01_ngram_oracle(synth_corpus, stoplist):
     t0 = time.perf_counter()
     full = [prepare(r.text) for r in synth_corpus.records]
-    stopped = [remove_stopwords(ts, stoplist) for ts in full]
+    stopped = [remove_stopwords(sentences, stoplist) for sentences in full]
     for n in (1, 2, 3, 4):
         streams = stopped if n <= 2 else full
         table = build_table(streams, n)
@@ -83,10 +83,11 @@ def test_criterion_03_hand_trace_vector():
 
 def test_criterion_04_emotion_unit_sum(synth_corpus, emo_lex, stoplist):
     for record in synth_corpus.records:
-        ts = remove_stopwords(prepare(record.text), stoplist)
-        got = classify(ts, emo_lex)
-        assert got.counts == emotion_counts(ts.tokens, emo_lex.entries, ALL_CATEGORIES)
-        assert got.token_total == len(ts.tokens)
+        sentences = remove_stopwords(prepare(record.text), stoplist)
+        tokens = [t for s in sentences for t in s]
+        got = classify(sentences, emo_lex)
+        assert got.counts == emotion_counts(tokens, emo_lex.entries, ALL_CATEGORIES)
+        assert got.token_total == len(tokens)
         assert all(got.counts[c] <= got.token_total for c in ALL_CATEGORIES)
 
     # a single complex tweet carrying two positive hits and one negative hit
@@ -159,7 +160,7 @@ def test_criterion_08_planted_ground_truth(synth_corpus, synth_dir):
         | set(ledger["low_token_ids"])
     )
     assert removed == planted
-    report = device_group_report(filtered)
+    report = device_group_report(filtered, [prepare(r.text) for r in filtered.records])
     sizes = {device: report.groups[device][0] for device in ledger["device_counts"]}
     assert sizes == ledger["device_counts"]
     _ok(8, f"bot filter removed exactly the {len(planted)} planted records; device sizes match")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_record
-from oracles import count_items
+from oracles import clean_chunk, count_items
 from tweetsent.analytics import (
     DEFAULT_DEVICE_CATEGORIES,
     daily_emotion_series,
@@ -20,11 +20,15 @@ from tweetsent.analytics import (
 from tweetsent.emotion import EMOTION_CLASSES, EmotionProfile, classify
 from tweetsent.errors import EmptyInputError
 from tweetsent.polarity import PolarityScore
-from tweetsent.textprep import clean_text, prepare, remove_stopwords
+from tweetsent.textprep import prepare, remove_stopwords
 
 
 def _scores(values):
-    return [PolarityScore(v, 1, [v]) for v in values]
+    return [PolarityScore(v, 1) for v in values]
+
+
+def _devices(corpus, categories=None):
+    return device_group_report(corpus, [prepare(r.text) for r in corpus.records], categories)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +129,7 @@ def test_device_ratio_normalized_within_group():
         make_record(rid="4", text="nothing here", device="Twitter for iPhone"),
         make_record(rid="5", text="reopen now", device="Twitter Web App"),
     ]
-    report = device_group_report(make_corpus(records), {"economy": ["econom"]})
+    report = _devices(make_corpus(records), {"economy": ["econom"]})
     n, ratios = report.groups["Twitter for iPhone"]
     assert n == 4
     assert ratios["economy"] == 0.5
@@ -134,12 +138,18 @@ def test_device_ratio_normalized_within_group():
 
 def test_device_zero_matches_zero_ratio():
     records = [make_record(rid="1", text="stay home", device="Twitter for Android")]
-    report = device_group_report(make_corpus(records), {"trump": ["trump"]})
+    report = _devices(make_corpus(records), {"trump": ["trump"]})
     assert report.groups["Twitter for Android"][1]["trump"] == 0.0
 
 
+def test_device_report_requires_aligned_texts():
+    corpus = make_corpus([make_record(rid="1"), make_record(rid="2")])
+    with pytest.raises(ValueError):
+        device_group_report(corpus, [prepare("reopen now")])
+
+
 def test_device_report_matches_bruteforce(synth_corpus):
-    report = device_group_report(synth_corpus, DEFAULT_DEVICE_CATEGORIES)
+    report = _devices(synth_corpus, DEFAULT_DEVICE_CATEGORIES)
     for device in ("Twitter for iPhone", "Twitter for Android"):
         group = [r for r in synth_corpus.records if r.source_device == device]
         n, ratios = report.groups[device]
@@ -147,7 +157,7 @@ def test_device_report_matches_bruteforce(synth_corpus):
         for name, keywords in DEFAULT_DEVICE_CATEGORIES.items():
             hits = 0
             for r in group:
-                cleaned = clean_text(r.text)
+                cleaned = clean_chunk(r.text)
                 if any(kw in cleaned for kw in keywords):
                     hits += 1
             assert ratios[name] == (hits / n if n else 0.0)
@@ -163,8 +173,8 @@ def test_device_ratios_invariant_under_group_duplication():
         make_record(rid="4", text="stay home", device="Twitter for iPhone"),
     ]
     categories = {"reopen": ["reopen"]}
-    once = device_group_report(make_corpus(records), categories)
-    twice = device_group_report(make_corpus(doubled), categories)
+    once = _devices(make_corpus(records), categories)
+    twice = _devices(make_corpus(doubled), categories)
     assert once.groups["Twitter for iPhone"][1] == twice.groups["Twitter for iPhone"][1]
 
 

@@ -100,6 +100,11 @@ def test_ngrams_invalid_n_is_config_error(workdir):
     assert main(["ngrams", "--input", "corpus.csv", "--n", "9"]) == 2
 
 
+def test_ngrams_top_below_one_is_config_error(workdir):
+    _synth(workdir)
+    assert main(["ngrams", "--input", "corpus.csv", "--n", "2", "--top", "0"]) == 2
+
+
 def test_sentiment_scores_csv(workdir, capsys):
     _synth(workdir)
     assert main(["sentiment", "--input", "corpus.csv", "--output", "scores.csv"]) == 0
@@ -168,6 +173,29 @@ def test_scenario_tie_is_data_error(workdir):
 def test_scenario_bad_payload_is_data_error(workdir):
     (workdir / "bad.json").write_text("{\"whatever\": 1}")
     assert main(["scenario", "--input", "bad.json", "--timing", "now"]) == 3
+
+
+@pytest.mark.parametrize("share", [float("nan"), -0.5, 1.5, float("inf")])
+def test_scenario_nonsense_share_is_data_error(workdir, share):
+    (workdir / "odd.json").write_text(
+        json.dumps({"positive_share": share, "negative_share": 0.3})
+    )
+    assert main(["scenario", "--input", "odd.json", "--timing", "now"]) == 3
+    (workdir / "odd.json").write_text(
+        json.dumps({"positive_share": 0.3, "negative_share": share})
+    )
+    assert main(["scenario", "--input", "odd.json", "--timing", "now"]) == 3
+
+
+def test_scenario_without_emotion_hits_has_no_dominant_emotions(workdir, capsys):
+    (workdir / "flat.json").write_text(
+        json.dumps({"positive_share": 0.5, "negative_share": 0.3, "neutral_share": 0.2})
+    )
+    capsys.readouterr()
+    assert main(["scenario", "--input", "flat.json", "--timing", "later"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["id"] == "S2"
+    assert printed["inputs"]["dominant_emotions"] == []
 
 
 def test_run_with_config_file_and_override(workdir):

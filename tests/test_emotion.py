@@ -15,11 +15,11 @@ from tweetsent.emotion import (
     load_emotion_lexicon,
 )
 from tweetsent.errors import SchemaError
-from tweetsent.textprep import TokenStream, prepare, remove_stopwords
+from tweetsent.textprep import prepare, remove_stopwords
 
 
 def _ts(tokens):
-    return TokenStream(tokens=list(tokens), sentence_boundaries=[0] if tokens else [])
+    return [tuple(tokens)] if tokens else []
 
 
 def test_loader_fixture_is_well_formed(emo_lex):
@@ -112,9 +112,10 @@ def test_aggregate_matches_column_sum(synth_corpus, emo_lex, stoplist):
 
 def test_classify_matches_bruteforce_per_record(synth_corpus, emo_lex, stoplist):
     for record in synth_corpus.records[:200]:
-        ts = remove_stopwords(prepare(record.text), stoplist)
-        profile = classify(ts, emo_lex)
-        expected = emotion_counts(ts.tokens, emo_lex.entries, ALL_CATEGORIES)
+        sentences = remove_stopwords(prepare(record.text), stoplist)
+        profile = classify(sentences, emo_lex)
+        tokens = [t for s in sentences for t in s]
+        expected = emotion_counts(tokens, emo_lex.entries, ALL_CATEGORIES)
         assert profile.counts == expected
 
 

@@ -6,36 +6,36 @@ from hypothesis import strategies as st
 
 from oracles import ngram_counts
 from tweetsent.errors import InvalidNError
-from tweetsent.ngrams import build_table, extract_ngrams, word_cloud_weights
-from tweetsent.textprep import TokenStream, prepare, remove_stopwords
+from tweetsent.ngrams import build_table, word_cloud_weights
+from tweetsent.textprep import prepare, remove_stopwords
 
 
-def _stream(*sentences):
-    tokens = []
-    bounds = []
-    for s in sentences:
-        bounds.append(len(tokens))
-        tokens.extend(s)
-    return TokenStream(tokens=tokens, sentence_boundaries=bounds)
+def _text(*sentences):
+    return [tuple(s) for s in sentences]
+
+
+def _grams(sentences, n):
+    return dict(build_table([sentences], n).entries)
 
 
 def test_extract_bigrams_single_sentence():
-    assert extract_ngrams(_stream(["a", "b", "c"]), 2) == [("a", "b"), ("b", "c")]
+    assert _grams(_text(["a", "b", "c"]), 2) == {("a", "b"): 1, ("b", "c"): 1}
 
 
 def test_extract_does_not_cross_boundaries():
-    ts = _stream(["a", "b"], ["c", "d"])
-    assert extract_ngrams(ts, 2) == [("a", "b"), ("c", "d")]
+    assert _grams(_text(["a", "b"], ["c", "d"]), 2) == {("a", "b"): 1, ("c", "d"): 1}
 
 
 def test_extract_short_sentence_empty():
-    assert extract_ngrams(_stream(["a"]), 3) == []
+    table = build_table([_text(["a"])], 3)
+    assert table.entries == []
+    assert table.total_grams == 0
 
 
 @pytest.mark.parametrize("n", [0, 5, -1])
 def test_extract_invalid_n(n):
     with pytest.raises(InvalidNError):
-        extract_ngrams(_stream(["a", "b"]), n)
+        build_table([_text(["a", "b"])], n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -49,25 +49,24 @@ def test_extract_invalid_n(n):
 )
 def test_extract_count_law(sentences, n):
     sentences = [s for s in sentences if s]
-    ts = _stream(*sentences) if sentences else TokenStream([], [])
     expected = sum(len(s) - n + 1 for s in sentences if len(s) >= n)
-    assert len(extract_ngrams(ts, n)) == expected
+    assert build_table([_text(*sentences)], n).total_grams == expected
 
 
 def test_build_table_counts_and_total():
-    table = build_table([_stream(["a", "b"]), _stream(["a", "b"])], 2)
+    table = build_table([_text(["a", "b"]), _text(["a", "b"])], 2)
     assert table.entries == [(("a", "b"), 2)]
     assert table.total_grams == 2
 
 
 def test_build_table_lexicographic_tiebreak():
-    table = build_table([_stream(["a", "b"]), _stream(["a", "a"])], 2)
+    table = build_table([_text(["a", "b"]), _text(["a", "a"])], 2)
     assert table.entries == [(("a", "a"), 1), (("a", "b"), 1)]
 
 
 def test_build_table_matches_oracle_on_synth(synth_corpus, stoplist):
     full = [prepare(r.text) for r in synth_corpus.records]
-    stopped = [remove_stopwords(ts, stoplist) for ts in full]
+    stopped = [remove_stopwords(sentences, stoplist) for sentences in full]
     for n in (1, 2, 3, 4):
         streams = stopped if n <= 2 else full
         table = build_table(streams, n)
@@ -86,7 +85,7 @@ def test_build_table_deterministic(synth_corpus):
 def test_unigram_total_equals_token_count(synth_corpus):
     streams = [prepare(r.text) for r in synth_corpus.records]
     table = build_table(streams, 1)
-    assert table.total_grams == sum(len(ts.tokens) for ts in streams)
+    assert table.total_grams == sum(len(s) for sentences in streams for s in sentences)
 
 
 def test_table_ordering_invariant(synth_corpus):
@@ -98,26 +97,65 @@ def test_table_ordering_invariant(synth_corpus):
 
 
 # ---------------------------------------------------------------------------
+# top-k selection
+
+
+def _full_order(counts):
+    return sorted(counts.items(), key=lambda e: (-e[1], " ".join(e[0])))
+
+
+# a small vocabulary so that equal counts, and ties at the cut-off, are common
+_CORPORA = st.lists(
+    st.lists(st.lists(st.sampled_from(["a", "b", "c", "ab", "d"]), max_size=7), max_size=3),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CORPORA, st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=40))
+def test_top_k_is_prefix_of_full_order(corpus, n, k):
+    texts = [_text(*(s for s in text if s)) for text in corpus]
+    full = ngram_counts(texts, n)
+    table = build_table(texts, n, top=k)
+    assert table.entries == _full_order(full)[:k]
+    assert table.total_grams == sum(full.values())
+
+
+def test_top_k_cut_inside_a_tie():
+    texts = [_text(["b"], ["a"], ["c"], ["c"])]
+    assert build_table(texts, 1, top=2).entries == [(("c",), 2), (("a",), 1)]
+
+
+def test_top_none_keeps_every_entry(synth_corpus):
+    texts = [prepare(r.text) for r in synth_corpus.records]
+    for n in (1, 4):
+        table = build_table(texts, n, top=None)
+        full = ngram_counts(texts, n)
+        assert dict(table.entries) == full
+        assert table.entries == _full_order(full)
+
+
+# ---------------------------------------------------------------------------
 # word cloud weights
 
 
 def test_word_cloud_normalization():
-    table = build_table([_stream(["reopen"] * 10 + ["economy"] * 5)], 1)
+    table = build_table([_text(["reopen"] * 10 + ["economy"] * 5)], 1)
     assert word_cloud_weights(table, 2) == [("reopen", 1.0), ("economy", 0.5)]
 
 
 def test_word_cloud_k_exceeds_vocabulary():
-    table = build_table([_stream(["a", "b"])], 1)
+    table = build_table([_text(["a", "b"])], 1)
     assert len(word_cloud_weights(table, 99)) == 2
 
 
 def test_word_cloud_single_word():
-    table = build_table([_stream(["reopen"])], 1)
+    table = build_table([_text(["reopen"])], 1)
     assert word_cloud_weights(table, 3) == [("reopen", 1.0)]
 
 
 def test_word_cloud_rejects_non_unigram():
-    table = build_table([_stream(["a", "b"])], 2)
+    table = build_table([_text(["a", "b"])], 2)
     with pytest.raises(InvalidNError):
         word_cloud_weights(table, 5)
 

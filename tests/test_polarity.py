@@ -19,7 +19,6 @@ from tweetsent.polarity import (
     score_sentence,
     score_text,
 )
-from tweetsent.textprep import TokenStream
 
 TINY = PolarityLexicon(
     entries={"good": 1.0, "bad": -1.0, "fine": 0.5},
@@ -238,12 +237,7 @@ def test_appending_positive_token_never_decreases_numerator():
 
 
 def _stream(*sentences):
-    tokens = []
-    bounds = []
-    for s in sentences:
-        bounds.append(len(tokens))
-        tokens.extend(s)
-    return TokenStream(tokens=tokens, sentence_boundaries=bounds)
+    return [tuple(s) for s in sentences]
 
 
 def test_score_text_sums_sentences_beyond_one():
@@ -251,8 +245,7 @@ def test_score_text_sums_sentences_beyond_one():
     score = score_text(_stream(["up"], ["ahead"]), lex)
     assert score.value == pytest.approx(1.7, abs=1e-12)  # legal excursion past 1
     assert score.n_sentences == 2
-    assert score.per_sentence == [pytest.approx(0.9), pytest.approx(0.8)]
-    assert score.value == pytest.approx(sum(score.per_sentence))
+    assert score.value == score_sentence(("up",), lex) + score_sentence(("ahead",), lex)
 
 
 def test_score_text_single_sentence():
@@ -267,9 +260,9 @@ def test_score_text_all_neutral():
 
 
 def test_classify_polarity():
-    assert classify_polarity(PolarityScore(0.5, 1, [0.5])) == "positive"
-    assert classify_polarity(PolarityScore(-0.1, 1, [-0.1])) == "negative"
-    assert classify_polarity(PolarityScore(0.0, 1, [0.0])) == "neutral"
+    assert classify_polarity(PolarityScore(0.5, 1)) == "positive"
+    assert classify_polarity(PolarityScore(-0.1, 1)) == "negative"
+    assert classify_polarity(PolarityScore(0.0, 1)) == "neutral"
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +270,7 @@ def test_classify_polarity():
 
 
 def _scores(values):
-    return [PolarityScore(v, 1, [v]) for v in values]
+    return [PolarityScore(v, 1) for v in values]
 
 
 def test_extremes_basic():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tweetsent.analytics import Histogram, PolarityDistribution
 from tweetsent.emotion import EmotionProfile
-from tweetsent.errors import TiedTrendError
+from tweetsent.errors import SchemaError, TiedTrendError
 from tweetsent.scenario import SentimentTrend, classify_scenario, derive_trend
 
 
@@ -41,6 +41,24 @@ def test_negative_trend():
 def test_tied_trend_raises():
     with pytest.raises(TiedTrendError):
         derive_trend(_dist(0.4, 0.4), EmotionProfile())
+
+
+@pytest.mark.parametrize(
+    "pos,neg", [(float("nan"), 0.3), (0.3, float("nan")), (-0.5, 0.3), (0.3, 1.5), (float("inf"), 0.0)]
+)
+def test_share_outside_unit_interval_rejected(pos, neg):
+    with pytest.raises(SchemaError):
+        derive_trend(_dist(pos, neg), EmotionProfile())
+
+
+def test_no_dominant_emotions_without_hits():
+    assert derive_trend(_dist(0.5, 0.3), EmotionProfile()).dominant_emotions == []
+
+
+def test_dominant_emotions_skip_classes_without_hits():
+    p = EmotionProfile()
+    p.counts["fear"] = 2
+    assert derive_trend(_dist(0.2, 0.5), p).dominant_emotions == ["fear"]
 
 
 def test_direction_depends_only_on_ordering():

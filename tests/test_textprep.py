@@ -5,17 +5,33 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from conftest import make_corpus, make_record
+from tweetsent.corpus import mask_corpus
 from tweetsent.synth import ABUSIVE_POOL
 from tweetsent.textprep import (
-    CleanOptions,
     MaskLedger,
-    TokenStream,
     clean_text,
     mask_abusive,
     prepare,
     remove_stopwords,
-    tokenize,
 )
+
+# text built from the pieces that the cleaning rules treat specially: URLs
+# (with dots), mentions, hashtags, edge and inner apostrophes, runs of
+# terminal punctuation, and non-ASCII letters whose lowercase form differs
+# in length or leaves combining marks (so the order of the rules shows)
+_PIECES = st.sampled_from(
+    [
+        "https://t.co/ab.cd", "HTTP://X.co/a!b", "www.Example.org/x?y=1", "WwW.A.b", "www.", "ww.x",
+        "@gov", "@İstanbul", "@a.b", "@#x", "#Reopen", "#@x", "#",
+        "'", "''", "can't", "'quoted'", "x'", "'x", "rock'n'roll",
+        ".", "!", "?", "...", "!?!", "..!", " ", "  ", "\n", "\t", "\u00a0",
+        "İ", "İstanbul", "e\u0301", "\u0307", "\u212a", "ΑΣ", "ß", "ǅ", "❤️", "1.5",
+        "Reopen", "NOW", "the", "economy", "2020", "_", "-", ",",
+    ]
+)
+_TWEET = st.lists(st.one_of(_PIECES, st.text(max_size=3)), max_size=25).map("".join)
 
 
 # ---------------------------------------------------------------------------
@@ -42,10 +58,6 @@ def test_clean_drops_emoji_and_edge_quotes():
     assert clean_text("'great' day ❤️") == "great day"
 
 
-def test_clean_mentions_kept_when_disabled():
-    assert clean_text("@gov said so", CleanOptions(remove_mentions=False)) == "gov said so"
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=200))
 def test_clean_idempotent(raw):
@@ -62,56 +74,60 @@ def test_clean_output_alphabet(raw):
 
 
 # ---------------------------------------------------------------------------
-# tokenization
+# sentence splitting and tokenization
 
 
 def test_tokenize_single_sentence():
-    ts = tokenize("reopen the economy")
-    assert ts.tokens == ["reopen", "the", "economy"]
-    assert ts.sentence_boundaries == [0]
+    assert prepare("reopen the economy") == [("reopen", "the", "economy")]
 
 
 def test_tokenize_boundaries():
-    ts = tokenize("open now. stay safe.")
-    assert ts.tokens == ["open", "now", "stay", "safe"]
-    assert ts.sentence_boundaries == [0, 2]
+    assert prepare("open now. stay safe.") == [("open", "now"), ("stay", "safe")]
 
 
 def test_tokenize_empty():
-    ts = tokenize("")
-    assert ts.tokens == []
-    assert ts.sentence_boundaries == []
+    assert prepare("") == []
+    assert prepare("... !? @gov https://t.co/x") == []
 
 
 def test_prepare_full_path():
-    ts = prepare("Reopen NOW!! Stay safe @gov https://t.co/ab.cd")
-    assert ts.tokens == ["reopen", "now", "stay", "safe"]
-    assert ts.sentence_boundaries == [0, 2]
+    assert prepare("Reopen NOW!! Stay safe @gov https://t.co/ab.cd") == [
+        ("reopen", "now"),
+        ("stay", "safe"),
+    ]
 
 
 def test_prepare_url_dots_do_not_split_sentences():
-    ts = prepare("check https://x.co/a.b?q=1 reopen plans")
-    assert ts.sentence_boundaries == [0]
-    assert "reopen" in ts.tokens
+    sentences = prepare("check https://x.co/a.b?q=1 reopen plans")
+    assert sentences == [("check", "reopen", "plans")]
 
 
 def test_sentences_view():
-    ts = TokenStream(tokens=["a", "b", "c", "d"], sentence_boundaries=[0, 3])
-    assert ts.sentences() == [["a", "b", "c"], ["d"]]
+    # one token tuple per sentence, in order; empty sentences are dropped
+    assert prepare("A b c?! . D") == [("a", "b", "c"), ("d",)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.text(max_size=200))
 def test_prepare_invariants(raw):
-    ts = prepare(raw)
-    assert all(not re.search(r"\s", t) and t for t in ts.tokens)
-    bounds = ts.sentence_boundaries
-    assert bounds == sorted(set(bounds))
-    if ts.tokens:
-        assert bounds and bounds[0] == 0
-        assert bounds[-1] < len(ts.tokens)
-    else:
-        assert bounds == []
+    sentences = prepare(raw)
+    assert all(type(s) is tuple and s for s in sentences)
+    assert all(t and not re.search(r"\s", t) for s in sentences for t in s)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_TWEET, st.text(max_size=200)))
+def test_prepare_matches_multipass_oracle(raw):
+    assert prepare(raw) == oracles.prepare(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_TWEET, st.text(max_size=200)))
+def test_clean_text_joins_prepared_tokens(raw):
+    cleaned = clean_text(raw)
+    assert cleaned == " ".join(token for sentence in prepare(raw) for token in sentence)
+    # cleaning the whole text at once gives the same words as cleaning per sentence
+    assert cleaned == oracles.clean_chunk(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -119,30 +135,22 @@ def test_prepare_invariants(raw):
 
 
 def test_remove_stopwords_basic():
-    ts = tokenize("reopen the economy")
-    out = remove_stopwords(ts, {"the"})
-    assert out.tokens == ["reopen", "economy"]
-    assert out.sentence_boundaries == [0]
+    assert remove_stopwords([("reopen", "the", "economy")], {"the"}) == [("reopen", "economy")]
 
 
 def test_remove_stopwords_all_gone():
-    out = remove_stopwords(tokenize("the a an"), {"the", "a", "an"})
-    assert out.tokens == []
-    assert out.sentence_boundaries == []
+    assert remove_stopwords([("the", "a", "an")], {"the", "a", "an"}) == []
 
 
 def test_remove_stopwords_empty_stoplist_identity():
-    ts = tokenize("open now. stay safe.")
-    out = remove_stopwords(ts, set())
-    assert out.tokens == ts.tokens
-    assert out.sentence_boundaries == ts.sentence_boundaries
+    sentences = prepare("open now. stay safe.")
+    assert remove_stopwords(sentences, set()) == sentences
 
 
 def test_remove_stopwords_reindexes_boundaries():
-    ts = tokenize("the and. reopen now.")
-    out = remove_stopwords(ts, {"the", "and"})
-    assert out.tokens == ["reopen", "now"]
-    assert out.sentence_boundaries == [0]
+    # a sentence emptied by the stoplist disappears; the others keep their order
+    out = remove_stopwords(prepare("the and. reopen now. the end"), {"the", "and"})
+    assert out == [("reopen", "now"), ("end",)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -151,12 +159,11 @@ def test_remove_stopwords_reindexes_boundaries():
     st.sets(st.sampled_from(["the", "a", "now"])),
 )
 def test_remove_stopwords_order_and_count(tokens, stoplist):
-    ts = TokenStream(tokens=list(tokens), sentence_boundaries=[0] if tokens else [])
-    out = remove_stopwords(ts, stoplist)
-    assert out.tokens == [t for t in tokens if t not in stoplist]  # order preserved
-    assert len(out.tokens) <= len(tokens)
+    out = remove_stopwords([tuple(tokens)] if tokens else [], stoplist)
+    kept = [t for t in tokens if t not in stoplist]
+    assert out == ([tuple(kept)] if kept else [])  # order preserved
     hits = sum(1 for t in tokens if t in stoplist)
-    assert (len(out.tokens) == len(tokens)) == (hits == 0)
+    assert (sum(map(len, out)) == len(tokens)) == (hits == 0)
 
 
 def test_stoplist_fixture_size(stoplist):
@@ -214,3 +221,22 @@ def test_masking_completeness_on_synthetic_corpus(synth_corpus):
     scan = re.compile(r"\b(?:" + "|".join(sorted(lexicon)) + r")\b", re.IGNORECASE)
     assert not any(scan.search(t) for t in masked_texts)
     assert ledger.occurrences > 0  # the generator did plant some
+
+
+def test_mask_corpus_matches_per_record_masking(synth_corpus):
+    lexicon = set(ABUSIVE_POOL)
+    per_record = MaskLedger()
+    expected = [mask_abusive(r.text, lexicon, per_record)[0] for r in synth_corpus.records]
+    ledger = MaskLedger()
+    masked = mask_corpus(synth_corpus, lexicon, ledger)
+    assert [r.text for r in masked.records] == expected
+    assert ledger.replacements == per_record.replacements
+    assert ledger.occurrences == per_record.occurrences
+
+
+def test_mask_corpus_empty_lexicon_is_identity():
+    corpus = make_corpus([make_record(rid="1", text="badword01 here")])
+    ledger = MaskLedger()
+    masked = mask_corpus(corpus, set(), ledger)
+    assert [r.text for r in masked.records] == ["badword01 here"]
+    assert ledger.counter == 0
