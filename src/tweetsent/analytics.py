@@ -12,6 +12,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
+from itertools import repeat
+from operator import contains, itemgetter
 from typing import NamedTuple
 
 from .corpus import Corpus
@@ -139,7 +141,10 @@ def device_group_report(
             if n == 0:
                 ratios[name] = 0.0
                 continue
-            hits = sum(1 for t in texts if any(kw in t for kw in keywords))
+            # each keyword's hit flags over the texts, computed in C; a text
+            # counts once however many of the keywords it holds
+            flags = [map(contains, texts, repeat(kw)) for kw in keywords]
+            hits = sum(map(any, zip(*flags)))
             ratios[name] = hits / n
         groups[device] = (n, ratios)
     return DeviceGroupReport(groups=groups)
@@ -153,20 +158,19 @@ def daily_emotion_series(c: Corpus, profiles: list[EmotionProfile]) -> DailySeri
     """
     if len(profiles) != len(c.records):
         raise ValueError("profiles must align 1:1 with corpus records")
-    per_day: dict[date, dict[str, int]] = {}
+    # one row of class counts per record, summed per day column by column
+    row_of = itemgetter(*EMOTION_CLASSES)
+    per_day: dict[date, list[tuple[int, ...]]] = {}
     for record, profile in zip(c.records, profiles):
-        day = record.created_at.date()
-        bucket = per_day.setdefault(day, {cls: 0 for cls in EMOTION_CLASSES})
-        for cls in EMOTION_CLASSES:
-            bucket[cls] += profile.counts[cls]
+        per_day.setdefault(record.created_at.date(), []).append(row_of(profile.counts))
 
     days = sorted(per_day)
     values: dict[str, list[float]] = {cls: [] for cls in EMOTION_CLASSES}
     for day in days:
-        bucket = per_day[day]
-        total = sum(bucket.values())
-        for cls in EMOTION_CLASSES:
-            values[cls].append(bucket[cls] / total if total else 0.0)
+        sums = list(map(sum, zip(*per_day[day])))
+        total = sum(sums)
+        for cls, count in zip(EMOTION_CLASSES, sums):
+            values[cls].append(count / total if total else 0.0)
     return DailySeries(days=days, values=values)
 
 

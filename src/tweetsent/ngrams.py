@@ -10,7 +10,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import eq, lt
 
 from .errors import InvalidNError
 from .textprep import Sentences
@@ -48,13 +49,28 @@ def build_table(corpus: list[Sentences], n: int, top: int | None = None) -> Ngra
         )
     )
     k = len(counts) if top is None else top
-    # only entries counting at least the k-th highest count can be kept, so
-    # the rank key is built for those alone; nsmallest sorts them outright
-    # when k reaches their number
-    floor = min(heapq.nlargest(k, counts.values()), default=0)
-    candidates = [item for item in counts.items() if item[1] >= floor]
-    entries = heapq.nsmallest(k, candidates, key=_rank_key)
-    return NgramTable(n=n, entries=entries, total_grams=sum(counts.values()))
+    return NgramTable(n=n, entries=_top_entries(counts, k), total_grams=sum(counts.values()))
+
+
+def _top_entries(counts: Counter[tuple[str, ...]], k: int) -> list[tuple[tuple[str, ...], int]]:
+    """The first k entries in _rank_key order, equal keys in insertion order.
+
+    Every entry counting above the k-th highest count (the floor) is kept;
+    the places left go to the grams at the floor whose joined text sorts
+    lowest. For n = 4 the floor is usually 1 and nearly every entry sits at
+    it, so the entries are split by count in two C scans, and only the kept
+    ones are ranked.
+    """
+    largest = heapq.nlargest(k, counts.values())
+    if not largest:
+        return []
+    floor = largest[-1]
+    counted = counts.values()
+    above = compress(counts, map(lt, repeat(floor), counted))
+    at_floor = compress(counts, map(eq, repeat(floor), counted))
+    entries = sorted([(gram, counts[gram]) for gram in above], key=_rank_key)
+    entries += [(gram, floor) for gram in heapq.nsmallest(k - len(entries), at_floor, key=" ".join)]
+    return entries
 
 
 def word_cloud_weights(table: NgramTable, k: int) -> list[tuple[str, float]]:

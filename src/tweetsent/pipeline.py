@@ -37,7 +37,7 @@ from .corpus import (
     mask_corpus,
     write_corpus_jsonl,
 )
-from .errors import ConfigError, PipelineStageError
+from .errors import ConfigError, EmptyCorpusError, PipelineStageError
 from .exports import (
     daily_series_to_csv,
     device_report_to_dict,
@@ -172,6 +172,12 @@ def _run_stage(stage: str, fn):
         raise PipelineStageError(stage, exc) from exc
 
 
+def _require_records(corpus: Corpus, stage: str) -> None:
+    """Stop at the filter that emptied the corpus, before any analysis runs."""
+    if not corpus.records:
+        raise PipelineStageError(stage, EmptyCorpusError(f"the {stage} filter left no records"))
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -186,11 +192,15 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
 
     corpus = _run_stage("load", lambda: load_corpus(cfg.input, cfg.format))
     corpus = _run_stage("date_range", lambda: filter_date_range(corpus, start, end))
+    _require_records(corpus, "date_range")
     corpus = _run_stage("keyword", lambda: filter_keyword(corpus, cfg.keyword))
+    _require_records(corpus, "keyword")
     corpus = _run_stage("country", lambda: filter_country(corpus, cfg.country))
+    _require_records(corpus, "country")
     corpus = _run_stage(
         "bots", lambda: filter_bots_and_duplicates(corpus, cfg.bot_policy())
     )
+    _require_records(corpus, "bots")
 
     abusive = _run_stage(
         "mask", lambda: textprep.load_abusive_lexicon(cfg.abusive_lexicon_path)

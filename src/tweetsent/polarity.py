@@ -21,7 +21,9 @@ import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
+from operator import add
 
 from .errors import EmptyInputError, SchemaError
 from .textprep import Sentences
@@ -100,11 +102,16 @@ def load_polarity_lexicon(polarity_path=None, shifter_path=None) -> PolarityLexi
 
 def score_sentence(tokens: Sequence[str], lex: PolarityLexicon, params: ScoringParams | None = None) -> float:
     """Score one sentence of lowercase tokens; empty sentences score 0."""
-    if not tokens:
-        return 0.0
-    params = params or ScoringParams()
     entries = lex.entries
     shifters = lex.shifters
+    if entries.keys().isdisjoint(tokens):
+        # no polarized word: every term of the sum is absent
+        return 0.0
+    if shifters.keys().isdisjoint(tokens):
+        # no shifter: every weight is 1.0, leaving the polarities summed
+        # left to right
+        return reduce(add, filter(None, map(entries.get, tokens)), 0.0) / math.sqrt(len(tokens))
+    params = params or ScoringParams()
     z = params.amplifier_weight
     adv_up = 1.0 + params.adversative_weight * 0.25
     adv_down = 1.0 - params.adversative_weight * 0.25
@@ -144,12 +151,18 @@ def score_sentence(tokens: Sequence[str], lex: PolarityLexicon, params: ScoringP
 
 
 def score_text(sentences: Sentences, lex: PolarityLexicon, params: ScoringParams | None = None) -> PolarityScore:
-    """Sum of per-sentence scores; the total may exceed 1 in magnitude."""
+    """Sum of per-sentence scores; the total may exceed 1 in magnitude.
+
+    Sentences are added left to right in a plain loop: builtin sum() adds
+    floats with compensation from Python 3.12 on, which would change the
+    bytes of a total.
+    """
     params = params or ScoringParams()
-    return PolarityScore(
-        value=sum(score_sentence(s, lex, params) for s in sentences),
-        n_sentences=len(sentences),
-    )
+    # sum() of no sentences was the int 0, which polarity_scores.csv writes as "0"
+    total = 0.0 if sentences else 0
+    for sentence in sentences:
+        total += score_sentence(sentence, lex, params)
+    return PolarityScore(value=total, n_sentences=len(sentences))
 
 
 def classify_polarity(score: PolarityScore) -> str:

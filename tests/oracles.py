@@ -7,6 +7,8 @@ paths, so oracle-equality tests actually cross-check two implementations.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import re
 
@@ -179,3 +181,118 @@ def min_max(values):
         if v > hi:
             hi = v
     return lo, hi
+
+
+def jsonl_line(record):
+    """One filtered-corpus line as json.dumps writes it: a dict of the ten
+    fields, ensure_ascii off, keys sorted, default separators."""
+    return json.dumps(
+        {
+            "status_id": record.id,
+            "created_at": record.created_at.isoformat().replace("+00:00", "Z"),
+            "text": record.text,
+            "source": record.source_device,
+            "location": record.user_location,
+            "country_code": record.country_code,
+            "hashtags": record.hashtags,
+            "mentions": record.mentions,
+            "user_id": record.user_id,
+            "is_retweet": record.is_retweet,
+        },
+        ensure_ascii=False,
+        sort_keys=True,
+    ) + "\n"
+
+
+def dictreader_load(path, parse_timestamp):
+    """The CSV loader as it read rows through csv.DictReader: returns
+    (records as field tuples, parsed, skipped), or the name of the error
+    the loader raises. `parse_timestamp` turns a created_at string into a
+    datetime or raises."""
+    true_strings = {"true", "t", "1", "yes"}
+    false_strings = {"false", "f", "0", "no", ""}
+
+    def split_tags(value):
+        if value is None:
+            return []
+        return [part for part in str(value).split("|") if part]
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for column in ("status_id", "created_at", "text", "source", "location",
+                       "country_code", "hashtags", "mentions", "user_id", "is_retweet"):
+            if column not in header:
+                return "SchemaError"
+        records = []
+        seen = set()
+        parsed = 0
+        skipped = 0
+        for row in reader:
+            parsed += 1
+            rid = str(row.get("status_id") or "").strip()
+            text = str(row.get("text") or "")
+            flag = str(row.get("is_retweet")).strip().lower()
+            try:
+                if not rid or rid in seen or not text.strip():
+                    raise ValueError("bad row")
+                created = parse_timestamp(str(row.get("created_at") or ""))
+                if flag not in true_strings and flag not in false_strings:
+                    raise ValueError("bad bool")
+            except Exception:
+                skipped += 1
+                continue
+            seen.add(rid)
+            records.append((
+                rid,
+                created,
+                text,
+                str(row.get("source") or ""),
+                str(row.get("location") or "").strip() or None,
+                str(row.get("country_code") or "").strip() or None,
+                split_tags(row.get("hashtags")),
+                split_tags(row.get("mentions")),
+                str(row.get("user_id") or ""),
+                flag in true_strings,
+            ))
+    if not records:
+        return "EmptyCorpusError"
+    return records, parsed, skipped
+
+
+def device_ratios(records, texts, categories, devices):
+    """Per device: (record count, {category: share of its records whose text
+    contains any of the category's keywords}), by rescanning every text."""
+    out = {}
+    for device in devices:
+        group = [text for record, text in zip(records, texts) if record.source_device == device]
+        ratios = {}
+        for name, keywords in categories.items():
+            hits = 0
+            for text in group:
+                for kw in keywords:
+                    if kw in text:
+                        hits += 1
+                        break
+            ratios[name] = hits / len(group) if group else 0.0
+        out[device] = (len(group), ratios)
+    return out
+
+
+def daily_shares(records, profiles, classes):
+    """{day: {class: share of the day's emotion hits}}, zeros on a day
+    without hits, by adding each record's counts one class at a time."""
+    by_day = {}
+    for record, profile in zip(records, profiles):
+        day = record.created_at.date()
+        if day not in by_day:
+            by_day[day] = {c: 0 for c in classes}
+        for c in classes:
+            by_day[day][c] = by_day[day][c] + profile.counts[c]
+    shares = {}
+    for day, bucket in by_day.items():
+        total = 0
+        for c in classes:
+            total += bucket[c]
+        shares[day] = {c: (bucket[c] / total if total else 0.0) for c in classes}
+    return shares

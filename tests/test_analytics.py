@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import random
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_record
-from oracles import clean_chunk, count_items
+from oracles import clean_chunk, count_items, daily_shares, device_ratios
 from tweetsent.analytics import (
     DEFAULT_DEVICE_CATEGORIES,
+    DEVICE_CLASSES,
     daily_emotion_series,
     device_group_report,
     polarity_distribution,
@@ -302,3 +304,67 @@ def test_histogram_bins_quarter_width():
 def test_histogram_degenerate_all_zero():
     dist = polarity_distribution(_scores([0.0, 0.0]))
     assert dist.histogram.counts == [2]
+
+
+# ---------------------------------------------------------------------------
+# reports against brute-force recounts on random corpora
+
+_WORDS = ["reopen", "reopening", "business", "time", "work", "trump", "economy", "abuvs1", "home", "now"]
+_DEVICES = list(DEVICE_CLASSES) + ["Twitter Web App"]
+
+
+@st.composite
+def _device_corpora(draw):
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5).map(tuple), max_size=3),
+                st.sampled_from(_DEVICES),
+            ),
+            max_size=15,
+        )
+    )
+    categories = draw(
+        st.dictionaries(
+            st.sampled_from(["a", "b", "c", "d"]),
+            st.lists(st.sampled_from(["reopen", "econom", "work", "time", "abuvs", "zzz", "n ec"]), max_size=3),
+            min_size=1,
+        )
+    )
+    records = [make_record(rid=str(i), device=device) for i, (_, device) in enumerate(rows)]
+    return make_corpus(records), [sentences for sentences, _ in rows], categories
+
+
+@settings(max_examples=150, deadline=None)
+@given(_device_corpora())
+def test_device_report_matches_recount_property(spec):
+    # single- and multi-keyword categories, empty keyword lists, empty groups
+    corpus, prepared, categories = spec
+    texts = [" ".join(" ".join(s) for s in sentences) for sentences in prepared]
+    report = device_group_report(corpus, prepared, categories)
+    assert report.groups == device_ratios(corpus.records, texts, categories, DEVICE_CLASSES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=4 * 24 * 3600),
+            st.lists(st.integers(min_value=0, max_value=3), min_size=len(EMOTION_CLASSES), max_size=len(EMOTION_CLASSES)),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_daily_series_matches_recount_property(rows):
+    records, profiles = [], []
+    for i, (offset, counts) in enumerate(rows):
+        record = make_record(rid=str(i), created="2020-05-01T00:00:00+00:00")
+        record.created_at += timedelta(seconds=offset)
+        records.append(record)
+        profiles.append(_profile(**dict(zip(EMOTION_CLASSES, counts))))
+    series = daily_emotion_series(make_corpus(records), profiles)
+    want = daily_shares(records, profiles, EMOTION_CLASSES)
+    assert series.days == sorted(want)
+    for i, day in enumerate(series.days):
+        assert {cls: series.values[cls][i] for cls in EMOTION_CLASSES} == want[day]

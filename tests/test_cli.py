@@ -238,3 +238,24 @@ def test_exit_code_3_for_empty_corpus(workdir):
 def test_exit_code_2_for_bad_country_flag(workdir):
     _synth(workdir, n=50)
     assert main(["ingest", "--input", "corpus.csv", "--country", "USA", "--output", "x.jsonl"]) == 2
+
+
+def test_run_with_empty_filter_window_exits_3_at_its_filter(workdir, capsys):
+    _synth(workdir, n=100)
+    code = main(["run", "--input", "corpus.csv", "--start", "2019-01-01", "--end", "2019-01-02",
+                 "--output-dir", "o"])
+    assert code == 3
+    assert "stage 'date_range' failed" in capsys.readouterr().err
+    assert not (workdir / "o").exists()
+
+
+def test_surrogate_escape_row_is_skipped_not_a_crash(workdir):
+    path = _synth(workdir, n=100, name="c.jsonl", fmt="jsonl")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0] = lines[0].replace('"text": "', '"text": "\\ud800', 1)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["ingest", "--input", "c.jsonl", "--format", "jsonl", "--output", "x.jsonl",
+                 "--provenance"]) == 0
+    provenance = json.loads((workdir / "x.provenance.json").read_text())
+    assert (provenance["parsed"], provenance["skipped"]) == (100, 1)
+    assert main(["run", "--input", "c.jsonl", "--format", "jsonl", "--output-dir", "o"]) == 0

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import csv
 import json
+import re
+import sys
 from datetime import date, timedelta
 
 import pytest
@@ -8,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_record
-from oracles import filter_chain_ids
+from oracles import dictreader_load, filter_chain_ids, jsonl_line
 from tweetsent.corpus import (
+    CSV_COLUMNS,
     BotPolicy,
     filter_bots_and_duplicates,
     filter_country,
@@ -17,9 +21,12 @@ from tweetsent.corpus import (
     filter_keyword,
     load_corpus,
     parse_timestamp,
+    write_corpus_jsonl,
 )
 from tweetsent.errors import EmptyCorpusError, InvalidRangeError, SchemaError
 
+# the csv module's default field-size limit; the loader must leave it in place
+CSV_FIELD_LIMIT = 131_072
 CSV_HEADER = "status_id,created_at,text,source,location,country_code,hashtags,mentions,user_id,is_retweet\n"
 
 
@@ -316,3 +323,288 @@ def test_bot_filter_idempotent_property(c):
     twice = filter_bots_and_duplicates(once, policy)
     assert [r.id for r in twice.records] == [r.id for r in once.records]
     assert _conserved(once)
+
+
+# ---------------------------------------------------------------------------
+# ingestion contract: csv.reader rows, malformed rows skipped and counted
+
+
+_COLUMN_VALUES = {
+    "status_id": ["r1", "r2", " r3 ", "", "r4", "r5"],
+    "created_at": ["2020-05-02T10:00:00Z", "2020-05-02T10:00:00+02:00", "2020-05-02", ""],
+    "text": ["reopen now", "", " ", "x,y", 'say "hi"', "two\nlines"],
+    "source": ["Twitter for iPhone", "", "web"],
+    "location": ["", " ", "NYC ", "a,b"],
+    "country_code": ["US", "", " us "],
+    "hashtags": ["", "a|b", "|", "x"],
+    "mentions": ["", "m", "a||b"],
+    "user_id": ["u1", ""],
+    "is_retweet": ["true", "false", "no", "", "maybe", "T"],
+    "extra": ["", "junk", "\u00e9"],
+}
+_JUNK = st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r"), max_size=8)
+
+
+@st.composite
+def _csv_files(draw):
+    # every column once, in any order, plus repeated and unknown columns;
+    # now and then one column is missing
+    header = draw(st.permutations(CSV_COLUMNS + draw(st.lists(st.sampled_from(CSV_COLUMNS + ["extra"]), max_size=3))))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        header.remove(draw(st.sampled_from(CSV_COLUMNS)))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        row = [draw(st.sampled_from(_COLUMN_VALUES[name])) for name in header]
+        shape = draw(st.sampled_from(["full", "full", "short", "long", "blank", "junk"]))
+        if shape == "short":
+            row = row[: draw(st.integers(min_value=1, max_value=len(row)))]
+        elif shape == "long":
+            row += draw(st.lists(_JUNK, min_size=1, max_size=3))
+        elif shape == "blank":
+            row = []
+        elif shape == "junk":
+            row = draw(st.lists(_JUNK, max_size=len(header) + 2))
+        rows.append(row)
+    return header, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_files())
+def test_csv_loader_matches_dictreader_oracle(tmp_path_factory, spec):
+    # rows may be blank, short or long; header columns reordered, repeated or missing
+    header, rows = spec
+    path = tmp_path_factory.mktemp("csv") / "c.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    want = dictreader_load(path, parse_timestamp)
+    try:
+        c = load_corpus(path, "csv")
+    except (SchemaError, EmptyCorpusError) as exc:
+        assert type(exc).__name__ == want
+        return
+    records, parsed, skipped = want
+    got = [
+        (r.id, r.created_at, r.text, r.source_device, r.user_location, r.country_code,
+         r.hashtags, r.mentions, r.user_id, r.is_retweet)
+        for r in c.records
+    ]
+    assert got == records
+    assert (c.provenance.parsed, c.provenance.skipped) == (parsed, skipped)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=400))
+def test_load_arbitrary_bytes_after_header(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("bytes") / "c.csv"
+    path.write_bytes(CSV_HEADER.encode() + b"c0,2020-05-02T10:00:00Z,ok text,web,,US,,,u0,false\n" + body)
+    try:
+        c = load_corpus(path, "csv")
+    except (SchemaError, EmptyCorpusError):
+        return
+    assert c.provenance.parsed == len(c.records) + c.provenance.skipped
+    write_corpus_jsonl(c, path.with_suffix(".out"))  # every kept record can be written
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=300))
+def test_load_arbitrary_jsonl_bytes(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("bytes") / "c.jsonl"
+    path.write_bytes(_jsonl_line(0).encode() + b"\n" + body)
+    c = load_corpus(path, "jsonl")
+    assert c.provenance.parsed == len(c.records) + c.provenance.skipped
+
+
+def _csv_row(i, text=None):
+    return f"c{i},2020-05-02T10:00:00Z,{text or f'reopen text {i}'},web,,US,,,u{i},false"
+
+
+def test_csv_short_row_reads_none_and_is_skipped(tmp_path):
+    # as with csv.DictReader, a missing is_retweet is None, not "" (= false)
+    path = tmp_path / "c.csv"
+    path.write_text(CSV_HEADER + _csv_row(0) + "\nc1,2020-05-02T10:00:00Z,reopen now,web,,US,,,u1\n")
+    c = load_corpus(path, "csv")
+    assert [r.id for r in c.records] == ["c0"]
+    assert (c.provenance.parsed, c.provenance.skipped) == (2, 1)
+
+
+def test_csv_field_over_size_limit_skipped_and_counted(tmp_path):
+    assert csv.field_size_limit() == CSV_FIELD_LIMIT
+    long_text = "x" * (CSV_FIELD_LIMIT + 10)
+    path = tmp_path / "c.csv"
+    path.write_text(CSV_HEADER + "\n".join([_csv_row(0), _csv_row(1, long_text), _csv_row(2)]) + "\n")
+    c = load_corpus(path, "csv")
+    assert [r.id for r in c.records] == ["c0", "c2"]
+    assert (c.provenance.parsed, c.provenance.skipped) == (3, 1)
+
+
+def test_csv_over_long_multiline_field_is_one_skipped_row(tmp_path):
+    # CSV-looking lines inside an over-long quoted field must not load as rows
+    assert csv.field_size_limit() == CSV_FIELD_LIMIT
+    field = '"' + "x" * (CSV_FIELD_LIMIT + 8_928) + "\n" + _csv_row(9, "smuggled row") + '\nstill the "" same field"'
+    path = tmp_path / "c.csv"
+    path.write_text(CSV_HEADER + "\n".join([_csv_row(0), _csv_row(1, field), _csv_row(2)]) + "\n")
+    c = load_corpus(path, "csv")
+    assert [r.id for r in c.records] == ["c0", "c2"]
+    assert (c.provenance.parsed, c.provenance.skipped) == (3, 1)
+    assert csv.field_size_limit() == CSV_FIELD_LIMIT  # restored after the lenient read
+
+
+def test_csv_nul_byte_never_resumes_mid_file(tmp_path):
+    # the csv module refuses NUL before Python 3.11; the load then stops
+    # instead of carrying on from the next line
+    path = tmp_path / "c.csv"
+    path.write_text(CSV_HEADER + "\n".join([_csv_row(0), _csv_row(1, "re\0open"), _csv_row(2)]) + "\n")
+    if sys.version_info < (3, 11):
+        with pytest.raises(SchemaError, match="NUL"):
+            load_corpus(path, "csv")
+    else:
+        c = load_corpus(path, "csv")
+        assert [r.text for r in c.records] == ["reopen text 0", "re\0open", "reopen text 2"]
+
+
+def test_csv_invalid_utf8_row_skipped_and_counted(tmp_path):
+    path = tmp_path / "c.csv"
+    rows = [_csv_row(0).encode(), _csv_row(1).encode().replace(b"reopen", b"re\xffopen"), _csv_row(2).encode()]
+    path.write_bytes(CSV_HEADER.encode() + b"\n".join(rows) + b"\n")
+    c = load_corpus(path, "csv")
+    assert [r.id for r in c.records] == ["c0", "c2"]
+    assert (c.provenance.parsed, c.provenance.skipped) == (3, 1)
+
+
+def test_csv_invalid_utf8_in_ignored_column_keeps_row(tmp_path):
+    path = tmp_path / "c.csv"
+    header = CSV_HEADER.strip() + ",extra\n"
+    path.write_bytes(header.encode() + _csv_row(0).encode() + b",\xfe\xff\n")
+    c = load_corpus(path, "csv")
+    assert [r.id for r in c.records] == ["c0"]
+    assert c.provenance.skipped == 0
+
+
+def test_jsonl_surrogate_escapes_skipped_in_valid_utf8(tmp_path):
+    lines = [
+        _jsonl_line(0),
+        _jsonl_line(1, text="reopen \ud800 now"),  # json.dumps writes the \ud800 escape
+        _jsonl_line(2, hashtags=["\ud83d"]).replace("\\ud83d", "\\uD83D"),
+        _jsonl_line(3, text="a valid pair \U0001F600, a quote \" and a \\u0022 escape"),
+        _jsonl_line(4, text="\ud83d\ude00 as an escaped pair"),
+        "[" * 100_000,
+        '{"status_id": ' + "1" * 5000 + "}",
+    ]
+    assert "\\ud800" in lines[1] and "\\uD83D" in lines[2] and "\\ud83d\\ude00" in lines[4]
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    c = load_corpus(path, "jsonl")
+    assert [r.id for r in c.records] == ["j0", "j3", "j4"]
+    assert c.records[2].text.startswith("\U0001F600")
+    assert (c.provenance.parsed, c.provenance.skipped) == (7, 4)
+
+
+def test_jsonl_invalid_utf8_line_skipped(tmp_path):
+    lines = [_jsonl_line(0).encode(), _jsonl_line(1).encode().replace(b"reopen", b"re\xc3open"), _jsonl_line(2).encode()]
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    c = load_corpus(path, "jsonl")
+    assert [r.id for r in c.records] == ["j0", "j2"]
+    assert (c.provenance.parsed, c.provenance.skipped) == (3, 1)
+
+
+# ---------------------------------------------------------------------------
+# strict RFC 3339 timestamps
+
+
+_RFC3339_ACCEPTED = {
+    "2020-05-02T10:00:00Z": "2020-05-02T10:00:00+00:00",
+    "2020-05-02t10:00:00z": "2020-05-02T10:00:00+00:00",
+    "2020-05-02 10:00:00+02:00": "2020-05-02T08:00:00+00:00",
+    "2020-05-02T10:00:00-00:00": "2020-05-02T10:00:00+00:00",
+    "2020-05-02T10:00:00.5Z": "2020-05-02T10:00:00.500000+00:00",
+    "2020-05-02T10:00:00.123456789Z": "2020-05-02T10:00:00.123456+00:00",
+    "2020-05-02T23:30:00.1-04:30": "2020-05-03T04:00:00.100000+00:00",
+    " 2020-05-02T10:00:00Z\n": "2020-05-02T10:00:00+00:00",
+}
+_RFC3339_REJECTED = [
+    "20200502T100000Z",  # basic format
+    "2020-W18-6T10:00:00Z",  # week date
+    "2020-123T10:00:00Z",  # ordinal date
+    "2020-05-02T10:00Z",  # no seconds
+    "2020-05-02T10Z",
+    "2020-05-02T10:00:00",  # no offset
+    "2020-05-02T10:00:00+0200",
+    "2020-05-02T10:00:00+02",
+    "2020-05-02T10:00:00+02:00:00",
+    "2020-05-02T10:00:00+00:75",
+    "2020-05-02T10:00:00+24:00",
+    "2020-05-02T10:00:00.Z",
+    "2020-05-02T10:00:00,5Z",
+    "2020-05-02X10:00:00Z",
+    "2020-05-02T24:00:00Z",
+    "2020-05-02T10:60:00Z",
+    "2020-05-02T10:00:60Z",  # leap second: valid RFC 3339, not representable
+    "2020-02-30T10:00:00Z",
+    "2020-13-02T10:00:00Z",
+    "0000-05-02T10:00:00Z",
+    "\u0662\u0660\u0662\u0660-05-02T10:00:00Z",  # non-ASCII digits
+    "",
+]
+
+
+def test_timestamp_accepted_set_is_rfc3339_on_every_version():
+    # fixed expectations: the same set is accepted whatever fromisoformat allows
+    for value, want in _RFC3339_ACCEPTED.items():
+        assert parse_timestamp(value).isoformat() == want, value
+    for value in _RFC3339_REJECTED:
+        with pytest.raises(SchemaError):
+            parse_timestamp(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="0123456789-:T.Zz+ tW", max_size=32))
+def test_timestamp_accepts_only_the_rfc3339_layout(value):
+    layout = re.fullmatch(
+        r"\d{4}-\d\d-\d\d[Tt ]\d\d:\d\d:\d\d(\.\d+)?([Zz]|[+-]\d\d:\d\d)", value.strip(), re.ASCII
+    )
+    try:
+        parse_timestamp(value)
+    except SchemaError:
+        return
+    assert layout is not None
+
+
+_JSON_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(['"', "\\", "/", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u2028", "é", "İ", "\U0001F600"]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            _JSON_TEXT,
+            st.none() | _JSON_TEXT,
+            st.none() | _JSON_TEXT,
+            st.lists(_JSON_TEXT, max_size=3),
+            st.lists(_JSON_TEXT, max_size=3),
+            st.booleans(),
+            st.integers(min_value=0, max_value=10**6),
+        ),
+        max_size=5,
+    )
+)
+def test_write_jsonl_matches_json_dumps(tmp_path_factory, rows):
+    records = []
+    for i, (text, location, country, hashtags, mentions, retweet, micros) in enumerate(rows):
+        record = make_record(
+            rid=f"{text}{i}", text=text, device=text, location=location, country=country,
+            hashtags=hashtags, mentions=mentions, user=text[::-1], retweet=retweet,
+        )
+        record.created_at += timedelta(microseconds=micros)
+        records.append(record)
+    path = tmp_path_factory.mktemp("jsonl") / "out.jsonl"
+    write_corpus_jsonl(make_corpus(records), path)
+    assert path.read_bytes() == "".join(jsonl_line(r) for r in records).encode("utf-8")

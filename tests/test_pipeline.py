@@ -182,3 +182,21 @@ def test_synth_rows_and_ledger_consistent():
     )
     assert planted <= ids
     assert ledger["counts"]["base"] + len(planted) == 400
+
+
+@pytest.mark.parametrize(
+    "overrides, stage",
+    [
+        (dict(start_date="2019-01-01", end_date="2019-01-02"), "date_range"),
+        (dict(keyword="zzzqqq"), "keyword"),
+        (dict(country="ZZ"), "country"),
+        (dict(min_distinct_tokens=1000), "bots"),
+    ],
+)
+def test_filter_that_empties_the_corpus_stops_the_run(golden_workdir, overrides, stage):
+    with pytest.raises(PipelineStageError) as err:
+        run_pipeline(_golden_config(**overrides))
+    assert err.value.stage == stage
+    assert isinstance(err.value.cause, EmptyCorpusError)
+    assert stage in str(err.value)
+    assert not (golden_workdir / "out").exists()

@@ -303,3 +303,56 @@ def test_extremes_matches_linear_scan():
     want_lo, want_hi = min_max(values)
     assert low.value == want_lo
     assert high.value == want_hi
+
+
+def test_score_text_adds_sentences_left_to_right():
+    # builtin sum() compensates from Python 3.12 on and would give 1.0
+    lex = PolarityLexicon(entries={"big": 1e16, "one": 1.0, "minus": -1e16}, shifters={})
+    score = score_text(_stream(["big"], ["one"], ["minus"]), lex)
+    assert score.value == 0.0
+    assert score.n_sentences == 3
+    # and so are the words of one sentence, as score_sentence adds them
+    words = ("big", "one", "minus")
+    assert score_text([words], lex).value == score_sentence(words, lex) == 0.0
+
+
+def test_score_text_without_sentences_is_int_zero():
+    # polarity_scores.csv has always written this value as "0"
+    score = score_text([], TINY)
+    assert score.value == 0 and isinstance(score.value, int)
+    assert score_text(_stream(["economy"]), TINY).value.hex() == (0.0).hex()
+
+
+def _bundled_sentences(pol_lex):
+    vocabulary = sorted(pol_lex.entries) + sorted(pol_lex.shifters) + NEUTRAL_FILLER
+    sentence = st.lists(st.sampled_from(vocabulary), min_size=1, max_size=12).map(tuple)
+    return st.lists(sentence, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_score_text_is_left_to_right_sum_of_sentence_scores(pol_lex, data):
+    sentences = data.draw(_bundled_sentences(pol_lex))
+    params = data.draw(st.sampled_from([ScoringParams(), ScoringParams(2, 3, 0.6, 0.3)]))
+    want = 0.0 if sentences else 0
+    for sentence in sentences:
+        want += score_sentence(sentence, pol_lex, params)
+    got = score_text(sentences, pol_lex, params).value
+    assert got == want and type(got) is type(want)
+    assert got == pytest.approx(
+        sum(oracle_score(s, pol_lex.entries, pol_lex.shifters, params.window_before,
+                         params.window_after, params.amplifier_weight, params.adversative_weight)
+            for s in sentences),
+        abs=1e-9,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_shifter_free_sentence_scores_exactly_as_the_full_rule(pol_lex, data):
+    # score_sentence answers sentences without a polarized word or without a
+    # shifter early; the literal rule gives the same float there
+    vocabulary = sorted(pol_lex.entries) + NEUTRAL_FILLER
+    tokens = data.draw(st.lists(st.sampled_from(vocabulary), max_size=12))
+    want = oracle_score(tokens, pol_lex.entries, pol_lex.shifters)
+    assert score_sentence(tokens, pol_lex).hex() == want.hex()
