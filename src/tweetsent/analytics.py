@@ -63,9 +63,6 @@ class Histogram:
     width: float
     counts: list[int]
 
-    def edges(self) -> list[float]:
-        return [self.lo + i * self.width for i in range(len(self.counts) + 1)]
-
 
 class PolarityDistribution(NamedTuple):
     pos_share: float

@@ -46,7 +46,7 @@ from .exports import (
     ranked_table_to_dict,
     write_json,
 )
-from .pipeline import RunConfig, run_pipeline
+from .pipeline import RunConfig, gc_paused, run_pipeline
 from .synth import write_synthetic_corpus
 
 _CONFIG_ERRORS = (ConfigError, FileNotFoundError, InvalidRangeError, InvalidNError)
@@ -421,7 +421,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        with gc_paused():
+            args.func(args)
     except PipelineStageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc.cause, _CONFIG_ERRORS):

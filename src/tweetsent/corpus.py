@@ -196,6 +196,10 @@ def _check_encodable(record: TweetRecord) -> None:
 
 # the csv field-size limit while a file is read leniently: every field fits
 _ANY_FIELD = 2**31 - 1
+# stands in for NUL while a file is read leniently (the csv module of Python
+# 3.10 refuses NUL); neither strict UTF-8 nor surrogateescape, which yields
+# only \udc80-\udcff, can produce it
+_NUL_STAND_IN = "\udc00"
 
 
 def _read_csv(fh, lenient: bool):
@@ -208,11 +212,12 @@ def _read_csv(fh, lenient: bool):
     Read strictly, a field over csv.field_size_limit() raises csv.Error. The
     lenient read lifts that process-wide limit until it returns, so the
     reader consumes such a field whole and stays in step with the file; the
-    row is then skipped and counted. Any csv.Error there is a SchemaError.
+    row is then skipped and counted. It also reads a NUL as text on every
+    Python version. Any csv.Error there is a SchemaError.
     """
-    reader = csv.reader(fh)
     if not lenient:
-        return _csv_records(reader, None)
+        return _csv_records(csv.reader(fh), None)
+    reader = csv.reader(line.replace("\0", _NUL_STAND_IN) for line in fh)
     field_limit = csv.field_size_limit(_ANY_FIELD)
     try:
         return _csv_records(reader, field_limit)
@@ -224,7 +229,8 @@ def _read_csv(fh, lenient: bool):
 
 def _csv_records(reader, field_limit: int | None):
     """The rows of `reader` as records; a field_limit marks the lenient read,
-    which skips a row with a longer field or a lone surrogate."""
+    which skips a row with a longer field or a lone surrogate and turns the
+    NUL stand-in back into NUL."""
     header = next(reader, None) or []
     missing = [c for c in CSV_COLUMNS if c not in header]
     if missing:
@@ -242,9 +248,11 @@ def _csv_records(reader, field_limit: int | None):
         if not row:
             continue
         parsed += 1
-        if field_limit is not None and max(map(len, row)) > field_limit:
-            skipped += 1
-            continue
+        if field_limit is not None:
+            if max(map(len, row)) > field_limit:
+                skipped += 1
+                continue
+            row = [field.replace(_NUL_STAND_IN, "\0") for field in row]
         if len(row) < width:
             row += [None] * (width - len(row))
         try:

@@ -19,8 +19,10 @@ partial outputs. Identical config and input produce byte-identical outputs.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import date
 from pathlib import Path
@@ -178,6 +180,29 @@ def _require_records(corpus: Corpus, stage: str) -> None:
         raise PipelineStageError(stage, EmptyCorpusError(f"the {stage} filter left no records"))
 
 
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector for the block.
+
+    A run allocates many objects and frees them by reference count; the
+    collector's passes over them find no garbage. On exit the collector
+    is re-enabled only if it was on at entry, so nested blocks and callers
+    that keep it off are left as they were, also when the block raises.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _per_record(values: list, slots: list[int]) -> list:
+    """One entry per record from one entry per distinct text."""
+    return list(map(values.__getitem__, slots))
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -187,138 +212,152 @@ def _sha256(path: Path) -> str:
 
 
 def run_pipeline(cfg: RunConfig) -> RunManifest:
-    cfg.validate()
-    start, end = cfg.dates()
+    with gc_paused():
+        cfg.validate()
+        start, end = cfg.dates()
 
-    corpus = _run_stage("load", lambda: load_corpus(cfg.input, cfg.format))
-    corpus = _run_stage("date_range", lambda: filter_date_range(corpus, start, end))
-    _require_records(corpus, "date_range")
-    corpus = _run_stage("keyword", lambda: filter_keyword(corpus, cfg.keyword))
-    _require_records(corpus, "keyword")
-    corpus = _run_stage("country", lambda: filter_country(corpus, cfg.country))
-    _require_records(corpus, "country")
-    corpus = _run_stage(
-        "bots", lambda: filter_bots_and_duplicates(corpus, cfg.bot_policy())
-    )
-    _require_records(corpus, "bots")
-
-    abusive = _run_stage(
-        "mask", lambda: textprep.load_abusive_lexicon(cfg.abusive_lexicon_path)
-    )
-    ledger = textprep.MaskLedger()
-    corpus = _run_stage("mask", lambda: mask_corpus(corpus, abusive, ledger))
-
-    stoplist = _run_stage(
-        "tokenize", lambda: textprep.load_stoplist(cfg.stopwords_path)
-    )
-    full_streams = _run_stage(
-        "tokenize", lambda: [textprep.prepare(r.text) for r in corpus.records]
-    )
-    stopped_streams = _run_stage(
-        "stopwords",
-        lambda: [textprep.remove_stopwords(ts, stoplist) for ts in full_streams],
-    )
-
-    tables = {}
-    for n in (1, 2, 3, 4):
-        streams = stopped_streams if n <= 2 else full_streams
-        # the unigram table also feeds the word cloud
-        top = max(cfg.ngram_top, cfg.wordcloud_top) if n == 1 else cfg.ngram_top
-        tables[n] = _run_stage(
-            f"ngrams_{n}", lambda n=n, s=streams, k=top: ngrams.build_table(s, n, k)
+        corpus = _run_stage("load", lambda: load_corpus(cfg.input, cfg.format))
+        corpus = _run_stage("date_range", lambda: filter_date_range(corpus, start, end))
+        _require_records(corpus, "date_range")
+        corpus = _run_stage("keyword", lambda: filter_keyword(corpus, cfg.keyword))
+        _require_records(corpus, "keyword")
+        corpus = _run_stage("country", lambda: filter_country(corpus, cfg.country))
+        _require_records(corpus, "country")
+        corpus = _run_stage(
+            "bots", lambda: filter_bots_and_duplicates(corpus, cfg.bot_policy())
         )
-    cloud = _run_stage(
-        "wordcloud", lambda: ngrams.word_cloud_weights(tables[1], cfg.wordcloud_top)
-    )
+        _require_records(corpus, "bots")
 
-    emo_lex = _run_stage(
-        "emotion", lambda: emotion.load_emotion_lexicon(cfg.emotion_lexicon_path)
-    )
-    profiles = _run_stage(
-        "emotion", lambda: [emotion.classify(ts, emo_lex) for ts in stopped_streams]
-    )
-    totals = _run_stage("emotion", lambda: emotion.aggregate_profiles(profiles))
+        abusive = _run_stage(
+            "mask", lambda: textprep.load_abusive_lexicon(cfg.abusive_lexicon_path)
+        )
+        ledger = textprep.MaskLedger()
+        corpus = _run_stage("mask", lambda: mask_corpus(corpus, abusive, ledger))
 
-    pol_lex = _run_stage(
-        "polarity",
-        lambda: polarity.load_polarity_lexicon(
-            cfg.polarity_lexicon_path, cfg.shifter_lexicon_path
-        ),
-    )
-    params = cfg.scoring_params()
-    scores = _run_stage(
-        "polarity",
-        lambda: [polarity.score_text(ts, pol_lex, params) for ts in full_streams],
-    )
+        stoplist = _run_stage(
+            "tokenize", lambda: textprep.load_stoplist(cfg.stopwords_path)
+        )
+        # retweets carry one text many times: each distinct text is analysed
+        # once, and the records sharing it share the results, which nothing
+        # mutates; `slots` maps each record to its text's place in `texts`
+        texts = list(dict.fromkeys(r.text for r in corpus.records))
+        slot_of = dict(zip(texts, range(len(texts))))
+        slots = [slot_of[r.text] for r in corpus.records]
+        del slot_of
+        distinct_full = _run_stage("tokenize", lambda: [textprep.prepare(t) for t in texts])
+        distinct_stopped = _run_stage(
+            "stopwords",
+            lambda: [textprep.remove_stopwords(ts, stoplist) for ts in distinct_full],
+        )
+        full_streams = _per_record(distinct_full, slots)
+        stopped_streams = _per_record(distinct_stopped, slots)
 
-    mentions = _run_stage("report", lambda: analytics.rank_mentions(corpus, cfg.rank_top))
-    hashtags = _run_stage("report", lambda: analytics.rank_hashtags(corpus, cfg.rank_top))
-    loc_tagged = _run_stage(
-        "report", lambda: analytics.rank_locations(corpus, cfg.rank_top, "tagged")
-    )
-    loc_stated = _run_stage(
-        "report", lambda: analytics.rank_locations(corpus, cfg.rank_top, "stated")
-    )
-    devices = _run_stage(
-        "report",
-        lambda: analytics.device_group_report(corpus, full_streams, cfg.device_categories),
-    )
-    daily = _run_stage("report", lambda: analytics.daily_emotion_series(corpus, profiles))
-    dist = _run_stage("distribution", lambda: analytics.polarity_distribution(scores))
-    extreme_pair = _run_stage("distribution", lambda: polarity.extremes(scores))
-
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def emit(name: str, writer) -> None:
-        path = out_dir / name
-        writer(path)
-        written.append(path)
-
-    manifest = RunManifest(
-        config=asdict(cfg),
-        stages={
-            "provenance": corpus.provenance.to_dict(),
-            "records_final": len(corpus.records),
-            "mask": {"distinct_terms": ledger.counter, "occurrences": ledger.occurrences},
-        },
-    )
-
-    manifest_path = out_dir / "manifest.json"
-    try:
-        emit("provenance.json", lambda p: write_json(corpus.provenance.to_dict(), p))
-        emit("filtered_corpus.jsonl", lambda p: write_corpus_jsonl(corpus, p))
+        tables = {}
         for n in (1, 2, 3, 4):
-            emit(f"ngrams_{n}.csv", lambda p, n=n: ngram_table_to_csv(tables[n], p, cfg.ngram_top))
-        emit("wordcloud.json", lambda p: write_json(word_cloud_to_dict(cloud), p))
-        emit("mentions.csv", lambda p: ranked_table_to_csv(mentions, p))
-        emit("hashtags.csv", lambda p: ranked_table_to_csv(hashtags, p))
-        emit("locations_tagged.csv", lambda p: ranked_table_to_csv(loc_tagged, p))
-        emit("locations_stated.csv", lambda p: ranked_table_to_csv(loc_stated, p))
-        emit("devices.json", lambda p: write_json(device_report_to_dict(devices), p))
-        emit("emotion_totals.json", lambda p: write_json(totals.to_dict(), p))
-        emit("emotion_daily.csv", lambda p: daily_series_to_csv(daily, p))
-        emit(
-            "polarity_scores.csv",
-            lambda p: _write_scores(corpus, scores, p),
+            streams = stopped_streams if n <= 2 else full_streams
+            # the unigram table also feeds the word cloud
+            top = max(cfg.ngram_top, cfg.wordcloud_top) if n == 1 else cfg.ngram_top
+            tables[n] = _run_stage(
+                f"ngrams_{n}", lambda n=n, s=streams, k=top: ngrams.build_table(s, n, k)
+            )
+        cloud = _run_stage(
+            "wordcloud", lambda: ngrams.word_cloud_weights(tables[1], cfg.wordcloud_top)
         )
-        emit(
-            "distribution.json",
-            lambda p: write_json(distribution_to_dict(dist, totals, extreme_pair), p),
-        )
-        for path in written:
-            manifest.outputs[path.name] = _sha256(path)
-        with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except Exception as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
-        manifest_path.unlink(missing_ok=True)
-        raise PipelineStageError("write", exc) from exc
 
-    return manifest
+        emo_lex = _run_stage(
+            "emotion", lambda: emotion.load_emotion_lexicon(cfg.emotion_lexicon_path)
+        )
+        profiles = _per_record(
+            _run_stage(
+                "emotion", lambda: [emotion.classify(ts, emo_lex) for ts in distinct_stopped]
+            ),
+            slots,
+        )
+        totals = _run_stage("emotion", lambda: emotion.aggregate_profiles(profiles))
+
+        pol_lex = _run_stage(
+            "polarity",
+            lambda: polarity.load_polarity_lexicon(
+                cfg.polarity_lexicon_path, cfg.shifter_lexicon_path
+            ),
+        )
+        params = cfg.scoring_params()
+        scores = _per_record(
+            _run_stage(
+                "polarity",
+                lambda: [polarity.score_text(ts, pol_lex, params) for ts in distinct_full],
+            ),
+            slots,
+        )
+
+        mentions = _run_stage("report", lambda: analytics.rank_mentions(corpus, cfg.rank_top))
+        hashtags = _run_stage("report", lambda: analytics.rank_hashtags(corpus, cfg.rank_top))
+        loc_tagged = _run_stage(
+            "report", lambda: analytics.rank_locations(corpus, cfg.rank_top, "tagged")
+        )
+        loc_stated = _run_stage(
+            "report", lambda: analytics.rank_locations(corpus, cfg.rank_top, "stated")
+        )
+        devices = _run_stage(
+            "report",
+            lambda: analytics.device_group_report(corpus, full_streams, cfg.device_categories),
+        )
+        daily = _run_stage("report", lambda: analytics.daily_emotion_series(corpus, profiles))
+        dist = _run_stage("distribution", lambda: analytics.polarity_distribution(scores))
+        extreme_pair = _run_stage("distribution", lambda: polarity.extremes(scores))
+
+        out_dir = Path(cfg.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        written: list[Path] = []
+
+        def emit(name: str, writer) -> None:
+            path = out_dir / name
+            writer(path)
+            written.append(path)
+
+        manifest = RunManifest(
+            config=asdict(cfg),
+            stages={
+                "provenance": corpus.provenance.to_dict(),
+                "records_final": len(corpus.records),
+                "mask": {"distinct_terms": ledger.counter, "occurrences": ledger.occurrences},
+            },
+        )
+
+        manifest_path = out_dir / "manifest.json"
+        try:
+            emit("provenance.json", lambda p: write_json(corpus.provenance.to_dict(), p))
+            emit("filtered_corpus.jsonl", lambda p: write_corpus_jsonl(corpus, p))
+            for n in (1, 2, 3, 4):
+                emit(f"ngrams_{n}.csv", lambda p, n=n: ngram_table_to_csv(tables[n], p, cfg.ngram_top))
+            emit("wordcloud.json", lambda p: write_json(word_cloud_to_dict(cloud), p))
+            emit("mentions.csv", lambda p: ranked_table_to_csv(mentions, p))
+            emit("hashtags.csv", lambda p: ranked_table_to_csv(hashtags, p))
+            emit("locations_tagged.csv", lambda p: ranked_table_to_csv(loc_tagged, p))
+            emit("locations_stated.csv", lambda p: ranked_table_to_csv(loc_stated, p))
+            emit("devices.json", lambda p: write_json(device_report_to_dict(devices), p))
+            emit("emotion_totals.json", lambda p: write_json(totals.to_dict(), p))
+            emit("emotion_daily.csv", lambda p: daily_series_to_csv(daily, p))
+            emit(
+                "polarity_scores.csv",
+                lambda p: _write_scores(corpus, scores, p),
+            )
+            emit(
+                "distribution.json",
+                lambda p: write_json(distribution_to_dict(dist, totals, extreme_pair), p),
+            )
+            for path in written:
+                manifest.outputs[path.name] = _sha256(path)
+            with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
+                json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except Exception as exc:
+            for path in written:
+                path.unlink(missing_ok=True)
+            manifest_path.unlink(missing_ok=True)
+            raise PipelineStageError("write", exc) from exc
+
+        return manifest
 
 
 def _write_scores(corpus: Corpus, scores, path) -> None:

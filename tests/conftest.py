@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from datetime import datetime, timezone
 
 import pytest
@@ -78,3 +79,13 @@ def emo_lex():
 @pytest.fixture(scope="session")
 def pol_lex():
     return load_polarity_lexicon()
+
+
+@pytest.fixture(params=[True, False], ids=["gc_on", "gc_off"])
+def gc_enabled(request):
+    """The cyclic collector switched on, then off, for the test; the state
+    the test found is restored after it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()

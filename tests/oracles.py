@@ -3,6 +3,8 @@
 Everything here is deliberately written from first principles (nested loops,
 plain dicts) and never calls into the package's own counting or scoring
 paths, so oracle-equality tests actually cross-check two implementations.
+The one exception is `per_record_run`, which checks how the pipeline
+composes the stages, not the stages themselves.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import csv
 import json
 import math
 import re
+from pathlib import Path
 
 
 def clean_chunk(text):
@@ -296,3 +299,68 @@ def daily_shares(records, profiles, classes):
             total += bucket[c]
         shares[day] = {c: (bucket[c] / total if total else 0.0) for c in classes}
     return shares
+
+
+def per_record_run(cfg, out_dir):
+    """Write every report of a run of `cfg` into `out_dir`, composing the
+    package's stage functions with each record prepared, stopword-filtered,
+    classified and scored on its own, whatever text other records carry.
+    Returns the mask ledger's occurrence count."""
+    from tweetsent import analytics, corpus, emotion, exports, ngrams, polarity, textprep
+
+    start, end = cfg.dates()
+    c = corpus.load_corpus(cfg.input, cfg.format)
+    c = corpus.filter_date_range(c, start, end)
+    c = corpus.filter_keyword(c, cfg.keyword)
+    c = corpus.filter_country(c, cfg.country)
+    c = corpus.filter_bots_and_duplicates(c, cfg.bot_policy())
+    ledger = textprep.MaskLedger()
+    c = corpus.mask_corpus(c, textprep.load_abusive_lexicon(cfg.abusive_lexicon_path), ledger)
+    stoplist = textprep.load_stoplist(cfg.stopwords_path)
+    emo_lex = emotion.load_emotion_lexicon(cfg.emotion_lexicon_path)
+    pol_lex = polarity.load_polarity_lexicon(cfg.polarity_lexicon_path, cfg.shifter_lexicon_path)
+    params = cfg.scoring_params()
+    full, stopped, profiles, scores = [], [], [], []
+    for record in c.records:
+        sentences = textprep.prepare(record.text)
+        kept = textprep.remove_stopwords(sentences, stoplist)
+        full.append(sentences)
+        stopped.append(kept)
+        profiles.append(emotion.classify(kept, emo_lex))
+        scores.append(polarity.score_text(sentences, pol_lex, params))
+
+    out = Path(out_dir)
+    out.mkdir(parents=True)
+    exports.write_json(c.provenance.to_dict(), out / "provenance.json")
+    corpus.write_corpus_jsonl(c, out / "filtered_corpus.jsonl")
+    tables = {}
+    for n in (1, 2, 3, 4):
+        top = max(cfg.ngram_top, cfg.wordcloud_top) if n == 1 else cfg.ngram_top
+        tables[n] = ngrams.build_table(stopped if n <= 2 else full, n, top)
+        exports.ngram_table_to_csv(tables[n], out / f"ngrams_{n}.csv", cfg.ngram_top)
+    cloud = ngrams.word_cloud_weights(tables[1], cfg.wordcloud_top)
+    exports.write_json(exports.word_cloud_to_dict(cloud), out / "wordcloud.json")
+    rankings = {
+        "mentions": analytics.rank_mentions(c, cfg.rank_top),
+        "hashtags": analytics.rank_hashtags(c, cfg.rank_top),
+        "locations_tagged": analytics.rank_locations(c, cfg.rank_top, "tagged"),
+        "locations_stated": analytics.rank_locations(c, cfg.rank_top, "stated"),
+    }
+    for name, table in rankings.items():
+        exports.ranked_table_to_csv(table, out / f"{name}.csv")
+    devices = analytics.device_group_report(c, full, cfg.device_categories)
+    exports.write_json(exports.device_report_to_dict(devices), out / "devices.json")
+    totals = emotion.aggregate_profiles(profiles)
+    exports.write_json(totals.to_dict(), out / "emotion_totals.json")
+    exports.daily_series_to_csv(analytics.daily_emotion_series(c, profiles), out / "emotion_daily.csv")
+    with open(out / "polarity_scores.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["status_id", "value", "n_sentences", "label"])
+        for record, score in zip(c.records, scores):
+            writer.writerow(
+                [record.id, score.value, score.n_sentences, polarity.classify_polarity(score)]
+            )
+    dist = analytics.polarity_distribution(scores)
+    payload = exports.distribution_to_dict(dist, totals, polarity.extremes(scores))
+    exports.write_json(payload, out / "distribution.json")
+    return ledger.occurrences

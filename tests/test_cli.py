@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
+import tweetsent.cli as cli_mod
 from tweetsent.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -259,3 +261,30 @@ def test_surrogate_escape_row_is_skipped_not_a_crash(workdir):
     provenance = json.loads((workdir / "x.provenance.json").read_text())
     assert (provenance["parsed"], provenance["skipped"]) == (100, 1)
     assert main(["run", "--input", "c.jsonl", "--format", "jsonl", "--output-dir", "o"]) == 0
+
+
+def test_main_pauses_gc_and_restores_it(workdir, monkeypatch, gc_enabled):
+    _synth(workdir, n=100)
+    assert gc.isenabled() is gc_enabled
+    seen = []
+    real_load = cli_mod.load_corpus
+
+    def load(*args):
+        seen.append(gc.isenabled())
+        return real_load(*args)
+
+    monkeypatch.setattr(cli_mod, "load_corpus", load)
+    assert main(["ingest", "--input", "corpus.csv", "--output", "x.jsonl"]) == 0
+    assert seen == [False]
+    assert gc.isenabled() is gc_enabled
+    # `run` pauses it twice over, in main and in run_pipeline
+    assert main(["run", "--input", "corpus.csv", "--output-dir", "o"]) == 0
+    assert gc.isenabled() is gc_enabled
+
+
+def test_failed_main_restores_gc(workdir, gc_enabled):
+    _synth(workdir, n=100)
+    code = main(["run", "--input", "corpus.csv", "--start", "2019-01-01", "--end", "2019-01-02",
+                 "--output-dir", "o"])
+    assert code == 3
+    assert gc.isenabled() is gc_enabled

@@ -3,7 +3,6 @@ from __future__ import annotations
 import csv
 import json
 import re
-import sys
 from datetime import date, timedelta
 
 import pytest
@@ -452,16 +451,24 @@ def test_csv_over_long_multiline_field_is_one_skipped_row(tmp_path):
 
 
 def test_csv_nul_byte_never_resumes_mid_file(tmp_path):
-    # the csv module refuses NUL before Python 3.11; the load then stops
-    # instead of carrying on from the next line
+    # the csv module refuses NUL before Python 3.11; the lenient re-read
+    # then keeps the NUL as text, as later versions read it strictly
     path = tmp_path / "c.csv"
     path.write_text(CSV_HEADER + "\n".join([_csv_row(0), _csv_row(1, "re\0open"), _csv_row(2)]) + "\n")
-    if sys.version_info < (3, 11):
-        with pytest.raises(SchemaError, match="NUL"):
-            load_corpus(path, "csv")
-    else:
-        c = load_corpus(path, "csv")
-        assert [r.text for r in c.records] == ["reopen text 0", "re\0open", "reopen text 2"]
+    c = load_corpus(path, "csv")
+    assert [r.text for r in c.records] == ["reopen text 0", "re\0open", "reopen text 2"]
+    assert (c.provenance.parsed, c.provenance.skipped) == (3, 0)
+
+
+def test_csv_nul_byte_kept_in_lenient_read(tmp_path):
+    # an invalid byte sends the file to the lenient read on every version;
+    # a NUL in another row still comes back as NUL, not as its stand-in
+    path = tmp_path / "c.csv"
+    rows = [_csv_row(0, "re\0open").encode(), _csv_row(1).encode().replace(b"reopen", b"re\xffopen"), _csv_row(2).encode()]
+    path.write_bytes(CSV_HEADER.encode() + b"\n".join(rows) + b"\n")
+    c = load_corpus(path, "csv")
+    assert [r.text for r in c.records] == ["re\0open", "reopen text 2"]
+    assert (c.provenance.parsed, c.provenance.skipped) == (3, 1)
 
 
 def test_csv_invalid_utf8_row_skipped_and_counted(tmp_path):

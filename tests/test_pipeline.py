@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import csv
+import gc
 import hashlib
+import json
+import random
 from pathlib import Path
 
 import pytest
 
 import tweetsent.pipeline as pipeline_mod
+from oracles import per_record_run
 from tweetsent.errors import ConfigError, EmptyCorpusError, PipelineStageError
 from tweetsent.pipeline import RunConfig, run_pipeline
 from tweetsent.synth import ABUSIVE_POOL, generate_synthetic_corpus, write_synthetic_corpus
@@ -200,3 +205,64 @@ def test_filter_that_empties_the_corpus_stops_the_run(golden_workdir, overrides,
     assert isinstance(err.value.cause, EmptyCorpusError)
     assert stage in str(err.value)
     assert not (golden_workdir / "out").exists()
+
+
+def _share_texts(src: Path, dst: Path, seed: int = 4) -> None:
+    """Copy a corpus with half its regular records taking the text, hashtags
+    and mentions of one of 50 keyword-bearing regular records, as the
+    benchmark's repeat workload does; ids, users and times stay."""
+    ledger = json.loads((DATA / "ledger_1000.json").read_text())
+    planted = set(ledger["duplicate_ids"]) | set(ledger["burst_ids"]) | set(ledger["low_token_ids"])
+    with open(src, encoding="utf-8", newline="") as fh:
+        header, *body = csv.reader(fh)
+    col = {name: i for i, name in enumerate(header)}
+    regular = [row for row in body if row[col["status_id"]] not in planted]
+    rng = random.Random(seed)
+    keyword_rows = [row for row in regular if "reopen" in row[col["text"]].casefold()]
+    viral = [
+        (row[col["text"]], row[col["hashtags"]], row[col["mentions"]])
+        for row in rng.sample(keyword_rows, 50)
+    ]
+    for row in rng.sample(regular, len(regular) // 2):
+        row[col["text"]], row[col["hashtags"]], row[col["mentions"]] = rng.choice(viral)
+    with open(dst, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header] + body)
+
+
+def test_shared_texts_give_the_per_record_reports(golden_workdir):
+    # the golden corpus has no two surviving records with one text, so only
+    # a corpus of shared texts shows a record given another text's results
+    _share_texts(golden_workdir / "corpus_1000.csv", golden_workdir / "shared.csv")
+    cfg = _golden_config(input="shared.csv")
+    manifest = run_pipeline(cfg)
+    occurrences = per_record_run(cfg, golden_workdir / "want")
+
+    out, want = golden_workdir / "out", golden_workdir / "want"
+    lines = (out / "filtered_corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    texts = [json.loads(line)["text"] for line in lines]
+    assert len(set(texts)) < 0.75 * len(texts)
+    assert any("abuvs" in text for text in texts)
+    assert set(manifest.outputs) == {path.name for path in want.iterdir()}
+    for name in manifest.outputs:
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
+    assert manifest.stages["mask"]["occurrences"] == occurrences > 0
+
+
+def test_run_pauses_gc_and_restores_it(golden_workdir, monkeypatch, gc_enabled):
+    seen = []
+    real_load = pipeline_mod.load_corpus
+
+    def load(*args):
+        seen.append(gc.isenabled())
+        return real_load(*args)
+
+    monkeypatch.setattr(pipeline_mod, "load_corpus", load)
+    run_pipeline(_golden_config())
+    assert seen == [False]
+    assert gc.isenabled() is gc_enabled
+
+
+def test_failed_run_restores_gc(golden_workdir, gc_enabled):
+    with pytest.raises(PipelineStageError):
+        run_pipeline(_golden_config(keyword="zzzqqq"))
+    assert gc.isenabled() is gc_enabled
