@@ -38,7 +38,6 @@ GOLDEN_CONFIG = dict(
     country="US",
     abusive_lexicon_path="abusive_fixture.txt",
     output_dir="out",
-    seed=42,
 )
 
 

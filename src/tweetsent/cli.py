@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import analytics, emotion, ngrams, polarity, scenario, textprep
+from . import analytics, emotion, ngrams, polarity, scenario
 from .corpus import (
     BotPolicy,
     filter_bots_and_duplicates,
@@ -22,7 +22,6 @@ from .corpus import (
     filter_date_range,
     filter_keyword,
     load_corpus,
-    mask_corpus,
     write_corpus_jsonl,
 )
 from .errors import (
@@ -46,7 +45,7 @@ from .exports import (
     ranked_table_to_dict,
     write_json,
 )
-from .pipeline import RunConfig, gc_paused, run_pipeline
+from .pipeline import Analysis, RunConfig, gc_paused, run_pipeline
 from .synth import write_synthetic_corpus
 
 _CONFIG_ERRORS = (ConfigError, FileNotFoundError, InvalidRangeError, InvalidNError)
@@ -64,15 +63,15 @@ def _parse_date(value: str):
 
 def _load_filtered(args) -> "tuple":
     """Load a corpus and apply whichever filters the flags request."""
-    if bool(args.start) != bool(args.end):
+    if bool(args.start_date) != bool(args.end_date):
         raise ConfigError("--start and --end must be given together")
     if args.keyword is not None and not args.keyword:
         raise ConfigError("--keyword must be non-empty")
     if args.country is not None and not (len(args.country) == 2 and args.country.isalpha()):
         raise ConfigError("--country must be a two-letter code")
     corpus = load_corpus(args.input, args.format)
-    if args.start:
-        corpus = filter_date_range(corpus, _parse_date(args.start), _parse_date(args.end))
+    if args.start_date:
+        corpus = filter_date_range(corpus, _parse_date(args.start_date), _parse_date(args.end_date))
     if args.keyword:
         corpus = filter_keyword(corpus, args.keyword)
     if args.country:
@@ -93,20 +92,14 @@ def _add_corpus_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_filter_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--start", help="inclusive start date YYYY-MM-DD")
-    p.add_argument("--end", help="inclusive end date YYYY-MM-DD")
+    p.add_argument("--start", dest="start_date", help="inclusive start date YYYY-MM-DD")
+    p.add_argument("--end", dest="end_date", help="inclusive end date YYYY-MM-DD")
     p.add_argument("--keyword", help="keep records containing this keyword")
     p.add_argument("--country", help="keep records tagged with this country code")
     p.add_argument("--bots", action="store_true", help="apply bot/duplicate removal")
     p.add_argument("--dup-window", type=float, default=3600.0)
     p.add_argument("--burst-per-minute", type=int, default=10)
     p.add_argument("--min-distinct-tokens", type=int, default=3)
-
-
-def _prepare_streams(corpus, args):
-    abusive = textprep.load_abusive_lexicon(getattr(args, "abusive_lexicon", None))
-    corpus = mask_corpus(corpus, abusive, textprep.MaskLedger())
-    return corpus, [textprep.prepare(r.text) for r in corpus.records]
 
 
 def cmd_ingest(args) -> None:
@@ -124,11 +117,8 @@ def cmd_ingest(args) -> None:
 def cmd_ngrams(args) -> None:
     if args.top < 1:
         raise ConfigError("--top must be >= 1")
-    corpus = load_corpus(args.input, args.format)
-    corpus, streams = _prepare_streams(corpus, args)
-    if args.n <= 2:
-        stoplist = textprep.load_stoplist(args.stopwords)
-        streams = [textprep.remove_stopwords(ts, stoplist) for ts in streams]
+    analysis = Analysis(load_corpus(args.input, args.format), args)
+    streams = analysis.stopped if args.n <= 2 else analysis.full
     table = ngrams.build_table(streams, args.n, args.top)
     if args.output:
         if args.export == "csv":
@@ -142,22 +132,14 @@ def cmd_ngrams(args) -> None:
 
 
 def cmd_sentiment(args) -> None:
-    corpus = load_corpus(args.input, args.format)
-    corpus, full_streams = _prepare_streams(corpus, args)
-    stoplist = textprep.load_stoplist(args.stopwords)
-    stopped = [textprep.remove_stopwords(ts, stoplist) for ts in full_streams]
-
-    emo_lex = emotion.load_emotion_lexicon(args.emotion_lexicon)
-    profiles = [emotion.classify(ts, emo_lex) for ts in stopped]
-    pol_lex = polarity.load_polarity_lexicon(args.polarity_lexicon, args.shifter_lexicon)
-    scores = [polarity.score_text(ts, pol_lex) for ts in full_streams]
-
+    analysis = Analysis(load_corpus(args.input, args.format), args)
+    scores = analysis.scores
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["status_id", "value", "n_sentences", "label"] + list(emotion.ALL_CATEGORIES)
         )
-        for record, score, profile in zip(corpus.records, scores, profiles):
+        for record, score, profile in zip(analysis.corpus.records, scores, analysis.profiles):
             writer.writerow(
                 [record.id, score.value, score.n_sentences, polarity.classify_polarity(score)]
                 + [profile.counts[c] for c in emotion.ALL_CATEGORIES]
@@ -171,6 +153,8 @@ def cmd_sentiment(args) -> None:
 
 
 def cmd_report(args) -> None:
+    if args.top < 1:
+        raise ConfigError("--top must be >= 1")
     corpus = load_corpus(args.input, args.format)
     what = args.what
 
@@ -188,9 +172,9 @@ def cmd_report(args) -> None:
         print(f"wrote {args.output}")
         return
 
+    analysis = Analysis(corpus, args)
     if what == "devices":
-        corpus, full_streams = _prepare_streams(corpus, args)
-        report = analytics.device_group_report(corpus, full_streams)
+        report = analytics.device_group_report(analysis.corpus, analysis.full)
         payload = device_report_to_dict(report)
         if args.export == "csv":
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
@@ -204,15 +188,8 @@ def cmd_report(args) -> None:
         print(f"wrote {args.output}")
         return
 
-    # daily and distribution need the lexicons
-    corpus, full_streams = _prepare_streams(corpus, args)
-    stoplist = textprep.load_stoplist(args.stopwords)
-    stopped = [textprep.remove_stopwords(ts, stoplist) for ts in full_streams]
-    emo_lex = emotion.load_emotion_lexicon(args.emotion_lexicon)
-    profiles = [emotion.classify(ts, emo_lex) for ts in stopped]
-
     if what == "daily":
-        series = analytics.daily_emotion_series(corpus, profiles)
+        series = analytics.daily_emotion_series(analysis.corpus, analysis.profiles)
         if args.export == "csv":
             daily_series_to_csv(series, args.output)
         else:
@@ -220,10 +197,9 @@ def cmd_report(args) -> None:
         print(f"wrote {args.output}")
         return
 
-    pol_lex = polarity.load_polarity_lexicon(args.polarity_lexicon, args.shifter_lexicon)
-    scores = [polarity.score_text(ts, pol_lex) for ts in full_streams]
+    scores = analysis.scores
     dist = analytics.polarity_distribution(scores)
-    totals = emotion.aggregate_profiles(profiles)
+    totals = emotion.aggregate_profiles(analysis.profiles)
     payload = distribution_to_dict(dist, totals, polarity.extremes(scores))
     if args.export == "csv":
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
@@ -296,21 +272,10 @@ def cmd_run(args) -> None:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(values, dict):
             raise ConfigError("config file must hold a flat JSON object")
-    overrides = {
-        "input": args.input,
-        "format": args.format,
-        "output_dir": args.output_dir,
-        "start_date": args.start,
-        "end_date": args.end,
-        "keyword": args.keyword,
-        "country": args.country,
-        "stopwords_path": args.stopwords,
-        "abusive_lexicon_path": args.abusive_lexicon,
-        "emotion_lexicon_path": args.emotion_lexicon,
-        "polarity_lexicon_path": args.polarity_lexicon,
-        "shifter_lexicon_path": args.shifter_lexicon,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    # the flags' dests are RunConfig field names
+    values.update(
+        {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__ and v is not None}
+    )
     cfg = RunConfig.from_dict(values)
     manifest = run_pipeline(cfg)
     print(f"wrote {Path(cfg.output_dir) / 'manifest.json'}")
@@ -340,11 +305,11 @@ def cmd_synth(args) -> None:
 
 
 def _add_lexicon_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--stopwords", help="stopword list path (default: bundled)")
-    p.add_argument("--abusive-lexicon", dest="abusive_lexicon", help="abusive word list path")
-    p.add_argument("--emotion-lexicon", dest="emotion_lexicon", help="emotion lexicon TSV path")
-    p.add_argument("--polarity-lexicon", dest="polarity_lexicon", help="polarity lexicon CSV path")
-    p.add_argument("--shifter-lexicon", dest="shifter_lexicon", help="shifter lexicon CSV path")
+    p.add_argument("--stopwords", dest="stopwords_path", help="stopword list path (default: bundled)")
+    p.add_argument("--abusive-lexicon", dest="abusive_lexicon_path", help="abusive word list path")
+    p.add_argument("--emotion-lexicon", dest="emotion_lexicon_path", help="emotion lexicon TSV path")
+    p.add_argument("--polarity-lexicon", dest="polarity_lexicon_path", help="polarity lexicon CSV path")
+    p.add_argument("--shifter-lexicon", dest="shifter_lexicon_path", help="shifter lexicon CSV path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=25)
     p.add_argument("--export", choices=["csv", "json"], default="csv")
     p.add_argument("--output", help="write table here instead of stdout")
-    p.add_argument("--stopwords", help="stopword list path (default: bundled)")
-    p.add_argument("--abusive-lexicon", dest="abusive_lexicon")
+    p.add_argument("--stopwords", dest="stopwords_path", help="stopword list path (default: bundled)")
+    p.add_argument("--abusive-lexicon", dest="abusive_lexicon_path")
     p.set_defaults(func=cmd_ngrams)
 
     p = sub.add_parser("sentiment", help="per-record emotion and polarity scores")
@@ -399,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     p.add_argument("--format", choices=["csv", "jsonl"])
     p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--start")
-    p.add_argument("--end")
+    p.add_argument("--start", dest="start_date")
+    p.add_argument("--end", dest="end_date")
     p.add_argument("--keyword")
     p.add_argument("--country")
     _add_lexicon_args(p)

@@ -10,6 +10,9 @@ stopword-removed streams; trigram/quadgram tables and polarity scoring use
 the full streams, since function words carry both the longer word sequences
 and the valence shifters.
 
+`Analysis` composes the text stages, masking to polarity, for `run` and for
+the CLI's `ngrams`, `sentiment` and `report`, which read its fields.
+
 A run writes every report plus a manifest (stage counts, config echo,
 sha256 per output). Outputs are computed before anything is written and any
 write failure removes the files already written, so a failed run leaves no
@@ -25,6 +28,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import date
+from functools import cached_property
 from pathlib import Path
 
 from . import analytics, emotion, ngrams, polarity, textprep
@@ -80,7 +84,6 @@ class RunConfig:
     rank_top: int = 10
     device_categories: dict[str, list[str]] | None = None
     output_dir: str = "out"
-    seed: int = 42
 
     @classmethod
     def from_dict(cls, values: dict) -> "RunConfig":
@@ -198,9 +201,68 @@ def gc_paused():
             gc.enable()
 
 
-def _per_record(values: list, slots: list[int]) -> list:
-    """One entry per record from one entry per distinct text."""
-    return list(map(values.__getitem__, slots))
+class Analysis:
+    """The text analysis of a corpus: masking, then per record its prepared
+    text (`full`), its stopword-filtered text (`stopped`), its emotion
+    profile and its polarity score.
+
+    Lexicon paths are read from `paths`, a `RunConfig` or the CLI's parsed
+    arguments; an absent or `None` path means the bundled file. `params`
+    defaults to `ScoringParams()`.
+
+    Masking runs per record, so the ledger counts every occurrence. Each
+    field is computed once, on first use, over the distinct masked texts
+    and expanded to the records: retweets carry one text many times, and
+    the records sharing a text share its results, which nothing mutates.
+    """
+
+    def __init__(self, corpus: Corpus, paths, params: polarity.ScoringParams | None = None) -> None:
+        self._paths = paths
+        self._params = params or polarity.ScoringParams()
+        self.ledger = textprep.MaskLedger()
+        abusive = textprep.load_abusive_lexicon(self._path("abusive_lexicon_path"))
+        self.corpus = mask_corpus(corpus, abusive, self.ledger)
+        self._texts = list(dict.fromkeys(r.text for r in self.corpus.records))
+        slot_of = dict(zip(self._texts, range(len(self._texts))))
+        # each record's place in `_texts`
+        self._slots = [slot_of[r.text] for r in self.corpus.records]
+
+    def _path(self, name: str) -> str | None:
+        return getattr(self._paths, name, None)
+
+    def _expand(self, values: list) -> list:
+        return list(map(values.__getitem__, self._slots))
+
+    @cached_property
+    def _distinct_full(self) -> list[textprep.Sentences]:
+        return [textprep.prepare(t) for t in self._texts]
+
+    @cached_property
+    def _distinct_stopped(self) -> list[textprep.Sentences]:
+        stoplist = textprep.load_stoplist(self._path("stopwords_path"))
+        return [textprep.remove_stopwords(ts, stoplist) for ts in self._distinct_full]
+
+    @cached_property
+    def full(self) -> list[textprep.Sentences]:
+        return self._expand(self._distinct_full)
+
+    @cached_property
+    def stopped(self) -> list[textprep.Sentences]:
+        return self._expand(self._distinct_stopped)
+
+    @cached_property
+    def profiles(self) -> list[emotion.EmotionProfile]:
+        lex = emotion.load_emotion_lexicon(self._path("emotion_lexicon_path"))
+        return self._expand([emotion.classify(ts, lex) for ts in self._distinct_stopped])
+
+    @cached_property
+    def scores(self) -> list[polarity.PolarityScore]:
+        lex = polarity.load_polarity_lexicon(
+            self._path("polarity_lexicon_path"), self._path("shifter_lexicon_path")
+        )
+        return self._expand(
+            [polarity.score_text(ts, lex, self._params) for ts in self._distinct_full]
+        )
 
 
 def _sha256(path: Path) -> str:
@@ -228,29 +290,10 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
         )
         _require_records(corpus, "bots")
 
-        abusive = _run_stage(
-            "mask", lambda: textprep.load_abusive_lexicon(cfg.abusive_lexicon_path)
-        )
-        ledger = textprep.MaskLedger()
-        corpus = _run_stage("mask", lambda: mask_corpus(corpus, abusive, ledger))
-
-        stoplist = _run_stage(
-            "tokenize", lambda: textprep.load_stoplist(cfg.stopwords_path)
-        )
-        # retweets carry one text many times: each distinct text is analysed
-        # once, and the records sharing it share the results, which nothing
-        # mutates; `slots` maps each record to its text's place in `texts`
-        texts = list(dict.fromkeys(r.text for r in corpus.records))
-        slot_of = dict(zip(texts, range(len(texts))))
-        slots = [slot_of[r.text] for r in corpus.records]
-        del slot_of
-        distinct_full = _run_stage("tokenize", lambda: [textprep.prepare(t) for t in texts])
-        distinct_stopped = _run_stage(
-            "stopwords",
-            lambda: [textprep.remove_stopwords(ts, stoplist) for ts in distinct_full],
-        )
-        full_streams = _per_record(distinct_full, slots)
-        stopped_streams = _per_record(distinct_stopped, slots)
+        analysis = _run_stage("mask", lambda: Analysis(corpus, cfg, cfg.scoring_params()))
+        corpus = analysis.corpus
+        full_streams = _run_stage("tokenize", lambda: analysis.full)
+        stopped_streams = _run_stage("stopwords", lambda: analysis.stopped)
 
         tables = {}
         for n in (1, 2, 3, 4):
@@ -264,31 +307,10 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
             "wordcloud", lambda: ngrams.word_cloud_weights(tables[1], cfg.wordcloud_top)
         )
 
-        emo_lex = _run_stage(
-            "emotion", lambda: emotion.load_emotion_lexicon(cfg.emotion_lexicon_path)
-        )
-        profiles = _per_record(
-            _run_stage(
-                "emotion", lambda: [emotion.classify(ts, emo_lex) for ts in distinct_stopped]
-            ),
-            slots,
-        )
+        # the n-gram tables above are built before any profile or score exists
+        profiles = _run_stage("emotion", lambda: analysis.profiles)
         totals = _run_stage("emotion", lambda: emotion.aggregate_profiles(profiles))
-
-        pol_lex = _run_stage(
-            "polarity",
-            lambda: polarity.load_polarity_lexicon(
-                cfg.polarity_lexicon_path, cfg.shifter_lexicon_path
-            ),
-        )
-        params = cfg.scoring_params()
-        scores = _per_record(
-            _run_stage(
-                "polarity",
-                lambda: [polarity.score_text(ts, pol_lex, params) for ts in distinct_full],
-            ),
-            slots,
-        )
+        scores = _run_stage("polarity", lambda: analysis.scores)
 
         mentions = _run_stage("report", lambda: analytics.rank_mentions(corpus, cfg.rank_top))
         hashtags = _run_stage("report", lambda: analytics.rank_hashtags(corpus, cfg.rank_top))
@@ -320,7 +342,10 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
             stages={
                 "provenance": corpus.provenance.to_dict(),
                 "records_final": len(corpus.records),
-                "mask": {"distinct_terms": ledger.counter, "occurrences": ledger.occurrences},
+                "mask": {
+                    "distinct_terms": analysis.ledger.counter,
+                    "occurrences": analysis.ledger.occurrences,
+                },
             },
         )
 

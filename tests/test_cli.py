@@ -107,6 +107,14 @@ def test_ngrams_top_below_one_is_config_error(workdir):
     assert main(["ngrams", "--input", "corpus.csv", "--n", "2", "--top", "0"]) == 2
 
 
+@pytest.mark.parametrize("top", ["0", "-2"])
+def test_report_top_below_one_is_config_error(workdir, top):
+    _synth(workdir)
+    assert main(["report", "--input", "corpus.csv", "--what", "mentions", "--top", top,
+                 "--output", "m.json"]) == 2
+    assert not (workdir / "m.json").exists()
+
+
 def test_sentiment_scores_csv(workdir, capsys):
     _synth(workdir)
     assert main(["sentiment", "--input", "corpus.csv", "--output", "scores.csv"]) == 0
@@ -219,6 +227,13 @@ def test_run_with_config_file_and_override(workdir):
     assert (workdir / "results" / "distribution.json").exists()
 
 
+def test_run_config_with_unknown_key_is_config_error(workdir, capsys):
+    _synth(workdir, n=50)
+    (workdir / "cfg.json").write_text(json.dumps({"input": "corpus.csv", "seed": 42}))
+    assert main(["run", "--config", "cfg.json", "--output-dir", "o"]) == 2
+    assert "unknown config keys: seed" in capsys.readouterr().err
+
+
 def test_exit_code_2_for_missing_input(workdir):
     assert main(["run", "--input", "absent.csv", "--output-dir", "o"]) == 2
     assert main(["ingest", "--input", "absent.csv", "--output", "x.jsonl"]) == 2
@@ -288,3 +303,49 @@ def test_failed_main_restores_gc(workdir, gc_enabled):
                  "--output-dir", "o"])
     assert code == 3
     assert gc.isenabled() is gc_enabled
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """`run` over the golden fixture with the golden config; its output directory."""
+    out = tmp_path_factory.mktemp("golden") / "out"
+    assert main(["run", "--input", str(DATA / "corpus_1000.csv"),
+                 "--abusive-lexicon", str(DATA / "abusive_fixture.txt"),
+                 "--output-dir", str(out)]) == 0
+    return out
+
+
+def _project(golden_run, argv, output):
+    """Run a subcommand over `run`'s filtered corpus. Its text is already
+    masked, so no abusive lexicon is given."""
+    source = str(golden_run / "filtered_corpus.jsonl")
+    return main(argv + ["--input", source, "--format", "jsonl", "--output", str(output)])
+
+
+_PROJECTIONS = [
+    (["report", "--what", "distribution"], "distribution.json"),
+    (["report", "--what", "daily", "--export", "csv"], "emotion_daily.csv"),
+    (["report", "--what", "devices"], "devices.json"),
+    (["report", "--what", "mentions", "--export", "csv"], "mentions.csv"),
+    (["report", "--what", "hashtags", "--export", "csv"], "hashtags.csv"),
+    (["report", "--what", "locations", "--field", "tagged", "--export", "csv"],
+     "locations_tagged.csv"),
+    (["report", "--what", "locations", "--field", "stated", "--export", "csv"],
+     "locations_stated.csv"),
+] + [(["ngrams", "--n", str(n), "--top", "100"], f"ngrams_{n}.csv") for n in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("argv,name", _PROJECTIONS, ids=[name for _, name in _PROJECTIONS])
+def test_cli_reproduces_run_report(golden_run, tmp_path, argv, name):
+    assert _project(golden_run, argv, tmp_path / name) == 0
+    assert (tmp_path / name).read_bytes() == (golden_run / name).read_bytes()
+
+
+def test_cli_sentiment_reproduces_run_scores(golden_run, tmp_path):
+    assert _project(golden_run, ["sentiment"], tmp_path / "s.csv") == 0
+    with open(tmp_path / "s.csv", newline="") as fh:
+        projected = [row[:4] for row in csv.reader(fh)]
+    with open(golden_run / "polarity_scores.csv", newline="") as fh:
+        scored = list(csv.reader(fh))
+    assert len(scored) > 600
+    assert projected == scored

@@ -47,7 +47,6 @@ def _golden_config(**overrides) -> RunConfig:
         country="US",
         abusive_lexicon_path="abusive_fixture.txt",
         output_dir="out",
-        seed=42,
     )
     values.update(overrides)
     return RunConfig(**values)
