@@ -20,7 +20,6 @@ from .corpus import Corpus
 from .emotion import EMOTION_CLASSES, EmotionProfile
 from .errors import EmptyInputError
 from .polarity import PolarityScore, classify_polarity
-from .textprep import Sentences
 
 DEVICE_CLASSES = ("Twitter for iPhone", "Twitter for Android")
 
@@ -72,6 +71,8 @@ class PolarityDistribution(NamedTuple):
 
 
 def _ranked(label: str, counter: Counter, k: int) -> RankedTable:
+    if k < 1:
+        raise ValueError("k must be >= 1")
     ordered = sorted(counter.items(), key=lambda item: (-item[1], item[0]))[:k]
     rows = [(key, count, rank) for rank, (key, count) in enumerate(ordered, start=1)]
     return RankedTable(label=label, rows=rows)
@@ -110,25 +111,25 @@ def rank_locations(c: Corpus, k: int, field: str = "stated") -> RankedTable:
 
 
 def device_group_report(
-    c: Corpus, prepared: list[Sentences], categories: dict[str, list[str]] | None = None
+    c: Corpus, cleaned: list[str], categories: dict[str, list[str]] | None = None
 ) -> DeviceGroupReport:
     """Within-group share of records mentioning each keyword category.
 
-    `prepared` holds each record's prepared text, aligned with the records.
-    Only the two major device classes are reported; smaller classes are
-    ignored. A record matches a category when its cleaned text (its tokens
-    joined by spaces) contains any of the category's keywords.
+    `cleaned` holds each record's cleaned text (its prepared tokens joined
+    by spaces), aligned with the records. Only the two major device classes
+    are reported; smaller classes are ignored. A record matches a category
+    when its cleaned text contains any of the category's keywords.
     """
     categories = categories if categories is not None else DEFAULT_DEVICE_CATEGORIES
     if not categories:
         raise ValueError("categories must be non-empty")
-    if len(prepared) != len(c.records):
-        raise ValueError("prepared texts must align 1:1 with corpus records")
+    if len(cleaned) != len(c.records):
+        raise ValueError("cleaned texts must align 1:1 with corpus records")
     per_device: dict[str, list[str]] = {d: [] for d in DEVICE_CLASSES}
-    for record, sentences in zip(c.records, prepared):
+    for record, text in zip(c.records, cleaned):
         texts = per_device.get(record.source_device)
         if texts is not None:
-            texts.append(" ".join(" ".join(s) for s in sentences))
+            texts.append(text)
 
     groups: dict[str, tuple[int, dict[str, float]]] = {}
     for device, texts in per_device.items():

@@ -45,7 +45,7 @@ from .exports import (
     ranked_table_to_dict,
     write_json,
 )
-from .pipeline import Analysis, RunConfig, gc_paused, run_pipeline
+from .pipeline import Analysis, RunConfig, gc_paused, require_records, run_pipeline
 from .synth import write_synthetic_corpus
 
 _CONFIG_ERRORS = (ConfigError, FileNotFoundError, InvalidRangeError, InvalidNError)
@@ -62,7 +62,8 @@ def _parse_date(value: str):
 
 
 def _load_filtered(args) -> "tuple":
-    """Load a corpus and apply whichever filters the flags request."""
+    """Load a corpus and apply whichever filters the flags request, stopping
+    at a filter that empties it, as `run` does."""
     if bool(args.start_date) != bool(args.end_date):
         raise ConfigError("--start and --end must be given together")
     if args.keyword is not None and not args.keyword:
@@ -72,10 +73,13 @@ def _load_filtered(args) -> "tuple":
     corpus = load_corpus(args.input, args.format)
     if args.start_date:
         corpus = filter_date_range(corpus, _parse_date(args.start_date), _parse_date(args.end_date))
+        require_records(corpus, "date_range")
     if args.keyword:
         corpus = filter_keyword(corpus, args.keyword)
+        require_records(corpus, "keyword")
     if args.country:
         corpus = filter_country(corpus, args.country)
+        require_records(corpus, "country")
     if args.bots:
         policy = BotPolicy(
             dup_window_seconds=args.dup_window,
@@ -83,6 +87,7 @@ def _load_filtered(args) -> "tuple":
             min_distinct_tokens=args.min_distinct_tokens,
         )
         corpus = filter_bots_and_duplicates(corpus, policy)
+        require_records(corpus, "bots")
     return corpus
 
 
@@ -118,8 +123,8 @@ def cmd_ngrams(args) -> None:
     if args.top < 1:
         raise ConfigError("--top must be >= 1")
     analysis = Analysis(load_corpus(args.input, args.format), args)
-    streams = analysis.stopped if args.n <= 2 else analysis.full
-    table = ngrams.build_table(streams, args.n, args.top)
+    streams = analysis.distinct_stopped if args.n <= 2 else analysis.distinct_full
+    table = ngrams.build_table(streams, args.n, args.top, analysis.weights)
     if args.output:
         if args.export == "csv":
             ngram_table_to_csv(table, args.output, args.top)
@@ -174,7 +179,7 @@ def cmd_report(args) -> None:
 
     analysis = Analysis(corpus, args)
     if what == "devices":
-        report = analytics.device_group_report(analysis.corpus, analysis.full)
+        report = analytics.device_group_report(analysis.corpus, analysis.cleaned)
         payload = device_report_to_dict(report)
         if args.export == "csv":
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
@@ -199,7 +204,7 @@ def cmd_report(args) -> None:
 
     scores = analysis.scores
     dist = analytics.polarity_distribution(scores)
-    totals = emotion.aggregate_profiles(analysis.profiles)
+    totals = emotion.aggregate_profiles(analysis.distinct_profiles, analysis.weights)
     payload = distribution_to_dict(dist, totals, polarity.extremes(scores))
     if args.export == "csv":
         with open(args.output, "w", encoding="utf-8", newline="") as fh:

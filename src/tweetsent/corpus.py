@@ -11,6 +11,7 @@ import bisect
 import csv
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timezone
 from json.encoder import encode_basestring
@@ -18,6 +19,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import EmptyCorpusError, InvalidRangeError, SchemaError
+from .textprep import mask_pattern, mask_text
 
 CSV_COLUMNS = [
     "status_id",
@@ -408,7 +410,10 @@ def filter_bots_and_duplicates(c: Corpus, policy: BotPolicy) -> Corpus:
     record removed by several rules is counted once, under the first matching
     rule in the order duplicate, burst, low_token.
     """
-    keys = [normalize_for_dedup(r.text) for r in c.records]
+    distinct = dict.fromkeys(r.text for r in c.records)
+    key_of = dict(zip(distinct, map(normalize_for_dedup, distinct)))
+    keys = [key_of[r.text] for r in c.records]
+    low_token = {k for k in key_of.values() if len(set(k.split())) < policy.min_distinct_tokens}
     dup_flags = _duplicate_flags(c.records, keys, policy.dup_window_seconds)
     burst = _burst_users(c.records, policy.burst_per_minute)
 
@@ -419,7 +424,7 @@ def filter_bots_and_duplicates(c: Corpus, policy: BotPolicy) -> Corpus:
             counts["duplicate"] += 1
         elif record.user_id in burst:
             counts["burst"] += 1
-        elif len(set(key.split())) < policy.min_distinct_tokens:
+        elif key in low_token:
             counts["low_token"] += 1
         else:
             kept.append(record)
@@ -431,14 +436,15 @@ def filter_bots_and_duplicates(c: Corpus, policy: BotPolicy) -> Corpus:
 
 
 def mask_corpus(c: Corpus, abusive_lexicon: set[str], ledger) -> Corpus:
-    """Apply abusive-word masking to every record's text (non-filtering stage)."""
-    from .textprep import mask_pattern, mask_text
-
+    """Mask every record's text (non-filtering stage), each distinct text once."""
     pattern = mask_pattern(abusive_lexicon)
-    records = []
-    for record in c.records:
-        masked = mask_text(record.text, pattern, ledger)
-        records.append(replace(record, text=masked) if masked != record.text else record)
+    masked_of = {}
+    for raw, n_records in Counter(r.text for r in c.records).items():
+        before = ledger.occurrences
+        masked_of[raw] = mask_text(raw, pattern, ledger)
+        # as a record-by-record pass would: the text's further records add its hits
+        ledger.occurrences += (ledger.occurrences - before) * (n_records - 1)
+    records = [r if (t := masked_of[r.text]) == r.text else replace(r, text=t) for r in c.records]
     return Corpus(records=records, provenance=c.provenance.copy())
 
 

@@ -91,12 +91,16 @@ def classify(sentences: Sentences, lex: EmotionLexicon) -> EmotionProfile:
     return profile
 
 
-def aggregate_profiles(profiles: list[EmotionProfile]) -> EmotionProfile:
+def aggregate_profiles(
+    profiles: list[EmotionProfile], weights: list[int] | None = None
+) -> EmotionProfile:
+    """Sum of the profiles, `profiles[i]` counted `weights[i]` times (once if None)."""
     total = EmotionProfile()
-    for p in profiles:
+    weights = [1] * len(profiles) if weights is None else weights
+    for p, weight in zip(profiles, weights, strict=True):
         for category, value in p.counts.items():
-            total.counts[category] += value
-        total.token_total += p.token_total
+            total.counts[category] += value * weight
+        total.token_total += p.token_total * weight
     return total
 
 

@@ -30,24 +30,30 @@ def _rank_key(item: tuple[tuple[str, ...], int]) -> tuple[int, str]:
     return -item[1], " ".join(item[0])
 
 
-def build_table(corpus: list[Sentences], n: int, top: int | None = None) -> NgramTable:
+def build_table(
+    texts: list[Sentences], n: int, top: int | None = None, weights: list[int] | None = None
+) -> NgramTable:
     """Exact counts over all texts with deterministic ordering.
 
     Width-n sliding windows per sentence; a sentence shorter than n yields
-    none. Only the first `top` entries of the order are kept (all of them
-    when `top` is None); `total_grams` always counts every gram.
+    none. Text i counts `weights[i]` >= 1 times (once if None). Only the
+    first `top` entries of the order are kept (all of them when `top` is
+    None); `total_grams` always counts every gram.
     """
     if not 1 <= n <= MAX_N:
         raise InvalidNError(f"n must be in 1..{MAX_N}, got {n}")
     # a sentence's windows zip its n copies shifted by 0..n-1 tokens
     shifts = [slice(i, None) for i in range(n)]
-    counts: Counter[tuple[str, ...]] = Counter(
-        chain.from_iterable(
-            zip(*map(sentence.__getitem__, shifts))
-            for sentences in corpus
-            for sentence in sentences
-        )
-    )
+
+    def windows(group: list[Sentences]):
+        return chain.from_iterable(zip(*map(s.__getitem__, shifts)) for ts in group for s in ts)
+
+    counts: Counter[tuple[str, ...]] = Counter(windows(texts))
+    weights = [1] * len(texts) if weights is None else weights
+    for sentences, weight in zip(texts, weights, strict=True):
+        if weight > 1:
+            for gram in windows([sentences]):
+                counts[gram] += weight - 1
     k = len(counts) if top is None else top
     return NgramTable(n=n, entries=_top_entries(counts, k), total_grams=sum(counts.values()))
 

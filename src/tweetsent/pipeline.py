@@ -25,6 +25,7 @@ import csv
 import gc
 import hashlib
 import json
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import date
@@ -177,7 +178,7 @@ def _run_stage(stage: str, fn):
         raise PipelineStageError(stage, exc) from exc
 
 
-def _require_records(corpus: Corpus, stage: str) -> None:
+def require_records(corpus: Corpus, stage: str) -> None:
     """Stop at the filter that emptied the corpus, before any analysis runs."""
     if not corpus.records:
         raise PipelineStageError(stage, EmptyCorpusError(f"the {stage} filter left no records"))
@@ -202,18 +203,18 @@ def gc_paused():
 
 
 class Analysis:
-    """The text analysis of a corpus: masking, then per record its prepared
-    text (`full`), its stopword-filtered text (`stopped`), its emotion
-    profile and its polarity score.
+    """The text analysis of a corpus: masking, then per distinct masked text
+    its prepared text (`distinct_full`), stopword-filtered text
+    (`distinct_stopped`), emotion profile (`distinct_profiles`) and record
+    count (`weights`); per record its cleaned text (`cleaned`), emotion
+    profile (`profiles`) and polarity score (`scores`).
 
     Lexicon paths are read from `paths`, a `RunConfig` or the CLI's parsed
     arguments; an absent or `None` path means the bundled file. `params`
     defaults to `ScoringParams()`.
 
-    Masking runs per record, so the ledger counts every occurrence. Each
-    field is computed once, on first use, over the distinct masked texts
-    and expanded to the records: retweets carry one text many times, and
-    the records sharing a text share its results, which nothing mutates.
+    Each field is computed once, on first use; a per-record field expands
+    the results of the distinct texts, which nothing mutates, to the records.
     """
 
     def __init__(self, corpus: Corpus, paths, params: polarity.ScoringParams | None = None) -> None:
@@ -222,7 +223,8 @@ class Analysis:
         self.ledger = textprep.MaskLedger()
         abusive = textprep.load_abusive_lexicon(self._path("abusive_lexicon_path"))
         self.corpus = mask_corpus(corpus, abusive, self.ledger)
-        self._texts = list(dict.fromkeys(r.text for r in self.corpus.records))
+        n_records = Counter(r.text for r in self.corpus.records)
+        self._texts, self.weights = list(n_records), list(n_records.values())
         slot_of = dict(zip(self._texts, range(len(self._texts))))
         # each record's place in `_texts`
         self._slots = [slot_of[r.text] for r in self.corpus.records]
@@ -234,26 +236,26 @@ class Analysis:
         return list(map(values.__getitem__, self._slots))
 
     @cached_property
-    def _distinct_full(self) -> list[textprep.Sentences]:
+    def distinct_full(self) -> list[textprep.Sentences]:
         return [textprep.prepare(t) for t in self._texts]
 
     @cached_property
-    def _distinct_stopped(self) -> list[textprep.Sentences]:
+    def distinct_stopped(self) -> list[textprep.Sentences]:
         stoplist = textprep.load_stoplist(self._path("stopwords_path"))
-        return [textprep.remove_stopwords(ts, stoplist) for ts in self._distinct_full]
+        return [textprep.remove_stopwords(ts, stoplist) for ts in self.distinct_full]
 
     @cached_property
-    def full(self) -> list[textprep.Sentences]:
-        return self._expand(self._distinct_full)
+    def distinct_profiles(self) -> list[emotion.EmotionProfile]:
+        lex = emotion.load_emotion_lexicon(self._path("emotion_lexicon_path"))
+        return [emotion.classify(ts, lex) for ts in self.distinct_stopped]
 
     @cached_property
-    def stopped(self) -> list[textprep.Sentences]:
-        return self._expand(self._distinct_stopped)
+    def cleaned(self) -> list[str]:
+        return self._expand([" ".join(map(" ".join, ts)) for ts in self.distinct_full])
 
     @cached_property
     def profiles(self) -> list[emotion.EmotionProfile]:
-        lex = emotion.load_emotion_lexicon(self._path("emotion_lexicon_path"))
-        return self._expand([emotion.classify(ts, lex) for ts in self._distinct_stopped])
+        return self._expand(self.distinct_profiles)
 
     @cached_property
     def scores(self) -> list[polarity.PolarityScore]:
@@ -261,7 +263,7 @@ class Analysis:
             self._path("polarity_lexicon_path"), self._path("shifter_lexicon_path")
         )
         return self._expand(
-            [polarity.score_text(ts, lex, self._params) for ts in self._distinct_full]
+            [polarity.score_text(ts, lex, self._params) for ts in self.distinct_full]
         )
 
 
@@ -280,20 +282,21 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
 
         corpus = _run_stage("load", lambda: load_corpus(cfg.input, cfg.format))
         corpus = _run_stage("date_range", lambda: filter_date_range(corpus, start, end))
-        _require_records(corpus, "date_range")
+        require_records(corpus, "date_range")
         corpus = _run_stage("keyword", lambda: filter_keyword(corpus, cfg.keyword))
-        _require_records(corpus, "keyword")
+        require_records(corpus, "keyword")
         corpus = _run_stage("country", lambda: filter_country(corpus, cfg.country))
-        _require_records(corpus, "country")
+        require_records(corpus, "country")
         corpus = _run_stage(
             "bots", lambda: filter_bots_and_duplicates(corpus, cfg.bot_policy())
         )
-        _require_records(corpus, "bots")
+        require_records(corpus, "bots")
 
         analysis = _run_stage("mask", lambda: Analysis(corpus, cfg, cfg.scoring_params()))
         corpus = analysis.corpus
-        full_streams = _run_stage("tokenize", lambda: analysis.full)
-        stopped_streams = _run_stage("stopwords", lambda: analysis.stopped)
+        full_streams = _run_stage("tokenize", lambda: analysis.distinct_full)
+        stopped_streams = _run_stage("stopwords", lambda: analysis.distinct_stopped)
+        weights = analysis.weights
 
         tables = {}
         for n in (1, 2, 3, 4):
@@ -301,7 +304,7 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
             # the unigram table also feeds the word cloud
             top = max(cfg.ngram_top, cfg.wordcloud_top) if n == 1 else cfg.ngram_top
             tables[n] = _run_stage(
-                f"ngrams_{n}", lambda n=n, s=streams, k=top: ngrams.build_table(s, n, k)
+                f"ngrams_{n}", lambda n=n, s=streams, k=top: ngrams.build_table(s, n, k, weights)
             )
         cloud = _run_stage(
             "wordcloud", lambda: ngrams.word_cloud_weights(tables[1], cfg.wordcloud_top)
@@ -309,7 +312,9 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
 
         # the n-gram tables above are built before any profile or score exists
         profiles = _run_stage("emotion", lambda: analysis.profiles)
-        totals = _run_stage("emotion", lambda: emotion.aggregate_profiles(profiles))
+        totals = _run_stage(
+            "emotion", lambda: emotion.aggregate_profiles(analysis.distinct_profiles, weights)
+        )
         scores = _run_stage("polarity", lambda: analysis.scores)
 
         mentions = _run_stage("report", lambda: analytics.rank_mentions(corpus, cfg.rank_top))
@@ -322,7 +327,7 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
         )
         devices = _run_stage(
             "report",
-            lambda: analytics.device_group_report(corpus, full_streams, cfg.device_categories),
+            lambda: analytics.device_group_report(corpus, analysis.cleaned, cfg.device_categories),
         )
         daily = _run_stage("report", lambda: analytics.daily_emotion_series(corpus, profiles))
         dist = _run_stage("distribution", lambda: analytics.polarity_distribution(scores))

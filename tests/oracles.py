@@ -303,9 +303,11 @@ def daily_shares(records, profiles, classes):
 
 def per_record_run(cfg, out_dir):
     """Write every report of a run of `cfg` into `out_dir`, composing the
-    package's stage functions with each record prepared, stopword-filtered,
-    classified and scored on its own, whatever text other records carry.
-    Returns the mask ledger's occurrence count."""
+    package's stage functions with each record masked, prepared,
+    stopword-filtered, classified and scored on its own, whatever text other
+    records carry. Returns the mask ledger's occurrence count."""
+    from dataclasses import replace
+
     from tweetsent import analytics, corpus, emotion, exports, ngrams, polarity, textprep
 
     start, end = cfg.dates()
@@ -315,7 +317,8 @@ def per_record_run(cfg, out_dir):
     c = corpus.filter_country(c, cfg.country)
     c = corpus.filter_bots_and_duplicates(c, cfg.bot_policy())
     ledger = textprep.MaskLedger()
-    c = corpus.mask_corpus(c, textprep.load_abusive_lexicon(cfg.abusive_lexicon_path), ledger)
+    pattern = textprep.mask_pattern(textprep.load_abusive_lexicon(cfg.abusive_lexicon_path))
+    c.records = [replace(r, text=textprep.mask_text(r.text, pattern, ledger)) for r in c.records]
     stoplist = textprep.load_stoplist(cfg.stopwords_path)
     emo_lex = emotion.load_emotion_lexicon(cfg.emotion_lexicon_path)
     pol_lex = polarity.load_polarity_lexicon(cfg.polarity_lexicon_path, cfg.shifter_lexicon_path)
@@ -348,7 +351,8 @@ def per_record_run(cfg, out_dir):
     }
     for name, table in rankings.items():
         exports.ranked_table_to_csv(table, out / f"{name}.csv")
-    devices = analytics.device_group_report(c, full, cfg.device_categories)
+    cleaned = [" ".join(token for sentence in ts for token in sentence) for ts in full]
+    devices = analytics.device_group_report(c, cleaned, cfg.device_categories)
     exports.write_json(exports.device_report_to_dict(devices), out / "devices.json")
     totals = emotion.aggregate_profiles(profiles)
     exports.write_json(totals.to_dict(), out / "emotion_totals.json")

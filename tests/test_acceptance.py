@@ -160,7 +160,8 @@ def test_criterion_08_planted_ground_truth(synth_corpus, synth_dir):
         | set(ledger["low_token_ids"])
     )
     assert removed == planted
-    report = device_group_report(filtered, [prepare(r.text) for r in filtered.records])
+    cleaned = [" ".join(t for s in prepare(r.text) for t in s) for r in filtered.records]
+    report = device_group_report(filtered, cleaned)
     sizes = {device: report.groups[device][0] for device in ledger["device_counts"]}
     assert sizes == ledger["device_counts"]
     _ok(8, f"bot filter removed exactly the {len(planted)} planted records; device sizes match")

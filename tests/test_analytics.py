@@ -29,8 +29,12 @@ def _scores(values):
     return [PolarityScore(v, 1) for v in values]
 
 
+def _cleaned(text):
+    return " ".join(token for sentence in prepare(text) for token in sentence)
+
+
 def _devices(corpus, categories=None):
-    return device_group_report(corpus, [prepare(r.text) for r in corpus.records], categories)
+    return device_group_report(corpus, [_cleaned(r.text) for r in corpus.records], categories)
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +91,24 @@ def test_rank_locations_variants():
     tagged = rank_locations(c, 5, "tagged")
     assert stated.rows == [("Austin, TX", 2, 1)]
     assert tagged.rows == [("Austin, TX", 1, 1)]
+
+
+@pytest.mark.parametrize("k", [0, -2])
+@pytest.mark.parametrize(
+    "rank",
+    [rank_mentions, rank_hashtags, lambda c, k: rank_locations(c, k, "tagged"), rank_locations],
+    ids=["mentions", "hashtags", "locations_tagged", "locations_stated"],
+)
+def test_rankings_refuse_k_below_1(rank, k):
+    # a slice [:k] would keep none of the three rows, or the first one
+    c = make_corpus(
+        [
+            make_record(rid=str(i), location=f"L{i}", hashtags=[f"h{i}"], mentions=[f"m{i}"])
+            for i in range(3)
+        ]
+    )
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        rank(c, k)
 
 
 def test_rank_locations_all_absent():
@@ -147,7 +169,7 @@ def test_device_zero_matches_zero_ratio():
 def test_device_report_requires_aligned_texts():
     corpus = make_corpus([make_record(rid="1"), make_record(rid="2")])
     with pytest.raises(ValueError):
-        device_group_report(corpus, [prepare("reopen now")])
+        device_group_report(corpus, ["reopen now"])
 
 
 def test_device_report_matches_bruteforce(synth_corpus):
@@ -340,7 +362,7 @@ def test_device_report_matches_recount_property(spec):
     # single- and multi-keyword categories, empty keyword lists, empty groups
     corpus, prepared, categories = spec
     texts = [" ".join(" ".join(s) for s in sentences) for sentences in prepared]
-    report = device_group_report(corpus, prepared, categories)
+    report = device_group_report(corpus, texts, categories)
     assert report.groups == device_ratios(corpus.records, texts, categories, DEVICE_CLASSES)
 
 

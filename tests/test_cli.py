@@ -266,6 +266,24 @@ def test_run_with_empty_filter_window_exits_3_at_its_filter(workdir, capsys):
     assert not (workdir / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, stage",
+    [
+        (["--start", "2019-01-01", "--end", "2019-01-02"], "date_range"),
+        (["--keyword", "zzzqqq"], "keyword"),
+        (["--country", "ZZ"], "country"),
+        (["--bots", "--min-distinct-tokens", "1000"], "bots"),
+    ],
+)
+def test_ingest_that_a_filter_empties_exits_3_and_writes_nothing(workdir, capsys, flags, stage):
+    _synth(workdir, n=100)
+    code = main(["ingest", "--input", "corpus.csv", "--output", "x.jsonl", "--provenance"] + flags)
+    assert code == 3
+    assert f"stage '{stage}' failed" in capsys.readouterr().err
+    assert not (workdir / "x.jsonl").exists()
+    assert not (workdir / "x.provenance.json").exists()
+
+
 def test_surrogate_escape_row_is_skipped_not_a_crash(workdir):
     path = _synth(workdir, n=100, name="c.jsonl", fmt="jsonl")
     lines = path.read_text(encoding="utf-8").splitlines()

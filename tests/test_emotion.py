@@ -110,6 +110,37 @@ def test_aggregate_matches_column_sum(synth_corpus, emo_lex, stoplist):
     assert total.token_total == sum(p.token_total for p in profiles)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 4), min_size=len(ALL_CATEGORIES), max_size=len(ALL_CATEGORIES)),
+            st.integers(0, 30),
+            st.integers(1, 6),
+        ),
+        max_size=10,
+    )
+)
+def test_weighted_aggregate_equals_the_expanded_profiles(rows):
+    profiles, weights = [], []
+    for counts, token_total, weight in rows:
+        profile = EmotionProfile(token_total=token_total)
+        profile.counts.update(zip(ALL_CATEGORIES, counts))
+        profiles.append(profile)
+        weights.append(weight)
+    expanded = [p for p, w in zip(profiles, weights) for _ in range(w)]
+    total = aggregate_profiles(profiles, weights)
+    assert total == aggregate_profiles(expanded)
+    for category in ALL_CATEGORIES:
+        assert total.counts[category] == sum(p.counts[category] for p in expanded)
+    assert total.token_total == sum(p.token_total for p in expanded)
+
+
+def test_aggregate_weights_must_align():
+    with pytest.raises(ValueError):
+        aggregate_profiles([EmotionProfile(), EmotionProfile()], [1])
+
+
 def test_classify_matches_bruteforce_per_record(synth_corpus, emo_lex, stoplist):
     for record in synth_corpus.records[:200]:
         sentences = remove_stopwords(prepare(record.text), stoplist)

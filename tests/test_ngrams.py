@@ -105,10 +105,8 @@ def _full_order(counts):
 
 
 # a small vocabulary so that equal counts, and ties at the cut-off, are common
-_CORPORA = st.lists(
-    st.lists(st.lists(st.sampled_from(["a", "b", "c", "ab", "d"]), max_size=7), max_size=3),
-    max_size=12,
-)
+_TEXT = st.lists(st.lists(st.sampled_from(["a", "b", "c", "ab", "d"]), max_size=7), max_size=3)
+_CORPORA = st.lists(_TEXT, max_size=12)
 
 
 @settings(max_examples=300, deadline=None)
@@ -119,6 +117,35 @@ def test_top_k_is_prefix_of_full_order(corpus, n, k):
     table = build_table(texts, n, top=k)
     assert table.entries == _full_order(full)[:k]
     assert table.total_grams == sum(full.values())
+
+
+# distinct texts with record counts; a record count above 1 stands for a
+# shared text, so a cut-off often falls inside a tie of weighted counts
+_WEIGHTED = st.lists(st.tuples(_TEXT, st.integers(min_value=1, max_value=5)), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _WEIGHTED,
+    st.integers(min_value=1, max_value=4),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=40)),
+    st.randoms(use_true_random=False),
+)
+def test_weighted_table_equals_the_expanded_corpus(weighted, n, top, rng):
+    distinct = [_text(*(s for s in text if s)) for text, _ in weighted]
+    weights = [w for _, w in weighted]
+    records = [text for text, w in zip(distinct, weights) for _ in range(w)]
+    rng.shuffle(records)
+    table = build_table(distinct, n, top, weights)
+    assert table == build_table(records, n, top)
+    full = ngram_counts(records, n)
+    assert table.entries == _full_order(full)[: len(full) if top is None else top]
+    assert table.total_grams == sum(full.values())
+
+
+def test_weights_must_align_with_texts():
+    with pytest.raises(ValueError):
+        build_table([_text(["a", "b"]), _text(["b"])], 1, weights=[2])
 
 
 def test_top_k_cut_inside_a_tie():

@@ -11,6 +11,7 @@ import pytest
 
 import tweetsent.pipeline as pipeline_mod
 from oracles import per_record_run
+from tweetsent.corpus import load_corpus
 from tweetsent.errors import ConfigError, EmptyCorpusError, PipelineStageError
 from tweetsent.pipeline import RunConfig, run_pipeline
 from tweetsent.synth import ABUSIVE_POOL, generate_synthetic_corpus, write_synthetic_corpus
@@ -245,6 +246,20 @@ def test_shared_texts_give_the_per_record_reports(golden_workdir):
     for name in manifest.outputs:
         assert (out / name).read_bytes() == (want / name).read_bytes(), name
     assert manifest.stages["mask"]["occurrences"] == occurrences > 0
+
+
+def test_analysis_keeps_one_result_per_distinct_text_with_its_record_count(golden_workdir):
+    _share_texts(golden_workdir / "corpus_1000.csv", golden_workdir / "shared.csv")
+    analysis = pipeline_mod.Analysis(load_corpus("shared.csv"), _golden_config())
+    texts = [r.text for r in analysis.corpus.records]
+    distinct = list(dict.fromkeys(texts))
+    assert analysis.weights == [texts.count(t) for t in distinct]
+    assert len(distinct) < sum(analysis.weights) == len(texts)
+    per_text = (analysis.distinct_full, analysis.distinct_stopped, analysis.distinct_profiles)
+    assert [len(values) for values in per_text] == [len(distinct)] * 3
+    per_record = (analysis.cleaned, analysis.profiles, analysis.scores)
+    assert [len(values) for values in per_record] == [len(texts)] * 3
+    assert not hasattr(analysis, "full") and not hasattr(analysis, "stopped")
 
 
 def test_run_pauses_gc_and_restores_it(golden_workdir, monkeypatch, gc_enabled):

@@ -13,6 +13,8 @@ from tweetsent.textprep import (
     MaskLedger,
     clean_text,
     mask_abusive,
+    mask_pattern,
+    mask_text,
     prepare,
     remove_stopwords,
 )
@@ -240,3 +242,37 @@ def test_mask_corpus_empty_lexicon_is_identity():
     masked = mask_corpus(corpus, set(), ledger)
     assert [r.text for r in masked.records] == ["badword01 here"]
     assert ledger.counter == 0
+
+
+# raw texts that several words of the lexicon hit, also more than once, and
+# that differ only in the case of a hit, so two raw texts mask alike
+_MASK_LEXICON = {"badword01", "badword02", "bad"}
+_MASK_TEXTS = st.lists(
+    st.sampled_from(["badword01", "BadWord01", "badword02", "BAD", "bad", "badword", "now", " ", "!"]),
+    max_size=8,
+).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_MASK_TEXTS, min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=5), max_size=30),
+    st.sampled_from([_MASK_LEXICON, set()]),
+)
+def test_mask_corpus_masks_each_text_as_a_record_by_record_pass_would(pool, picks, lexicon):
+    # the records after them repeat texts of a small pool, in any order
+    # the first two mask alike; each hits three words, one of them twice
+    texts = ["badword01 badword02 BadWord01 bad", "BadWord01 badword02 badword01 BAD"]
+    texts += [pool[i % len(pool)] for i in picks]
+    corpus = make_corpus([make_record(rid=str(i), text=t) for i, t in enumerate(texts)])
+    pattern = mask_pattern(lexicon)
+    per_record = MaskLedger()
+    expected = [mask_text(t, pattern, per_record) for t in texts]
+
+    ledger = MaskLedger()
+    masked = mask_corpus(corpus, lexicon, ledger)
+    assert [r.text for r in masked.records] == expected
+    assert [r.id for r in masked.records] == [r.id for r in corpus.records]
+    assert ledger.replacements == per_record.replacements
+    assert ledger.counter == per_record.counter
+    assert ledger.occurrences == per_record.occurrences
