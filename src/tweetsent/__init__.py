@@ -37,6 +37,6 @@ from .polarity import (
 )
 from .scenario import ScenarioOutcome, SentimentTrend, classify_scenario, derive_trend
 from .synth import generate_synthetic_corpus, write_synthetic_corpus
-from .textprep import MaskLedger, Sentences, clean_text, mask_abusive, prepare, remove_stopwords
+from .textprep import MaskLedger, Sentences, prepare, remove_stopwords
 
 __version__ = "0.1.0"

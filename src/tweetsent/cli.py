@@ -9,21 +9,13 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import analytics, emotion, ngrams, polarity, scenario
-from .corpus import (
-    BotPolicy,
-    filter_bots_and_duplicates,
-    filter_country,
-    filter_date_range,
-    filter_keyword,
-    load_corpus,
-    write_corpus_jsonl,
-)
+from .corpus import BotPolicy, load_corpus, write_corpus_jsonl
 from .errors import (
     ConfigError,
     EmptyCorpusError,
@@ -37,58 +29,22 @@ from .errors import (
 from .exports import (
     daily_series_to_csv,
     daily_series_to_dict,
+    device_report_to_csv,
     device_report_to_dict,
+    distribution_to_csv,
     distribution_to_dict,
     ngram_table_to_csv,
     ngram_table_to_rows,
     ranked_table_to_csv,
     ranked_table_to_dict,
+    scores_to_csv,
     write_json,
 )
-from .pipeline import Analysis, RunConfig, gc_paused, require_records, run_pipeline
+from .pipeline import Analysis, RunConfig, check_filters, filter_corpus, gc_paused, run_pipeline
 from .synth import write_synthetic_corpus
 
 _CONFIG_ERRORS = (ConfigError, FileNotFoundError, InvalidRangeError, InvalidNError)
 _DATA_ERRORS = (SchemaError, EmptyCorpusError, EmptyInputError, TiedTrendError)
-
-
-def _parse_date(value: str):
-    from datetime import date
-
-    try:
-        return date.fromisoformat(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad date {value!r}: expected YYYY-MM-DD") from exc
-
-
-def _load_filtered(args) -> "tuple":
-    """Load a corpus and apply whichever filters the flags request, stopping
-    at a filter that empties it, as `run` does."""
-    if bool(args.start_date) != bool(args.end_date):
-        raise ConfigError("--start and --end must be given together")
-    if args.keyword is not None and not args.keyword:
-        raise ConfigError("--keyword must be non-empty")
-    if args.country is not None and not (len(args.country) == 2 and args.country.isalpha()):
-        raise ConfigError("--country must be a two-letter code")
-    corpus = load_corpus(args.input, args.format)
-    if args.start_date:
-        corpus = filter_date_range(corpus, _parse_date(args.start_date), _parse_date(args.end_date))
-        require_records(corpus, "date_range")
-    if args.keyword:
-        corpus = filter_keyword(corpus, args.keyword)
-        require_records(corpus, "keyword")
-    if args.country:
-        corpus = filter_country(corpus, args.country)
-        require_records(corpus, "country")
-    if args.bots:
-        policy = BotPolicy(
-            dup_window_seconds=args.dup_window,
-            burst_per_minute=args.burst_per_minute,
-            min_distinct_tokens=args.min_distinct_tokens,
-        )
-        corpus = filter_bots_and_duplicates(corpus, policy)
-        require_records(corpus, "bots")
-    return corpus
 
 
 def _add_corpus_args(p: argparse.ArgumentParser) -> None:
@@ -101,14 +57,15 @@ def _add_filter_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--end", dest="end_date", help="inclusive end date YYYY-MM-DD")
     p.add_argument("--keyword", help="keep records containing this keyword")
     p.add_argument("--country", help="keep records tagged with this country code")
-    p.add_argument("--bots", action="store_true", help="apply bot/duplicate removal")
-    p.add_argument("--dup-window", type=float, default=3600.0)
-    p.add_argument("--burst-per-minute", type=int, default=10)
-    p.add_argument("--min-distinct-tokens", type=int, default=3)
 
 
 def cmd_ingest(args) -> None:
-    corpus = _load_filtered(args)
+    window = check_filters(args.start_date, args.end_date, args.keyword, args.country)
+    # the bot flags' dests are BotPolicy field names; an unset flag keeps its default
+    knobs = {name: getattr(args, name) for name in BotPolicy.__dataclass_fields__}
+    policy = BotPolicy(**{name: value for name, value in knobs.items() if value is not None})
+    corpus = load_corpus(args.input, args.format)
+    corpus = filter_corpus(corpus, window, args.keyword, args.country, policy if args.bots else None)
     write_corpus_jsonl(corpus, args.output)
     if args.provenance:
         prov_path = Path(args.output).with_suffix(".provenance.json")
@@ -139,16 +96,7 @@ def cmd_ngrams(args) -> None:
 def cmd_sentiment(args) -> None:
     analysis = Analysis(load_corpus(args.input, args.format), args)
     scores = analysis.scores
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["status_id", "value", "n_sentences", "label"] + list(emotion.ALL_CATEGORIES)
-        )
-        for record, score, profile in zip(analysis.corpus.records, scores, analysis.profiles):
-            writer.writerow(
-                [record.id, score.value, score.n_sentences, polarity.classify_polarity(score)]
-                + [profile.counts[c] for c in emotion.ALL_CATEGORIES]
-            )
+    scores_to_csv(analysis.corpus, scores, args.output, analysis.profiles)
     dist = analytics.polarity_distribution(scores)
     print(f"wrote {args.output}")
     print(
@@ -165,58 +113,33 @@ def cmd_report(args) -> None:
 
     if what in ("mentions", "hashtags", "locations"):
         if what == "mentions":
-            table = analytics.rank_mentions(corpus, args.top)
+            report = analytics.rank_mentions(corpus, args.top)
         elif what == "hashtags":
-            table = analytics.rank_hashtags(corpus, args.top)
+            report = analytics.rank_hashtags(corpus, args.top)
         else:
-            table = analytics.rank_locations(corpus, args.top, args.field)
-        if args.export == "csv":
-            ranked_table_to_csv(table, args.output)
-        else:
-            write_json(ranked_table_to_dict(table), args.output)
-        print(f"wrote {args.output}")
-        return
-
-    analysis = Analysis(corpus, args)
-    if what == "devices":
-        report = analytics.device_group_report(analysis.corpus, analysis.cleaned)
-        payload = device_report_to_dict(report)
-        if args.export == "csv":
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["device", "n_records", "category", "ratio"])
-                for device, body in payload.items():
-                    for name, ratio in body["category_ratios"].items():
-                        writer.writerow([device, body["n_records"], name, ratio])
-        else:
-            write_json(payload, args.output)
-        print(f"wrote {args.output}")
-        return
-
-    if what == "daily":
-        series = analytics.daily_emotion_series(analysis.corpus, analysis.profiles)
-        if args.export == "csv":
-            daily_series_to_csv(series, args.output)
-        else:
-            write_json(daily_series_to_dict(series), args.output)
-        print(f"wrote {args.output}")
-        return
-
-    scores = analysis.scores
-    dist = analytics.polarity_distribution(scores)
-    totals = emotion.aggregate_profiles(analysis.distinct_profiles, analysis.weights)
-    payload = distribution_to_dict(dist, totals, polarity.extremes(scores))
-    if args.export == "csv":
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["key", "value"])
-            for key in ("positive_share", "negative_share", "neutral_share"):
-                writer.writerow([key, payload[key]])
-            for i, count in enumerate(payload["histogram"]["counts"]):
-                lo = payload["histogram"]["lo"] + i * payload["histogram"]["width"]
-                writer.writerow([f"bin[{lo},{lo + payload['histogram']['width']})", count])
+            report = analytics.rank_locations(corpus, args.top, args.field)
+        to_csv, to_dict = ranked_table_to_csv, ranked_table_to_dict
     else:
-        write_json(payload, args.output)
+        analysis = Analysis(corpus, args)
+        if what == "devices":
+            report = analytics.device_group_report(analysis.corpus, analysis.cleaned)
+            to_csv, to_dict = device_report_to_csv, device_report_to_dict
+        elif what == "daily":
+            report = analytics.daily_emotion_series(analysis.corpus, analysis.profiles)
+            to_csv, to_dict = daily_series_to_csv, daily_series_to_dict
+        else:
+            scores = analysis.scores
+            report = analytics.polarity_distribution(scores)
+            totals = emotion.aggregate_profiles(analysis.distinct_profiles, analysis.weights)
+            to_csv = distribution_to_csv
+            to_dict = partial(
+                distribution_to_dict, emotion_totals=totals, extremes=polarity.extremes(scores)
+            )
+
+    if args.export == "csv":
+        to_csv(report, args.output)
+    else:
+        write_json(to_dict(report), args.output)
     print(f"wrote {args.output}")
 
 
@@ -309,9 +232,12 @@ def cmd_synth(args) -> None:
     )
 
 
-def _add_lexicon_args(p: argparse.ArgumentParser) -> None:
+def _add_lexicon_args(p: argparse.ArgumentParser, text_only: bool = False) -> None:
+    """The lexicon flags; `text_only` keeps the two that text preparation reads."""
     p.add_argument("--stopwords", dest="stopwords_path", help="stopword list path (default: bundled)")
     p.add_argument("--abusive-lexicon", dest="abusive_lexicon_path", help="abusive word list path")
+    if text_only:
+        return
     p.add_argument("--emotion-lexicon", dest="emotion_lexicon_path", help="emotion lexicon TSV path")
     p.add_argument("--polarity-lexicon", dest="polarity_lexicon_path", help="polarity lexicon CSV path")
     p.add_argument("--shifter-lexicon", dest="shifter_lexicon_path", help="shifter lexicon CSV path")
@@ -324,6 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="load, filter, and export a corpus")
     _add_corpus_args(p)
     _add_filter_args(p)
+    p.add_argument("--bots", action="store_true", help="apply bot/duplicate removal")
+    p.add_argument("--dup-window", dest="dup_window_seconds", type=float)
+    p.add_argument("--burst-per-minute", dest="burst_per_minute", type=int)
+    p.add_argument("--min-distinct-tokens", dest="min_distinct_tokens", type=int)
     p.add_argument("--output", required=True, help="filtered corpus JSONL path")
     p.add_argument("--provenance", action="store_true", help="also write provenance JSON")
     p.set_defaults(func=cmd_ingest)
@@ -334,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=25)
     p.add_argument("--export", choices=["csv", "json"], default="csv")
     p.add_argument("--output", help="write table here instead of stdout")
-    p.add_argument("--stopwords", dest="stopwords_path", help="stopword list path (default: bundled)")
-    p.add_argument("--abusive-lexicon", dest="abusive_lexicon_path")
+    _add_lexicon_args(p, text_only=True)
     p.set_defaults(func=cmd_ngrams)
 
     p = sub.add_parser("sentiment", help="per-record emotion and polarity scores")
@@ -369,10 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     p.add_argument("--format", choices=["csv", "jsonl"])
     p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--start", dest="start_date")
-    p.add_argument("--end", dest="end_date")
-    p.add_argument("--keyword")
-    p.add_argument("--country")
+    _add_filter_args(p)
     _add_lexicon_args(p)
     p.set_defaults(func=cmd_run)
 
@@ -393,22 +319,18 @@ def main(argv=None) -> int:
     try:
         with gc_paused():
             args.func(args)
-    except PipelineStageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, _CONFIG_ERRORS):
-            return 2
-        if isinstance(exc.cause, _DATA_ERRORS):
-            return 3
-        return 4
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
+        staged = isinstance(exc, PipelineStageError)
+        cause = exc.cause if staged else exc
+        if isinstance(cause, _CONFIG_ERRORS):
+            code = 2
+        elif isinstance(cause, _DATA_ERRORS):
+            code = 3
+        else:
+            code = 4
+        kind = "internal error" if code == 4 and not staged else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return code
     return 0
 
 

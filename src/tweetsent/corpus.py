@@ -12,13 +12,13 @@ import csv
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import date, datetime, timezone
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
 
-from .errors import EmptyCorpusError, InvalidRangeError, SchemaError
+from .errors import ConfigError, EmptyCorpusError, InvalidRangeError, SchemaError
 from .textprep import mask_pattern, mask_text
 
 CSV_COLUMNS = [
@@ -66,22 +66,10 @@ class Provenance:
         self.filtered[stage] = self.filtered.get(stage, 0) + removed
 
     def copy(self) -> Provenance:
-        return Provenance(
-            source=self.source,
-            format=self.format,
-            parsed=self.parsed,
-            skipped=self.skipped,
-            filtered=dict(self.filtered),
-        )
+        return replace(self, filtered=dict(self.filtered))
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "format": self.format,
-            "parsed": self.parsed,
-            "skipped": self.skipped,
-            "filtered": dict(self.filtered),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -99,11 +87,22 @@ class BotPolicy:
     burst_per_minute: users with more than this many posts inside any 60 s
     span lose all their records.
     min_distinct_tokens: records below this distinct-token count are dropped.
+
+    These are the only defaults of the three knobs; `RunConfig` and the CLI
+    take theirs from here. A value out of range is a `ConfigError`.
     """
 
     dup_window_seconds: float = 3600.0
     burst_per_minute: int = 10
     min_distinct_tokens: int = 3
+
+    def __post_init__(self) -> None:
+        if not self.dup_window_seconds >= 0:  # NaN too
+            raise ConfigError("dup_window_seconds must be >= 0")
+        if self.burst_per_minute < 1:
+            raise ConfigError("burst_per_minute must be >= 1")
+        if self.min_distinct_tokens < 0:
+            raise ConfigError("min_distinct_tokens must be >= 0")
 
 
 # the layout of an RFC 3339 section 5.6 date-time: 'T' and 'Z' may be lower

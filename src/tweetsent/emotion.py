@@ -9,10 +9,9 @@ stemming.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .errors import SchemaError
-from .textprep import Sentences
+from .textprep import Sentences, read_lexicon
 
 EMOTION_CLASSES = (
     "anger",
@@ -41,11 +40,7 @@ def load_emotion_lexicon(path=None) -> EmotionLexicon:
     Defaults to the bundled ~200-term fixture. Pass a path to use a full
     external lexicon in the same layout.
     """
-    if path is None:
-        text = (resources.files("tweetsent") / "data" / "emotion_lexicon.tsv").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    text = read_lexicon(path, "emotion_lexicon.tsv")
 
     staging: dict[str, set[str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -7,8 +7,10 @@ import csv
 import json
 
 from .analytics import DailySeries, DeviceGroupReport, Histogram, PolarityDistribution, RankedTable
-from .emotion import EMOTION_CLASSES, EmotionProfile
+from .corpus import Corpus
+from .emotion import ALL_CATEGORIES, EMOTION_CLASSES, EmotionProfile
 from .ngrams import NgramTable
+from .polarity import PolarityScore, classify_polarity
 
 
 def write_json(obj, path) -> None:
@@ -56,6 +58,41 @@ def word_cloud_to_dict(weights: list[tuple[str, float]]) -> list[dict]:
     return [{"word": w, "weight": weight} for w, weight in weights]
 
 
+def scores_to_csv(
+    corpus: Corpus,
+    scores: list[PolarityScore],
+    path,
+    profiles: list[EmotionProfile] | None = None,
+) -> None:
+    """One row per record: its polarity score and label, then, given
+    `profiles`, its count in each emotion category. Rows are written as
+    they are made, so no row list is held."""
+    header = ["status_id", "value", "n_sentences", "label"]
+    rows = (
+        [record.id, score.value, score.n_sentences, classify_polarity(score)]
+        for record, score in zip(corpus.records, scores)
+    )
+    if profiles is not None:
+        header += ALL_CATEGORIES
+        rows = (
+            row + [profile.counts[c] for c in ALL_CATEGORIES]
+            for row, profile in zip(rows, profiles)
+        )
+    _write_csv(path, header, rows)
+
+
+def device_report_to_csv(report: DeviceGroupReport, path) -> None:
+    _write_csv(
+        path,
+        ["device", "n_records", "category", "ratio"],
+        (
+            (device, n, name, ratio)
+            for device, (n, ratios) in report.groups.items()
+            for name, ratio in ratios.items()
+        ),
+    )
+
+
 def device_report_to_dict(report: DeviceGroupReport) -> dict:
     return {
         device: {"n_records": n, "category_ratios": dict(ratios)}
@@ -80,6 +117,20 @@ def daily_series_to_dict(series: DailySeries) -> dict:
 
 def histogram_to_dict(hist: Histogram) -> dict:
     return {"lo": hist.lo, "width": hist.width, "counts": hist.counts}
+
+
+def distribution_to_csv(dist: PolarityDistribution, path) -> None:
+    """The three shares, then one row per histogram bin."""
+    hist = dist.histogram
+    rows = [
+        ("positive_share", dist.pos_share),
+        ("negative_share", dist.neg_share),
+        ("neutral_share", dist.neu_share),
+    ]
+    for i, count in enumerate(hist.counts):
+        lo = hist.lo + i * hist.width
+        rows.append((f"bin[{lo},{lo + hist.width})", count))
+    _write_csv(path, ["key", "value"], rows)
 
 
 def distribution_to_dict(

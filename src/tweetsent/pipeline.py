@@ -10,6 +10,7 @@ stopword-removed streams; trigram/quadgram tables and polarity scoring use
 the full streams, since function words carry both the longer word sequences
 and the valence shifters.
 
+`filter_corpus` composes the filters for `run` and for the CLI's `ingest`;
 `Analysis` composes the text stages, masking to polarity, for `run` and for
 the CLI's `ngrams`, `sentiment` and `report`, which read its fields.
 
@@ -21,15 +22,15 @@ partial outputs. Identical config and input produce byte-identical outputs.
 
 from __future__ import annotations
 
-import csv
 import gc
 import hashlib
 import json
+import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import date
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 from . import analytics, emotion, ngrams, polarity, textprep
@@ -51,11 +52,46 @@ from .exports import (
     distribution_to_dict,
     ngram_table_to_csv,
     ranked_table_to_csv,
+    scores_to_csv,
     word_cloud_to_dict,
     write_json,
 )
 
 VERSION = "0.1.0"
+
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(value: str) -> date:
+    """Strict YYYY-MM-DD: ASCII digits and a valid calendar date. The layout is
+    checked first, because `date.fromisoformat` takes more from Python 3.11 on."""
+    if isinstance(value, str) and _DATE_RE.fullmatch(value):
+        try:
+            return date.fromisoformat(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"bad date {value!r}: expected YYYY-MM-DD")
+
+
+def check_filters(
+    start_date: str | None, end_date: str | None, keyword: str | None, country: str | None
+) -> tuple[date, date] | None:
+    """Check the date, keyword and country filter values, where None turns a
+    filter off, and return the date window."""
+    window = None
+    if start_date is not None or end_date is not None:
+        if start_date is None or end_date is None:
+            raise ConfigError("start_date and end_date must be given together")
+        window = parse_date(start_date), parse_date(end_date)
+        if window[0] > window[1]:
+            raise ConfigError(f"start_date {start_date} after end_date {end_date}")
+    if keyword is not None and not (isinstance(keyword, str) and keyword):
+        raise ConfigError("keyword must be non-empty")
+    if country is not None and not (
+        isinstance(country, str) and len(country) == 2 and country.isalpha()
+    ):
+        raise ConfigError(f"country must be a two-letter code, got {country!r}")
+    return window
 
 
 @dataclass
@@ -77,9 +113,9 @@ class RunConfig:
     window_after: int = 2
     amplifier_weight: float = 0.8
     adversative_weight: float = 0.85
-    dup_window_seconds: float = 3600.0
-    burst_per_minute: int = 10
-    min_distinct_tokens: int = 3
+    dup_window_seconds: float = BotPolicy.dup_window_seconds
+    burst_per_minute: int = BotPolicy.burst_per_minute
+    min_distinct_tokens: int = BotPolicy.min_distinct_tokens
     ngram_top: int = 100
     wordcloud_top: int = 100
     rank_top: int = 10
@@ -101,43 +137,25 @@ class RunConfig:
             raise ConfigError(f"format must be csv or jsonl, got {self.format!r}")
         if not Path(self.input).exists():
             raise ConfigError(f"input file not found: {self.input}")
-        for label in (
-            "stopwords_path",
-            "abusive_lexicon_path",
-            "emotion_lexicon_path",
-            "polarity_lexicon_path",
-            "shifter_lexicon_path",
-        ):
+        for label in [name for name in self.__dataclass_fields__ if name.endswith("_path")]:
             value = getattr(self, label)
             if value is not None and not Path(value).exists():
                 raise ConfigError(f"{label} not found: {value}")
-        try:
-            start, end = self.dates()
-        except ValueError as exc:
-            raise ConfigError(f"bad date: {exc}") from exc
-        if start > end:
-            raise ConfigError(f"start_date {start} after end_date {end}")
-        if not self.keyword:
-            raise ConfigError("keyword must be non-empty")
-        if not (len(self.country) == 2 and self.country.isalpha()):
-            raise ConfigError(f"country must be a two-letter code, got {self.country!r}")
+        if None in (self.start_date, self.end_date, self.keyword, self.country):
+            raise ConfigError("start_date, end_date, keyword and country must be set")
+        check_filters(self.start_date, self.end_date, self.keyword, self.country)
         if not 0 <= self.window_before <= 20 or not 0 <= self.window_after <= 20:
             raise ConfigError("context windows must be in 0..20")
         if not 0 <= self.amplifier_weight <= 2:
             raise ConfigError("amplifier_weight must be in [0, 2]")
         if not 0 <= self.adversative_weight <= 2:
             raise ConfigError("adversative_weight must be in [0, 2]")
-        if self.dup_window_seconds < 0:
-            raise ConfigError("dup_window_seconds must be >= 0")
-        if self.burst_per_minute < 1:
-            raise ConfigError("burst_per_minute must be >= 1")
-        if self.min_distinct_tokens < 0:
-            raise ConfigError("min_distinct_tokens must be >= 0")
+        self.bot_policy()  # BotPolicy checks its own fields
         if min(self.ngram_top, self.wordcloud_top, self.rank_top) < 1:
             raise ConfigError("top-k values must be >= 1")
 
     def dates(self) -> tuple[date, date]:
-        return date.fromisoformat(self.start_date), date.fromisoformat(self.end_date)
+        return parse_date(self.start_date), parse_date(self.end_date)
 
     def scoring_params(self) -> polarity.ScoringParams:
         return polarity.ScoringParams(
@@ -148,11 +166,7 @@ class RunConfig:
         )
 
     def bot_policy(self) -> BotPolicy:
-        return BotPolicy(
-            dup_window_seconds=self.dup_window_seconds,
-            burst_per_minute=self.burst_per_minute,
-            min_distinct_tokens=self.min_distinct_tokens,
-        )
+        return BotPolicy(**{name: getattr(self, name) for name in BotPolicy.__dataclass_fields__})
 
 
 @dataclass
@@ -163,12 +177,7 @@ class RunManifest:
     version: str = VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "stages": self.stages,
-            "outputs": self.outputs,
-            "version": self.version,
-        }
+        return asdict(self)
 
 
 def _run_stage(stage: str, fn):
@@ -182,6 +191,28 @@ def require_records(corpus: Corpus, stage: str) -> None:
     """Stop at the filter that emptied the corpus, before any analysis runs."""
     if not corpus.records:
         raise PipelineStageError(stage, EmptyCorpusError(f"the {stage} filter left no records"))
+
+
+def filter_corpus(
+    corpus: Corpus,
+    window: tuple[date, date] | None = None,
+    keyword: str | None = None,
+    country: str | None = None,
+    policy: BotPolicy | None = None,
+) -> Corpus:
+    """Apply each filter that is given, in the order date range, keyword,
+    country, bots; None turns a filter off. Stop at a filter that leaves no
+    record. The values are checked by `check_filters` and `BotPolicy`."""
+    for stage, value, keep in (
+        ("date_range", window, lambda c: filter_date_range(c, *window)),
+        ("keyword", keyword, lambda c: filter_keyword(c, keyword)),
+        ("country", country, lambda c: filter_country(c, country)),
+        ("bots", policy, lambda c: filter_bots_and_duplicates(c, policy)),
+    ):
+        if value is not None:
+            corpus = _run_stage(stage, partial(keep, corpus))
+            require_records(corpus, stage)
+    return corpus
 
 
 @contextmanager
@@ -278,19 +309,8 @@ def _sha256(path: Path) -> str:
 def run_pipeline(cfg: RunConfig) -> RunManifest:
     with gc_paused():
         cfg.validate()
-        start, end = cfg.dates()
-
         corpus = _run_stage("load", lambda: load_corpus(cfg.input, cfg.format))
-        corpus = _run_stage("date_range", lambda: filter_date_range(corpus, start, end))
-        require_records(corpus, "date_range")
-        corpus = _run_stage("keyword", lambda: filter_keyword(corpus, cfg.keyword))
-        require_records(corpus, "keyword")
-        corpus = _run_stage("country", lambda: filter_country(corpus, cfg.country))
-        require_records(corpus, "country")
-        corpus = _run_stage(
-            "bots", lambda: filter_bots_and_duplicates(corpus, cfg.bot_policy())
-        )
-        require_records(corpus, "bots")
+        corpus = filter_corpus(corpus, cfg.dates(), cfg.keyword, cfg.country, cfg.bot_policy())
 
         analysis = _run_stage("mask", lambda: Analysis(corpus, cfg, cfg.scoring_params()))
         corpus = analysis.corpus
@@ -368,10 +388,7 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
             emit("devices.json", lambda p: write_json(device_report_to_dict(devices), p))
             emit("emotion_totals.json", lambda p: write_json(totals.to_dict(), p))
             emit("emotion_daily.csv", lambda p: daily_series_to_csv(daily, p))
-            emit(
-                "polarity_scores.csv",
-                lambda p: _write_scores(corpus, scores, p),
-            )
+            emit("polarity_scores.csv", lambda p: scores_to_csv(corpus, scores, p))
             emit(
                 "distribution.json",
                 lambda p: write_json(distribution_to_dict(dist, totals, extreme_pair), p),
@@ -388,13 +405,3 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
             raise PipelineStageError("write", exc) from exc
 
         return manifest
-
-
-def _write_scores(corpus: Corpus, scores, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["status_id", "value", "n_sentences", "label"])
-        for record, score in zip(corpus.records, scores):
-            writer.writerow(
-                [record.id, score.value, score.n_sentences, polarity.classify_polarity(score)]
-            )

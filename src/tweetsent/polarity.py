@@ -22,11 +22,10 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from importlib import resources
 from operator import add
 
 from .errors import EmptyInputError, SchemaError
-from .textprep import Sentences
+from .textprep import Sentences, read_lexicon
 
 NEGATOR = "negator"
 AMPLIFIER = "amplifier"
@@ -63,16 +62,8 @@ def load_polarity_lexicon(polarity_path=None, shifter_path=None) -> PolarityLexi
     3=deamplifier, 4=adversative. A term may not be both polarized and a
     shifter.
     """
-    if polarity_path is None:
-        pol_text = (resources.files("tweetsent") / "data" / "polarity_lexicon.csv").read_text("utf-8")
-    else:
-        with open(polarity_path, encoding="utf-8") as fh:
-            pol_text = fh.read()
-    if shifter_path is None:
-        shift_text = (resources.files("tweetsent") / "data" / "shifters.csv").read_text("utf-8")
-    else:
-        with open(shifter_path, encoding="utf-8") as fh:
-            shift_text = fh.read()
+    pol_text = read_lexicon(polarity_path, "polarity_lexicon.csv")
+    shift_text = read_lexicon(shifter_path, "shifters.csv")
 
     entries: dict[str, float] = {}
     for row in csv.DictReader(pol_text.splitlines()):

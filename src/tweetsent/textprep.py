@@ -46,12 +46,6 @@ def prepare(raw: str) -> Sentences:
     return [tuple(words) for chunk in chunks if (words := chunk.split())]
 
 
-def clean_text(raw: str) -> str:
-    """Cleaned text as lowercase space-separated words (the tokens of
-    `prepare`, joined). Idempotent."""
-    return " ".join(token for sentence in prepare(raw) for token in sentence)
-
-
 def remove_stopwords(sentences: Sentences, stoplist: set[str]) -> Sentences:
     """Drop stoplist tokens; sentences emptied entirely are dropped too."""
     out = []
@@ -62,23 +56,24 @@ def remove_stopwords(sentences: Sentences, stoplist: set[str]) -> Sentences:
     return out
 
 
+def read_lexicon(path, bundled: str) -> str:
+    """The text of the lexicon file at `path`, or of the bundled data file
+    named `bundled` if `path` is None."""
+    if path is None:
+        return (resources.files("tweetsent") / "data" / bundled).read_text("utf-8")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def load_stoplist(path=None) -> set[str]:
     """One lowercase word per line; defaults to the bundled 174-word list."""
-    if path is None:
-        text = (resources.files("tweetsent") / "data" / "stopwords.txt").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    text = read_lexicon(path, "stopwords.txt")
     return {line.strip() for line in text.splitlines() if line.strip()}
 
 
 def load_abusive_lexicon(path=None) -> set[str]:
     """One lowercase word per line; the bundled default is an empty placeholder."""
-    if path is None:
-        text = (resources.files("tweetsent") / "data" / "abusive_words.txt").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    text = read_lexicon(path, "abusive_words.txt")
     return {line.strip() for line in text.splitlines() if line.strip()}
 
 
@@ -121,15 +116,3 @@ def mask_text(raw: str, pattern: re.Pattern | None, ledger: MaskLedger) -> str:
     if pattern is None:
         return raw
     return pattern.sub(lambda m: ledger.mask_for(m.group(0).lower()), raw)
-
-
-def mask_abusive(
-    raw: str, abusive_lexicon: set[str], ledger: MaskLedger
-) -> tuple[str, MaskLedger]:
-    """Replace each whole-word, case-insensitive lexicon hit with its mask token.
-
-    Runs on raw text, before tokenization, so downstream analysis only ever
-    sees masks. The ledger is updated in place and returned. Compiles the
-    lexicon on every call; `mask_corpus` compiles it once per corpus.
-    """
-    return mask_text(raw, mask_pattern(abusive_lexicon), ledger), ledger

@@ -25,7 +25,7 @@ from tweetsent.pipeline import RunConfig, run_pipeline
 from tweetsent.polarity import PolarityLexicon, score_sentence
 from tweetsent.scenario import SentimentTrend, classify_scenario, derive_trend
 from tweetsent.synth import ABUSIVE_POOL, write_synthetic_corpus
-from tweetsent.textprep import MaskLedger, mask_abusive, prepare, remove_stopwords
+from tweetsent.textprep import MaskLedger, mask_pattern, mask_text, prepare, remove_stopwords
 
 DATA = Path(__file__).parent / "data"
 
@@ -138,11 +138,8 @@ def test_criterion_06_scenario_mapping():
 def test_criterion_07_masking_completeness(synth_corpus):
     lexicon = set(ABUSIVE_POOL)
     assert len(lexicon) == 50
-    ledger = MaskLedger()
-    masked = []
-    for record in synth_corpus.records:
-        text, ledger = mask_abusive(record.text, lexicon, ledger)
-        masked.append(text)
+    pattern, ledger = mask_pattern(lexicon), MaskLedger()
+    masked = [mask_text(record.text, pattern, ledger) for record in synth_corpus.records]
     scan = re.compile(r"\b(?:" + "|".join(sorted(lexicon)) + r")\b", re.IGNORECASE)
     hits = sum(1 for text in masked if scan.search(text))
     assert hits == 0

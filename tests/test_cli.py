@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import gc
 import json
@@ -9,6 +10,16 @@ import pytest
 
 import tweetsent.cli as cli_mod
 from tweetsent.cli import main
+from tweetsent.corpus import BotPolicy, load_corpus
+from tweetsent.emotion import ALL_CATEGORIES
+from tweetsent.errors import (
+    ConfigError,
+    EmptyCorpusError,
+    InvalidRangeError,
+    PipelineStageError,
+    SchemaError,
+)
+from tweetsent.pipeline import Analysis
 
 DATA = Path(__file__).parent / "data"
 
@@ -252,9 +263,94 @@ def test_exit_code_3_for_empty_corpus(workdir):
     assert main(["ingest", "--input", "empty.csv", "--output", "x.jsonl"]) == 3
 
 
+@pytest.mark.parametrize(
+    "exc, code, text",
+    [
+        (ConfigError("bad"), 2, "error: bad"),
+        (FileNotFoundError("gone"), 2, "error: gone"),
+        (SchemaError("bad row"), 3, "error: bad row"),
+        (PipelineStageError("load", InvalidRangeError("late")), 2, "error: stage 'load' failed: late"),
+        (PipelineStageError("bots", EmptyCorpusError("none")), 3, "error: stage 'bots' failed: none"),
+        (PipelineStageError("mask", KeyError("k")), 4, "error: stage 'mask' failed: 'k'"),
+        (RuntimeError("boom"), 4, "internal error: boom"),
+    ],
+)
+def test_main_maps_each_error_to_its_exit_code(workdir, capsys, monkeypatch, exc, code, text):
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "run_pipeline", fail)
+    assert main(["run", "--input", "c.csv"]) == code
+    assert capsys.readouterr().err == text + "\n"
+
+
 def test_exit_code_2_for_bad_country_flag(workdir):
     _synth(workdir, n=50)
     assert main(["ingest", "--input", "corpus.csv", "--country", "USA", "--output", "x.jsonl"]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "ingest"])
+@pytest.mark.parametrize(
+    "field, flag, value",
+    [
+        ("dup_window_seconds", "--dup-window", -5),
+        ("dup_window_seconds", "--dup-window", float("nan")),
+        ("burst_per_minute", "--burst-per-minute", 0),
+        ("min_distinct_tokens", "--min-distinct-tokens", -1),
+    ],
+)
+def test_bot_policy_out_of_range_is_config_error(workdir, capsys, command, field, flag, value):
+    source = str(DATA / "corpus_1000.csv")
+    if command == "run":
+        # `run` takes the bot knobs from its config file
+        (workdir / "cfg.json").write_text(json.dumps({"input": source, field: value}))
+        argv = ["run", "--config", "cfg.json", "--output-dir", "o"]
+    else:
+        argv = ["ingest", "--input", source, "--bots", flag, str(value), "--output", "x.jsonl"]
+    assert main(argv) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not (workdir / "o").exists()
+    assert not (workdir / "x.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "ingest"])
+@pytest.mark.parametrize(
+    "start, end",
+    [
+        ("20200430", "20200508"),  # compact
+        ("2020-W18-4", "2020-05-08"),  # ISO week
+        ("2020-121", "2020-05-08"),  # ordinal
+        ("2020-4-30", "2020-5-8"),  # not zero-padded
+        ("2020-04-31", "2020-05-08"),  # no such day
+        ("2020-04-30", "2020-13-01"),  # no such month
+        ("0000-01-01", "2020-05-08"),  # no year 0
+        ("٢٠٢٠-04-30", "2020-05-08"),  # non-ASCII digits
+        ("2020-04-30T00:00:00", "2020-05-08"),  # a date-time
+        (" 2020-04-30", "2020-05-08"),  # padded with a space
+    ],
+)
+def test_dates_other_than_yyyy_mm_dd_are_config_errors(workdir, capsys, command, start, end):
+    argv = [command, "--input", str(DATA / "corpus_1000.csv"), "--start", start, "--end", end]
+    argv += ["--output-dir", "o"] if command == "run" else ["--output", "x.jsonl"]
+    assert main(argv) == 2
+    assert "bad date" in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--start", "2020-04-30"], "given together"),
+        (["--end", "2020-05-08"], "given together"),
+        (["--start", "2020-05-08", "--end", "2020-04-30"], "after end_date"),
+        (["--keyword", ""], "keyword must be non-empty"),
+        (["--country", "USA"], "two-letter code"),
+    ],
+)
+def test_ingest_filter_values_are_checked_before_loading(workdir, capsys, flags, message):
+    # the input does not exist, so a bad value must be reported before any load
+    assert main(["ingest", "--input", "absent.csv", "--output", "x.jsonl"] + flags) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_run_with_empty_filter_window_exits_3_at_its_filter(workdir, capsys):
@@ -367,3 +463,189 @@ def test_cli_sentiment_reproduces_run_scores(golden_run, tmp_path):
         scored = list(csv.reader(fh))
     assert len(scored) > 600
     assert projected == scored
+
+
+@pytest.fixture(scope="module")
+def plain_run(tmp_path_factory):
+    """`run` over the golden fixture with the bundled, empty abusive lexicon,
+    so its filtered corpus is the input's records unmasked."""
+    out = tmp_path_factory.mktemp("plain") / "out"
+    assert main(["run", "--input", str(DATA / "corpus_1000.csv"), "--output-dir", str(out)]) == 0
+    return out
+
+
+def test_ingest_reproduces_run_filter_chain(plain_run, tmp_path):
+    output = tmp_path / "x.jsonl"
+    assert main(["ingest", "--input", str(DATA / "corpus_1000.csv"),
+                 "--start", "2020-04-30", "--end", "2020-05-08", "--keyword", "reopen",
+                 "--country", "US", "--bots", "--provenance", "--output", str(output)]) == 0
+    assert output.read_bytes() == (plain_run / "filtered_corpus.jsonl").read_bytes()
+    assert (tmp_path / "x.provenance.json").read_bytes() == (plain_run / "provenance.json").read_bytes()
+
+
+def _csv_rows(path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_report_devices_csv_flattens_run_devices(golden_run, tmp_path):
+    assert _project(golden_run, ["report", "--what", "devices", "--export", "csv"],
+                    tmp_path / "d.csv") == 0
+    devices = json.loads((golden_run / "devices.json").read_text())
+    expected = [
+        [device, str(body["n_records"]), name, repr(ratio)]
+        for device, body in devices.items()
+        for name, ratio in body["category_ratios"].items()
+    ]
+    header, *rows = _csv_rows(tmp_path / "d.csv")
+    assert header == ["device", "n_records", "category", "ratio"]
+    assert len(rows) > 1
+    # devices.json sorts its keys; the CSV keeps the report's order
+    assert sorted(rows) == sorted(expected)
+
+
+def test_report_distribution_csv_flattens_run_distribution(golden_run, tmp_path):
+    assert _project(golden_run, ["report", "--what", "distribution", "--export", "csv"],
+                    tmp_path / "d.csv") == 0
+    dist = json.loads((golden_run / "distribution.json").read_text())
+    hist = dist["histogram"]
+    expected = [["key", "value"]] + [
+        [key, repr(dist[key])] for key in ("positive_share", "negative_share", "neutral_share")
+    ] + [
+        [f"bin[{hist['lo'] + i * hist['width']},{hist['lo'] + i * hist['width'] + hist['width']})",
+         str(count)]
+        for i, count in enumerate(hist["counts"])
+    ]
+    assert len(hist["counts"]) > 1
+    assert _csv_rows(tmp_path / "d.csv") == expected
+
+
+def test_sentiment_emotion_columns_are_analysis_profiles(golden_run, tmp_path):
+    assert _project(golden_run, ["sentiment"], tmp_path / "s.csv") == 0
+    header, *rows = _csv_rows(tmp_path / "s.csv")
+    assert header[4:] == list(ALL_CATEGORIES)
+    corpus = load_corpus(golden_run / "filtered_corpus.jsonl", "jsonl")
+    profiles = Analysis(corpus, None).profiles
+    assert len(rows) == len(profiles) > 600
+    assert [row[4:] for row in rows] == [
+        [str(profile.counts[c]) for c in ALL_CATEGORIES] for profile in profiles
+    ]
+
+
+# each subcommand's flags: option -> (default, choices, type, required). The
+# three bot knobs record the BotPolicy value that an unset flag gives.
+_FLAG_SURFACE = {
+    "ingest": {
+        "--input": (None, None, None, True),
+        "--format": ("csv", ("csv", "jsonl"), None, False),
+        "--start": (None, None, None, False),
+        "--end": (None, None, None, False),
+        "--keyword": (None, None, None, False),
+        "--country": (None, None, None, False),
+        "--bots": (False, None, None, False),
+        "--dup-window": (3600.0, None, "float", False),
+        "--burst-per-minute": (10, None, "int", False),
+        "--min-distinct-tokens": (3, None, "int", False),
+        "--output": (None, None, None, True),
+        "--provenance": (False, None, None, False),
+    },
+    "ngrams": {
+        "--input": (None, None, None, True),
+        "--format": ("csv", ("csv", "jsonl"), None, False),
+        "--n": (None, None, "int", True),
+        "--top": (25, None, "int", False),
+        "--export": ("csv", ("csv", "json"), None, False),
+        "--output": (None, None, None, False),
+        "--stopwords": (None, None, None, False),
+        "--abusive-lexicon": (None, None, None, False),
+    },
+    "sentiment": {
+        "--input": (None, None, None, True),
+        "--format": ("csv", ("csv", "jsonl"), None, False),
+        "--stopwords": (None, None, None, False),
+        "--abusive-lexicon": (None, None, None, False),
+        "--emotion-lexicon": (None, None, None, False),
+        "--polarity-lexicon": (None, None, None, False),
+        "--shifter-lexicon": (None, None, None, False),
+        "--output": (None, None, None, True),
+    },
+    "report": {
+        "--input": (None, None, None, True),
+        "--format": ("csv", ("csv", "jsonl"), None, False),
+        "--stopwords": (None, None, None, False),
+        "--abusive-lexicon": (None, None, None, False),
+        "--emotion-lexicon": (None, None, None, False),
+        "--polarity-lexicon": (None, None, None, False),
+        "--shifter-lexicon": (None, None, None, False),
+        "--what": (
+            None,
+            ("mentions", "hashtags", "locations", "devices", "daily", "distribution"),
+            None,
+            True,
+        ),
+        "--top": (10, None, "int", False),
+        "--field": ("stated", ("tagged", "stated"), None, False),
+        "--export": ("json", ("csv", "json"), None, False),
+        "--output": (None, None, None, True),
+    },
+    "scenario": {
+        "--input": (None, None, None, True),
+        "--timing": (None, ("now", "later"), None, True),
+        "--output": (None, None, None, False),
+    },
+    "run": {
+        "--config": (None, None, None, False),
+        "--input": (None, None, None, False),
+        "--format": (None, ("csv", "jsonl"), None, False),
+        "--output-dir": (None, None, None, False),
+        "--start": (None, None, None, False),
+        "--end": (None, None, None, False),
+        "--keyword": (None, None, None, False),
+        "--country": (None, None, None, False),
+        "--stopwords": (None, None, None, False),
+        "--abusive-lexicon": (None, None, None, False),
+        "--emotion-lexicon": (None, None, None, False),
+        "--polarity-lexicon": (None, None, None, False),
+        "--shifter-lexicon": (None, None, None, False),
+    },
+    "synth": {
+        "--seed": (42, None, "int", False),
+        "--n": (None, None, "int", True),
+        "--output": (None, None, None, True),
+        "--format": ("csv", ("csv", "jsonl"), None, False),
+        "--ledger": (None, None, None, False),
+    },
+}
+
+
+def test_cli_flag_surface_is_pinned(tmp_path, monkeypatch):
+    # the policy an `ingest --bots` without bot knobs filters with
+    policies = []
+    real_filter = cli_mod.filter_corpus
+
+    def spy(corpus, window, keyword, country, policy):
+        policies.append(policy)
+        return real_filter(corpus, window, keyword, country, policy)
+
+    monkeypatch.setattr(cli_mod, "filter_corpus", spy)
+    assert main(["ingest", "--input", str(DATA / "corpus_1000.csv"), "--bots",
+                 "--output", str(tmp_path / "x.jsonl")]) == 0
+    (policy,) = policies
+
+    parser = cli_mod.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {}
+    for command, sub in subparsers.choices.items():
+        flags = {}
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            default = action.default
+            if action.dest in BotPolicy.__dataclass_fields__:
+                default = getattr(policy, action.dest)
+            choices = None if action.choices is None else tuple(action.choices)
+            type_name = None if action.type is None else action.type.__name__
+            (flag,) = action.option_strings
+            flags[flag] = (default, choices, type_name, action.required)
+        surface[command] = flags
+    assert surface == _FLAG_SURFACE

@@ -9,15 +9,7 @@ import oracles
 from conftest import make_corpus, make_record
 from tweetsent.corpus import mask_corpus
 from tweetsent.synth import ABUSIVE_POOL
-from tweetsent.textprep import (
-    MaskLedger,
-    clean_text,
-    mask_abusive,
-    mask_pattern,
-    mask_text,
-    prepare,
-    remove_stopwords,
-)
+from tweetsent.textprep import MaskLedger, mask_pattern, mask_text, prepare, remove_stopwords
 
 # text built from the pieces that the cleaning rules treat specially: URLs
 # (with dots), mentions, hashtags, edge and inner apostrophes, runs of
@@ -36,41 +28,51 @@ _PIECES = st.sampled_from(
 _TWEET = st.lists(st.one_of(_PIECES, st.text(max_size=3)), max_size=25).map("".join)
 
 
+def clean(raw: str) -> str:
+    """The cleaned words of a text: the tokens of `prepare`, joined."""
+    return " ".join(token for sentence in prepare(raw) for token in sentence)
+
+
+def mask(raw: str, lexicon: set[str], ledger: MaskLedger) -> tuple[str, MaskLedger]:
+    """Mask one text with the pattern of `lexicon`; the ledger is updated in place."""
+    return mask_text(raw, mask_pattern(lexicon), ledger), ledger
+
+
 # ---------------------------------------------------------------------------
 # cleaning
 
 
 def test_clean_url_mention_punctuation():
-    assert clean_text("Reopen NOW!! https://t.co/x @gov") == "reopen now"
+    assert clean("Reopen NOW!! https://t.co/x @gov") == "reopen now"
 
 
 def test_clean_hash_strip():
-    assert clean_text("#reopen the economy") == "reopen the economy"
+    assert clean("#reopen the economy") == "reopen the economy"
 
 
 def test_clean_empty():
-    assert clean_text("") == ""
+    assert clean("") == ""
 
 
 def test_clean_keeps_contractions():
-    assert clean_text("It can't happen forever!") == "it can't happen forever"
+    assert clean("It can't happen forever!") == "it can't happen forever"
 
 
 def test_clean_drops_emoji_and_edge_quotes():
-    assert clean_text("'great' day ❤️") == "great day"
+    assert clean("'great' day ❤️") == "great day"
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=200))
 def test_clean_idempotent(raw):
-    once = clean_text(raw)
-    assert clean_text(once) == once
+    once = clean(raw)
+    assert clean(once) == once
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=200))
 def test_clean_output_alphabet(raw):
-    cleaned = clean_text(raw)
+    cleaned = clean(raw)
     assert re.fullmatch(r"[a-z0-9' ]*", cleaned)
     assert "  " not in cleaned
 
@@ -126,10 +128,9 @@ def test_prepare_matches_multipass_oracle(raw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_TWEET, st.text(max_size=200)))
 def test_clean_text_joins_prepared_tokens(raw):
-    cleaned = clean_text(raw)
-    assert cleaned == " ".join(token for sentence in prepare(raw) for token in sentence)
-    # cleaning the whole text at once gives the same words as cleaning per sentence
-    assert cleaned == oracles.clean_chunk(raw)
+    # `clean` joins the prepared tokens; cleaning the whole text at once
+    # gives the same words as cleaning per sentence
+    assert clean(raw) == oracles.clean_chunk(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +178,21 @@ def test_stoplist_fixture_size(stoplist):
 
 
 def test_mask_counter_starts_at_one():
-    masked, ledger = mask_abusive("you badword01 loser", {"badword01"}, MaskLedger())
+    masked, ledger = mask("you badword01 loser", {"badword01"}, MaskLedger())
     assert masked == "you abuvs1 loser"
     assert ledger.replacements == [("badword01", "abuvs1")]
 
 
 def test_mask_same_word_same_token():
     text = "badword01 again Badword01!"
-    masked, ledger = mask_abusive(text, {"badword01"}, MaskLedger())
+    masked, ledger = mask(text, {"badword01"}, MaskLedger())
     assert masked == "abuvs1 again abuvs1!"
     assert ledger.counter == 1
     assert ledger.occurrences == 2
 
 
 def test_mask_distinct_words_distinct_tokens():
-    masked, ledger = mask_abusive(
+    masked, ledger = mask(
         "badword02 then badword01 then badword02",
         {"badword01", "badword02"},
         MaskLedger(),
@@ -202,13 +203,13 @@ def test_mask_distinct_words_distinct_tokens():
 
 def test_mask_no_hits_unchanged():
     ledger = MaskLedger()
-    masked, ledger = mask_abusive("nothing to see", {"badword01"}, ledger)
+    masked, ledger = mask("nothing to see", {"badword01"}, ledger)
     assert masked == "nothing to see"
     assert ledger.replacements == []
 
 
 def test_mask_whole_word_only():
-    masked, _ = mask_abusive("notbadword01here badword01", {"badword01"}, MaskLedger())
+    masked, _ = mask("notbadword01here badword01", {"badword01"}, MaskLedger())
     assert masked == "notbadword01here abuvs1"
 
 
@@ -218,7 +219,7 @@ def test_masking_completeness_on_synthetic_corpus(synth_corpus):
     ledger = MaskLedger()
     masked_texts = []
     for record in synth_corpus.records:
-        masked, ledger = mask_abusive(record.text, lexicon, ledger)
+        masked, ledger = mask(record.text, lexicon, ledger)
         masked_texts.append(masked)
     scan = re.compile(r"\b(?:" + "|".join(sorted(lexicon)) + r")\b", re.IGNORECASE)
     assert not any(scan.search(t) for t in masked_texts)
@@ -228,7 +229,7 @@ def test_masking_completeness_on_synthetic_corpus(synth_corpus):
 def test_mask_corpus_matches_per_record_masking(synth_corpus):
     lexicon = set(ABUSIVE_POOL)
     per_record = MaskLedger()
-    expected = [mask_abusive(r.text, lexicon, per_record)[0] for r in synth_corpus.records]
+    expected = [mask(r.text, lexicon, per_record)[0] for r in synth_corpus.records]
     ledger = MaskLedger()
     masked = mask_corpus(synth_corpus, lexicon, ledger)
     assert [r.text for r in masked.records] == expected
