@@ -157,10 +157,13 @@ def cmd_scenario(args) -> None:
         raise SchemaError("scenario input needs positive_share and negative_share") from exc
 
     profile = emotion.EmotionProfile()
-    emo_counts = (report.get("emotion_totals") or {}).get("counts") or {}
-    for category, value in emo_counts.items():
-        if category in profile.counts:
-            profile.counts[category] = int(value)
+    try:
+        emo_counts = (report.get("emotion_totals") or {}).get("counts") or {}
+        for category, value in emo_counts.items():
+            if category in profile.counts:
+                profile.counts[category] = int(value)
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError("scenario input's emotion_totals.counts must map emotions to integers") from exc
 
     dist = analytics.PolarityDistribution(
         pos_share=pos,

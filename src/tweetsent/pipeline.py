@@ -28,7 +28,7 @@ import json
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from functools import cached_property, partial
 from pathlib import Path
@@ -94,6 +94,11 @@ def check_filters(
     return window
 
 
+# the accepted Python types and the description of each numeric annotation of
+# RunConfig; bool, a subclass of int, is refused separately
+_NUMBER_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number")}
+
+
 @dataclass
 class RunConfig:
     """Flat run configuration; unset lexicon paths fall back to bundled data."""
@@ -133,6 +138,13 @@ class RunConfig:
         return cls(**values)
 
     def validate(self) -> None:
+        # a JSON config can give any field any type; the numeric ones are
+        # checked before a comparison could meet a string, a bool or null
+        for f in fields(self):
+            kinds = _NUMBER_KINDS.get(f.type)
+            value = getattr(self, f.name)
+            if kinds and (isinstance(value, bool) or not isinstance(value, kinds[0])):
+                raise ConfigError(f"{f.name} must be {kinds[1]}, got {value!r}")
         if self.format not in ("csv", "jsonl"):
             raise ConfigError(f"format must be csv or jsonl, got {self.format!r}")
         if not Path(self.input).exists():
@@ -246,6 +258,8 @@ class Analysis:
 
     Each field is computed once, on first use; a per-record field expands
     the results of the distinct texts, which nothing mutates, to the records.
+    The prepared texts are built with one vocabulary, so each distinct token
+    is one string object, shared by every sentence that holds it.
     """
 
     def __init__(self, corpus: Corpus, paths, params: polarity.ScoringParams | None = None) -> None:
@@ -268,7 +282,8 @@ class Analysis:
 
     @cached_property
     def distinct_full(self) -> list[textprep.Sentences]:
-        return [textprep.prepare(t) for t in self._texts]
+        vocab: dict[str, str] = {}
+        return [textprep.prepare(t, vocab) for t in self._texts]
 
     @cached_property
     def distinct_stopped(self) -> list[textprep.Sentences]:

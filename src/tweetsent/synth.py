@@ -21,8 +21,6 @@ import json
 import random
 from datetime import datetime, timezone
 
-from .corpus import CSV_COLUMNS
-
 WINDOW_START = datetime(2020, 4, 30, 0, 0, 0, tzinfo=timezone.utc)
 WINDOW_SECONDS = 9 * 24 * 3600 - 1  # nine calendar days
 
@@ -322,7 +320,12 @@ def write_synthetic_corpus(
     if format == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
+            writer.writerow(
+                [
+                    "status_id", "created_at", "text", "source", "location",
+                    "country_code", "hashtags", "mentions", "user_id", "is_retweet",
+                ]
+            )
             for r in rows:
                 writer.writerow(
                     [

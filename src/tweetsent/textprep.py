@@ -3,7 +3,8 @@
 A prepared text is a list of sentences, each a tuple of tokens. Cleaning
 keeps intra-word apostrophes so contractions ("can't") survive as single
 tokens. Sentence boundaries come from terminal punctuation (., !, ?) in the
-raw text; a tweet without terminal punctuation is one sentence.
+raw text; a tweet without terminal punctuation is one sentence. Texts
+prepared with one vocabulary share one string object per distinct token.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ _EDGE_APOSTROPHE_RE = re.compile(r"(?<![a-z0-9])'|'(?![a-z0-9])")
 Sentences = list[tuple[str, ...]]
 
 
-def prepare(raw: str) -> Sentences:
+def prepare(raw: str, vocab: dict[str, str] | None = None) -> Sentences:
     """Raw text to its sentences of cleaned tokens; each rule runs once over
     the whole text, sentence splitting last.
 
@@ -32,6 +33,9 @@ def prepare(raw: str) -> Sentences:
     tag word; lowercase; drop punctuation except intra-word apostrophes;
     split sentences on runs of terminal punctuation (., !, ?) and each
     sentence on whitespace. Sentences left without tokens are dropped.
+
+    `vocab` maps each token to itself: a token already in it is replaced by
+    that one object, a new token is added. The tokens are equal either way.
     """
     text = raw
     # each guard skips a regex scan over a text it cannot match
@@ -43,7 +47,10 @@ def prepare(raw: str) -> Sentences:
     if "'" in text:
         text = _EDGE_APOSTROPHE_RE.sub(" ", text)
     chunks = text.replace("!", ".").replace("?", ".").split(".")
-    return [tuple(words) for chunk in chunks if (words := chunk.split())]
+    if vocab is None:
+        return [tuple(words) for chunk in chunks if (words := chunk.split())]
+    shared = vocab.setdefault
+    return [tuple(map(shared, words, words)) for chunk in chunks if (words := chunk.split())]
 
 
 def remove_stopwords(sentences: Sentences, stoplist: set[str]) -> Sentences:

@@ -208,6 +208,24 @@ def test_scenario_nonsense_share_is_data_error(workdir, share):
     assert main(["scenario", "--input", "odd.json", "--timing", "now"]) == 3
 
 
+@pytest.mark.parametrize(
+    "totals",
+    [
+        {"counts": {"joy": "x"}},
+        {"counts": {"joy": None}},
+        {"counts": {"joy": float("inf")}},
+        {"counts": ["joy"]},
+        ["counts"],
+    ],
+)
+def test_scenario_malformed_emotion_counts_are_data_errors(workdir, capsys, totals):
+    (workdir / "odd.json").write_text(
+        json.dumps({"positive_share": 0.6, "negative_share": 0.3, "emotion_totals": totals})
+    )
+    assert main(["scenario", "--input", "odd.json", "--timing", "now"]) == 3
+    assert "emotion_totals.counts must map emotions to integers" in capsys.readouterr().err
+
+
 def test_scenario_without_emotion_hits_has_no_dominant_emotions(workdir, capsys):
     (workdir / "flat.json").write_text(
         json.dumps({"positive_share": 0.5, "negative_share": 0.3, "neutral_share": 0.2})
@@ -287,6 +305,30 @@ def test_main_maps_each_error_to_its_exit_code(workdir, capsys, monkeypatch, exc
 def test_exit_code_2_for_bad_country_flag(workdir):
     _synth(workdir, n=50)
     assert main(["ingest", "--input", "corpus.csv", "--country", "USA", "--output", "x.jsonl"]) == 2
+
+
+@pytest.mark.parametrize("value", ["10", True, None], ids=["string", "bool", "null"])
+@pytest.mark.parametrize(
+    "field",
+    [
+        "window_before",
+        "window_after",
+        "amplifier_weight",
+        "adversative_weight",
+        "dup_window_seconds",
+        "burst_per_minute",
+        "min_distinct_tokens",
+        "ngram_top",
+        "wordcloud_top",
+        "rank_top",
+    ],
+)
+def test_run_config_number_of_the_wrong_type_is_config_error(workdir, capsys, field, value):
+    source = str(DATA / "corpus_1000.csv")
+    (workdir / "cfg.json").write_text(json.dumps({"input": source, field: value}))
+    assert main(["run", "--config", "cfg.json", "--output-dir", "o"]) == 2
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not (workdir / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "ingest"])

@@ -11,7 +11,7 @@ import pytest
 
 import tweetsent.pipeline as pipeline_mod
 from oracles import per_record_run
-from tweetsent.corpus import load_corpus
+from tweetsent.corpus import CSV_COLUMNS, load_corpus
 from tweetsent.errors import ConfigError, EmptyCorpusError, PipelineStageError
 from tweetsent.pipeline import RunConfig, run_pipeline
 from tweetsent.synth import ABUSIVE_POOL, generate_synthetic_corpus, write_synthetic_corpus
@@ -153,6 +153,21 @@ def test_config_validation_errors(tmp_path):
         RunConfig(input=str(good), stopwords_path=str(tmp_path / "nope.txt")).validate()
 
 
+def test_config_numbers_take_ints_and_floats_by_field(tmp_path):
+    good = tmp_path / "c.csv"
+    good.write_text("x\n")
+    RunConfig(input=str(good), amplifier_weight=1, dup_window_seconds=60).validate()
+    for field, value in [("ngram_top", 10.0), ("window_before", False), ("amplifier_weight", "1")]:
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            RunConfig(input=str(good), **{field: value}).validate()
+
+
+def test_synth_csv_header_is_the_corpus_columns(tmp_path):
+    write_synthetic_corpus(tmp_path / "c.csv", seed=1, n=10, format="csv")
+    with open(tmp_path / "c.csv", encoding="utf-8", newline="") as fh:
+        assert next(csv.reader(fh)) == CSV_COLUMNS
+
+
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"input": "x.csv", "coffee": True})
@@ -169,7 +184,7 @@ def test_synth_deterministic(tmp_path):
 
 
 def test_synth_jsonl_roundtrip(tmp_path):
-    from tweetsent.corpus import load_corpus
+    from tweetsent.corpus import CSV_COLUMNS, load_corpus
 
     write_synthetic_corpus(tmp_path / "c.jsonl", seed=3, n=50, format="jsonl")
     c = load_corpus(tmp_path / "c.jsonl", "jsonl")
@@ -260,6 +275,20 @@ def test_analysis_keeps_one_result_per_distinct_text_with_its_record_count(golde
     per_record = (analysis.cleaned, analysis.profiles, analysis.scores)
     assert [len(values) for values in per_record] == [len(texts)] * 3
     assert not hasattr(analysis, "full") and not hasattr(analysis, "stopped")
+
+
+def test_each_analysis_shares_its_tokens_and_no_other_analysis_does(golden_workdir):
+    corpus = load_corpus("corpus_1000.csv")
+    first, second = (pipeline_mod.Analysis(corpus, _golden_config()) for _ in range(2))
+
+    def token_objects(texts) -> dict[int, str]:
+        # one-character strings are shared by the interpreter itself
+        return {id(t): t for sentences in texts for s in sentences for t in s if len(t) > 1}
+
+    full = token_objects(first.distinct_full)
+    assert len(full) == len(set(full.values())) > 0  # one object per distinct token
+    assert token_objects(first.distinct_stopped).keys() <= full.keys()
+    assert not full.keys() & token_objects(second.distinct_full).keys()
 
 
 def test_run_pauses_gc_and_restores_it(golden_workdir, monkeypatch, gc_enabled):

@@ -125,6 +125,18 @@ def test_prepare_matches_multipass_oracle(raw):
     assert prepare(raw) == oracles.prepare(raw)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_TWEET, st.text(max_size=200)), max_size=6))
+def test_prepare_with_a_vocab_shares_one_object_per_token(raws):
+    # one vocabulary across several texts, as in one analysis
+    vocab: dict[str, str] = {}
+    for raw in raws:
+        sentences = prepare(raw, vocab)
+        assert sentences == prepare(raw)
+        assert all(token is vocab[token] for sentence in sentences for token in sentence)
+    assert all(token is shared for token, shared in vocab.items())
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_TWEET, st.text(max_size=200)))
 def test_clean_text_joins_prepared_tokens(raw):
