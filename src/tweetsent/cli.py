@@ -157,13 +157,19 @@ def cmd_scenario(args) -> None:
         raise SchemaError("scenario input needs positive_share and negative_share") from exc
 
     profile = emotion.EmotionProfile()
+    bad_counts = SchemaError(
+        "scenario input's emotion_totals.counts must map emotions to non-negative integers"
+    )
     try:
         emo_counts = (report.get("emotion_totals") or {}).get("counts") or {}
-        for category, value in emo_counts.items():
-            if category in profile.counts:
-                profile.counts[category] = int(value)
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError("scenario input's emotion_totals.counts must map emotions to integers") from exc
+        items = emo_counts.items()
+    except AttributeError as exc:
+        raise bad_counts from exc
+    for category, value in items:
+        if type(value) is not int or value < 0:
+            raise bad_counts
+        if category in profile.counts:
+            profile.counts[category] = value
 
     dist = analytics.PolarityDistribution(
         pos_share=pos,

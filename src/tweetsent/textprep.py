@@ -47,9 +47,7 @@ def prepare(raw: str, vocab: dict[str, str] | None = None) -> Sentences:
     if "'" in text:
         text = _EDGE_APOSTROPHE_RE.sub(" ", text)
     chunks = text.replace("!", ".").replace("?", ".").split(".")
-    if vocab is None:
-        return [tuple(words) for chunk in chunks if (words := chunk.split())]
-    shared = vocab.setdefault
+    shared = ({} if vocab is None else vocab).setdefault
     return [tuple(map(shared, words, words)) for chunk in chunks if (words := chunk.split())]
 
 

@@ -214,6 +214,9 @@ def test_scenario_nonsense_share_is_data_error(workdir, share):
         {"counts": {"joy": "x"}},
         {"counts": {"joy": None}},
         {"counts": {"joy": float("inf")}},
+        {"counts": {"joy": True}},
+        {"counts": {"joy": 2.7}},
+        {"counts": {"joy": -1}},
         {"counts": ["joy"]},
         ["counts"],
     ],
@@ -223,7 +226,7 @@ def test_scenario_malformed_emotion_counts_are_data_errors(workdir, capsys, tota
         json.dumps({"positive_share": 0.6, "negative_share": 0.3, "emotion_totals": totals})
     )
     assert main(["scenario", "--input", "odd.json", "--timing", "now"]) == 3
-    assert "emotion_totals.counts must map emotions to integers" in capsys.readouterr().err
+    assert "emotion_totals.counts must map emotions to non-negative integers" in capsys.readouterr().err
 
 
 def test_scenario_without_emotion_hits_has_no_dominant_emotions(workdir, capsys):

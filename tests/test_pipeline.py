@@ -184,7 +184,7 @@ def test_synth_deterministic(tmp_path):
 
 
 def test_synth_jsonl_roundtrip(tmp_path):
-    from tweetsent.corpus import CSV_COLUMNS, load_corpus
+    from tweetsent.corpus import load_corpus
 
     write_synthetic_corpus(tmp_path / "c.jsonl", seed=3, n=50, format="jsonl")
     c = load_corpus(tmp_path / "c.jsonl", "jsonl")

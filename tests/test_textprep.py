@@ -132,7 +132,7 @@ def test_prepare_with_a_vocab_shares_one_object_per_token(raws):
     vocab: dict[str, str] = {}
     for raw in raws:
         sentences = prepare(raw, vocab)
-        assert sentences == prepare(raw)
+        assert sentences == oracles.prepare(raw)
         assert all(token is vocab[token] for sentence in sentences for token in sentence)
     assert all(token is shared for token, shared in vocab.items())
 
