@@ -19,11 +19,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from tweetsent.analytics import Histogram, PolarityDistribution  # noqa: E402
-from tweetsent.emotion import EmotionProfile  # noqa: E402
 from tweetsent.errors import TiedTrendError  # noqa: E402
 from tweetsent.pipeline import RunConfig, run_pipeline  # noqa: E402
-from tweetsent.scenario import classify_scenario, derive_trend  # noqa: E402
+from tweetsent.scenario import classify_scenario, trend_from_report  # noqa: E402
 from tweetsent.synth import ABUSIVE_POOL, write_synthetic_corpus  # noqa: E402
 
 
@@ -59,16 +57,8 @@ def main() -> None:
     )
     print(f"extremes: min={dist['extremes']['min']:.3f} max={dist['extremes']['max']:.3f}")
 
-    profile = EmotionProfile()
-    profile.counts.update(dist["emotion_totals"]["counts"])
-    pdist = PolarityDistribution(
-        dist["positive_share"],
-        dist["negative_share"],
-        dist["neutral_share"],
-        Histogram(0.0, 0.25, []),
-    )
     try:
-        trend = derive_trend(pdist, profile)
+        trend = trend_from_report(dist)
     except TiedTrendError:
         print("trend: exact tie, no scenario")
         return

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .corpus import Corpus
 from .emotion import EMOTION_CLASSES, EmotionProfile
-from .errors import EmptyInputError
+from .errors import EmptyInputError, InvalidRangeError
 from .polarity import PolarityScore, classify_polarity
 
 DEVICE_CLASSES = ("Twitter for iPhone", "Twitter for Android")
@@ -72,7 +72,7 @@ class PolarityDistribution(NamedTuple):
 
 def _ranked(label: str, counter: Counter, k: int) -> RankedTable:
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidRangeError("k must be >= 1")
     ordered = sorted(counter.items(), key=lambda item: (-item[1], item[0]))[:k]
     rows = [(key, count, rank) for rank, (key, count) in enumerate(ordered, start=1)]
     return RankedTable(label=label, rows=rows)

@@ -14,7 +14,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from . import analytics, emotion, ngrams, polarity, scenario
+from . import analytics, emotion, polarity, scenario
 from .corpus import BotPolicy, load_corpus, write_corpus_jsonl
 from .errors import (
     ConfigError,
@@ -37,13 +37,15 @@ from .exports import (
     ngram_table_to_rows,
     ranked_table_to_csv,
     ranked_table_to_dict,
+    scenario_to_dict,
     scores_to_csv,
     write_json,
 )
 from .pipeline import Analysis, RunConfig, check_filters, filter_corpus, gc_paused, run_pipeline
 from .synth import write_synthetic_corpus
 
-_CONFIG_ERRORS = (ConfigError, FileNotFoundError, InvalidRangeError, InvalidNError)
+# a directory given where a file is expected is a configuration error, as a missing file is
+_CONFIG_ERRORS = (ConfigError, FileNotFoundError, IsADirectoryError, InvalidRangeError, InvalidNError)
 _DATA_ERRORS = (SchemaError, EmptyCorpusError, EmptyInputError, TiedTrendError)
 
 
@@ -77,11 +79,7 @@ def cmd_ingest(args) -> None:
 
 
 def cmd_ngrams(args) -> None:
-    if args.top < 1:
-        raise ConfigError("--top must be >= 1")
-    analysis = Analysis(load_corpus(args.input, args.format), args)
-    streams = analysis.distinct_stopped if args.n <= 2 else analysis.distinct_full
-    table = ngrams.build_table(streams, args.n, args.top, analysis.weights)
+    table = Analysis(load_corpus(args.input, args.format), args).ngram_table(args.n, args.top)
     if args.output:
         if args.export == "csv":
             ngram_table_to_csv(table, args.output, args.top)
@@ -106,8 +104,6 @@ def cmd_sentiment(args) -> None:
 
 
 def cmd_report(args) -> None:
-    if args.top < 1:
-        raise ConfigError("--top must be >= 1")
     corpus = load_corpus(args.input, args.format)
     what = args.what
 
@@ -144,52 +140,8 @@ def cmd_report(args) -> None:
 
 
 def cmd_scenario(args) -> None:
-    with open(args.input, encoding="utf-8") as fh:
-        try:
-            report = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"scenario input is not valid JSON: {exc}") from exc
-    try:
-        pos = float(report["positive_share"])
-        neg = float(report["negative_share"])
-        neu = float(report.get("neutral_share", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError("scenario input needs positive_share and negative_share") from exc
-
-    profile = emotion.EmotionProfile()
-    bad_counts = SchemaError(
-        "scenario input's emotion_totals.counts must map emotions to non-negative integers"
-    )
-    try:
-        emo_counts = (report.get("emotion_totals") or {}).get("counts") or {}
-        items = emo_counts.items()
-    except AttributeError as exc:
-        raise bad_counts from exc
-    for category, value in items:
-        if type(value) is not int or value < 0:
-            raise bad_counts
-        if category in profile.counts:
-            profile.counts[category] = value
-
-    dist = analytics.PolarityDistribution(
-        pos_share=pos,
-        neg_share=neg,
-        neu_share=neu,
-        histogram=analytics.Histogram(lo=0.0, width=0.25, counts=[]),
-    )
-    trend = scenario.derive_trend(dist, profile)
-    outcome = scenario.classify_scenario(trend, args.timing)
-    payload = {
-        "id": outcome.id,
-        "label": outcome.label,
-        "narrative_key": outcome.narrative_key,
-        "inputs": {
-            "pos_share": trend.pos_share,
-            "neg_share": trend.neg_share,
-            "dominant_emotions": trend.dominant_emotions,
-            "timing": args.timing,
-        },
-    }
+    trend = scenario.load_trend(args.input)
+    payload = scenario_to_dict(scenario.classify_scenario(trend, args.timing), trend, args.timing)
     if args.output:
         write_json(payload, args.output)
         print(f"wrote {args.output}")
@@ -198,22 +150,7 @@ def cmd_scenario(args) -> None:
 
 
 def cmd_run(args) -> None:
-    values: dict = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                values = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(values, dict):
-            raise ConfigError("config file must hold a flat JSON object")
-    # the flags' dests are RunConfig field names
-    values.update(
-        {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__ and v is not None}
-    )
-    cfg = RunConfig.from_dict(values)
+    cfg = RunConfig.load(args.config, vars(args))  # the flags' dests are RunConfig field names
     manifest = run_pipeline(cfg)
     print(f"wrote {Path(cfg.output_dir) / 'manifest.json'}")
     prov = manifest.stages["provenance"]

@@ -10,7 +10,7 @@ class EmptyCorpusError(Exception):
 
 
 class InvalidRangeError(ValueError):
-    """Date range with start after end."""
+    """A parameter out of its range: a date range with start after end, a top-k below 1."""
 
 
 class InvalidNError(ValueError):

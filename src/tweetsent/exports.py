@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 
 from .analytics import DailySeries, DeviceGroupReport, Histogram, PolarityDistribution, RankedTable
 from .corpus import Corpus
 from .emotion import ALL_CATEGORIES, EMOTION_CLASSES, EmotionProfile
 from .ngrams import NgramTable
 from .polarity import PolarityScore, classify_polarity
+from .scenario import ScenarioOutcome, SentimentTrend
 
 
 def write_json(obj, path) -> None:
@@ -151,3 +153,10 @@ def distribution_to_dict(
         low, high = extremes
         out["extremes"] = {"min": low.value, "max": high.value}
     return out
+
+
+def scenario_to_dict(outcome: ScenarioOutcome, trend: SentimentTrend, timing: str) -> dict:
+    """The `scenario` command's outcome, with the trend and timing it came from."""
+    inputs = {"pos_share": trend.pos_share, "neg_share": trend.neg_share, "timing": timing}
+    inputs["dominant_emotions"] = trend.dominant_emotions
+    return {**asdict(outcome), "inputs": inputs}

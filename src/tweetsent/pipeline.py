@@ -45,7 +45,7 @@ from .corpus import (
     mask_corpus,
     write_corpus_jsonl,
 )
-from .errors import ConfigError, EmptyCorpusError, PipelineStageError
+from .errors import ConfigError, EmptyCorpusError, InvalidRangeError, PipelineStageError
 from .exports import (
     daily_series_to_csv,
     device_report_to_dict,
@@ -56,6 +56,7 @@ from .exports import (
     word_cloud_to_dict,
     write_json,
 )
+from .polarity import ScoringParams
 
 VERSION = "0.1.0"
 
@@ -94,9 +95,14 @@ def check_filters(
     return window
 
 
-# the accepted Python types and the description of each numeric annotation of
+# the accepted Python types and the description of each scalar annotation of
 # RunConfig; bool, a subclass of int, is refused separately
-_NUMBER_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number")}
+_FIELD_KINDS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+}
 
 
 @dataclass
@@ -114,10 +120,10 @@ class RunConfig:
     emotion_lexicon_path: str | None = None
     polarity_lexicon_path: str | None = None
     shifter_lexicon_path: str | None = None
-    window_before: int = 4
-    window_after: int = 2
-    amplifier_weight: float = 0.8
-    adversative_weight: float = 0.85
+    window_before: int = ScoringParams.window_before
+    window_after: int = ScoringParams.window_after
+    amplifier_weight: float = ScoringParams.amplifier_weight
+    adversative_weight: float = ScoringParams.adversative_weight
     dup_window_seconds: float = BotPolicy.dup_window_seconds
     burst_per_minute: int = BotPolicy.burst_per_minute
     min_distinct_tokens: int = BotPolicy.min_distinct_tokens
@@ -129,22 +135,49 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(values) - known
+        unknown = values.keys() - cls.__dataclass_fields__.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
         if "input" not in values:
             raise ConfigError("config requires 'input'")
         return cls(**values)
 
+    @classmethod
+    def load(cls, path: str | None, overrides: dict) -> "RunConfig":
+        """The config in the JSON file at `path` (none if None) with every
+        entry of `overrides` that names a field and is not None put over it."""
+        values = {}
+        if path is not None:
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    values = json.load(fh)
+            except FileNotFoundError:
+                raise ConfigError(f"config file not found: {path}") from None
+            except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
+                raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}") from exc
+            if not isinstance(values, dict):
+                raise ConfigError("config file must hold a flat JSON object")
+        values.update(
+            {k: v for k, v in overrides.items() if k in cls.__dataclass_fields__ and v is not None}
+        )
+        return cls.from_dict(values)
+
     def validate(self) -> None:
-        # a JSON config can give any field any type; the numeric ones are
-        # checked before a comparison could meet a string, a bool or null
+        # a JSON config can give any field any type; each is checked before a
+        # comparison or a file open could meet the wrong one
         for f in fields(self):
-            kinds = _NUMBER_KINDS.get(f.type)
+            kinds = _FIELD_KINDS.get(f.type)
             value = getattr(self, f.name)
             if kinds and (isinstance(value, bool) or not isinstance(value, kinds[0])):
                 raise ConfigError(f"{f.name} must be {kinds[1]}, got {value!r}")
+        categories = self.device_categories
+        if categories is not None and not (isinstance(categories, dict) and categories and all(
+            isinstance(words, list) and all(isinstance(word, str) and word for word in words)
+            for words in categories.values()
+        )):
+            raise ConfigError(
+                "device_categories must be an object that maps names to lists of non-empty strings"
+            )
         if self.format not in ("csv", "jsonl"):
             raise ConfigError(f"format must be csv or jsonl, got {self.format!r}")
         if not Path(self.input).exists():
@@ -153,32 +186,19 @@ class RunConfig:
             value = getattr(self, label)
             if value is not None and not Path(value).exists():
                 raise ConfigError(f"{label} not found: {value}")
-        if None in (self.start_date, self.end_date, self.keyword, self.country):
-            raise ConfigError("start_date, end_date, keyword and country must be set")
         check_filters(self.start_date, self.end_date, self.keyword, self.country)
-        if not 0 <= self.window_before <= 20 or not 0 <= self.window_after <= 20:
-            raise ConfigError("context windows must be in 0..20")
-        if not 0 <= self.amplifier_weight <= 2:
-            raise ConfigError("amplifier_weight must be in [0, 2]")
-        if not 0 <= self.adversative_weight <= 2:
-            raise ConfigError("adversative_weight must be in [0, 2]")
-        self.bot_policy()  # BotPolicy checks its own fields
+        # each parameter group checks its own fields
+        self.group(ScoringParams)
+        self.group(BotPolicy)
         if min(self.ngram_top, self.wordcloud_top, self.rank_top) < 1:
             raise ConfigError("top-k values must be >= 1")
 
     def dates(self) -> tuple[date, date]:
         return parse_date(self.start_date), parse_date(self.end_date)
 
-    def scoring_params(self) -> polarity.ScoringParams:
-        return polarity.ScoringParams(
-            window_before=self.window_before,
-            window_after=self.window_after,
-            amplifier_weight=self.amplifier_weight,
-            adversative_weight=self.adversative_weight,
-        )
-
-    def bot_policy(self) -> BotPolicy:
-        return BotPolicy(**{name: getattr(self, name) for name in BotPolicy.__dataclass_fields__})
+    def group(self, cls):
+        """The parameter group `cls`, copied from the fields of the same names."""
+        return cls(**{name: getattr(self, name) for name in cls.__dataclass_fields__})
 
 
 @dataclass
@@ -192,17 +212,14 @@ class RunManifest:
         return asdict(self)
 
 
-def _run_stage(stage: str, fn):
+@contextmanager
+def stage(name: str):
+    """Name the stage of a failure in the block: any exception raised in it
+    is re-raised as a `PipelineStageError` of stage `name`."""
     try:
-        return fn()
+        yield
     except Exception as exc:
-        raise PipelineStageError(stage, exc) from exc
-
-
-def require_records(corpus: Corpus, stage: str) -> None:
-    """Stop at the filter that emptied the corpus, before any analysis runs."""
-    if not corpus.records:
-        raise PipelineStageError(stage, EmptyCorpusError(f"the {stage} filter left no records"))
+        raise PipelineStageError(name, exc) from exc
 
 
 def filter_corpus(
@@ -214,16 +231,19 @@ def filter_corpus(
 ) -> Corpus:
     """Apply each filter that is given, in the order date range, keyword,
     country, bots; None turns a filter off. Stop at a filter that leaves no
-    record. The values are checked by `check_filters` and `BotPolicy`."""
-    for stage, value, keep in (
+    record, before any analysis runs. The values are checked by
+    `check_filters` and `BotPolicy`."""
+    for name, value, keep in (
         ("date_range", window, lambda c: filter_date_range(c, *window)),
         ("keyword", keyword, lambda c: filter_keyword(c, keyword)),
         ("country", country, lambda c: filter_country(c, country)),
         ("bots", policy, lambda c: filter_bots_and_duplicates(c, policy)),
     ):
         if value is not None:
-            corpus = _run_stage(stage, partial(keep, corpus))
-            require_records(corpus, stage)
+            with stage(name):
+                corpus = keep(corpus)
+                if not corpus.records:
+                    raise EmptyCorpusError(f"the {name} filter left no records")
     return corpus
 
 
@@ -262,9 +282,9 @@ class Analysis:
     is one string object, shared by every sentence that holds it.
     """
 
-    def __init__(self, corpus: Corpus, paths, params: polarity.ScoringParams | None = None) -> None:
+    def __init__(self, corpus: Corpus, paths, params: ScoringParams | None = None) -> None:
         self._paths = paths
-        self._params = params or polarity.ScoringParams()
+        self._params = params or ScoringParams()
         self.ledger = textprep.MaskLedger()
         abusive = textprep.load_abusive_lexicon(self._path("abusive_lexicon_path"))
         self.corpus = mask_corpus(corpus, abusive, self.ledger)
@@ -303,6 +323,14 @@ class Analysis:
     def profiles(self) -> list[emotion.EmotionProfile]:
         return self._expand(self.distinct_profiles)
 
+    def ngram_table(self, n: int, top: int) -> ngrams.NgramTable:
+        """The first `top` >= 1 rows of the n-gram table: over the
+        stopword-filtered texts for n <= 2, over the full texts for n >= 3."""
+        if top < 1:
+            raise InvalidRangeError(f"top must be >= 1, got {top}")
+        streams = self.distinct_stopped if n <= 2 else self.distinct_full
+        return ngrams.build_table(streams, n, top, self.weights)
+
     @cached_property
     def scores(self) -> list[polarity.PolarityScore]:
         lex = polarity.load_polarity_lexicon(
@@ -324,58 +352,45 @@ def _sha256(path: Path) -> str:
 def run_pipeline(cfg: RunConfig) -> RunManifest:
     with gc_paused():
         cfg.validate()
-        corpus = _run_stage("load", lambda: load_corpus(cfg.input, cfg.format))
-        corpus = filter_corpus(corpus, cfg.dates(), cfg.keyword, cfg.country, cfg.bot_policy())
+        with stage("load"):
+            corpus = load_corpus(cfg.input, cfg.format)
+        corpus = filter_corpus(corpus, cfg.dates(), cfg.keyword, cfg.country, cfg.group(BotPolicy))
 
-        analysis = _run_stage("mask", lambda: Analysis(corpus, cfg, cfg.scoring_params()))
+        with stage("mask"):
+            analysis = Analysis(corpus, cfg, cfg.group(ScoringParams))
         corpus = analysis.corpus
-        full_streams = _run_stage("tokenize", lambda: analysis.distinct_full)
-        stopped_streams = _run_stage("stopwords", lambda: analysis.distinct_stopped)
-        weights = analysis.weights
+        # each text stage computes the analysis field that it is named after
+        with stage("tokenize"):
+            analysis.distinct_full
+        with stage("stopwords"):
+            analysis.distinct_stopped
 
         tables = {}
         for n in (1, 2, 3, 4):
-            streams = stopped_streams if n <= 2 else full_streams
             # the unigram table also feeds the word cloud
             top = max(cfg.ngram_top, cfg.wordcloud_top) if n == 1 else cfg.ngram_top
-            tables[n] = _run_stage(
-                f"ngrams_{n}", lambda n=n, s=streams, k=top: ngrams.build_table(s, n, k, weights)
-            )
-        cloud = _run_stage(
-            "wordcloud", lambda: ngrams.word_cloud_weights(tables[1], cfg.wordcloud_top)
-        )
+            with stage(f"ngrams_{n}"):
+                tables[n] = analysis.ngram_table(n, top)
+        with stage("wordcloud"):
+            cloud = ngrams.word_cloud_weights(tables[1], cfg.wordcloud_top)
 
         # the n-gram tables above are built before any profile or score exists
-        profiles = _run_stage("emotion", lambda: analysis.profiles)
-        totals = _run_stage(
-            "emotion", lambda: emotion.aggregate_profiles(analysis.distinct_profiles, weights)
-        )
-        scores = _run_stage("polarity", lambda: analysis.scores)
+        with stage("emotion"):
+            profiles = analysis.profiles
+            totals = emotion.aggregate_profiles(analysis.distinct_profiles, analysis.weights)
+        with stage("polarity"):
+            scores = analysis.scores
 
-        mentions = _run_stage("report", lambda: analytics.rank_mentions(corpus, cfg.rank_top))
-        hashtags = _run_stage("report", lambda: analytics.rank_hashtags(corpus, cfg.rank_top))
-        loc_tagged = _run_stage(
-            "report", lambda: analytics.rank_locations(corpus, cfg.rank_top, "tagged")
-        )
-        loc_stated = _run_stage(
-            "report", lambda: analytics.rank_locations(corpus, cfg.rank_top, "stated")
-        )
-        devices = _run_stage(
-            "report",
-            lambda: analytics.device_group_report(corpus, analysis.cleaned, cfg.device_categories),
-        )
-        daily = _run_stage("report", lambda: analytics.daily_emotion_series(corpus, profiles))
-        dist = _run_stage("distribution", lambda: analytics.polarity_distribution(scores))
-        extreme_pair = _run_stage("distribution", lambda: polarity.extremes(scores))
-
-        out_dir = Path(cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        written: list[Path] = []
-
-        def emit(name: str, writer) -> None:
-            path = out_dir / name
-            writer(path)
-            written.append(path)
+        with stage("report"):
+            mentions = analytics.rank_mentions(corpus, cfg.rank_top)
+            hashtags = analytics.rank_hashtags(corpus, cfg.rank_top)
+            loc_tagged = analytics.rank_locations(corpus, cfg.rank_top, "tagged")
+            loc_stated = analytics.rank_locations(corpus, cfg.rank_top, "stated")
+            devices = analytics.device_group_report(corpus, analysis.cleaned, cfg.device_categories)
+            daily = analytics.daily_emotion_series(corpus, profiles)
+        with stage("distribution"):
+            dist = analytics.polarity_distribution(scores)
+            extremes = polarity.extremes(scores)
 
         manifest = RunManifest(
             config=asdict(cfg),
@@ -389,25 +404,34 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
             },
         )
 
+        out_dir = Path(cfg.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         manifest_path = out_dir / "manifest.json"
+        written: list[Path] = []
         try:
-            emit("provenance.json", lambda p: write_json(corpus.provenance.to_dict(), p))
-            emit("filtered_corpus.jsonl", lambda p: write_corpus_jsonl(corpus, p))
-            for n in (1, 2, 3, 4):
-                emit(f"ngrams_{n}.csv", lambda p, n=n: ngram_table_to_csv(tables[n], p, cfg.ngram_top))
-            emit("wordcloud.json", lambda p: write_json(word_cloud_to_dict(cloud), p))
-            emit("mentions.csv", lambda p: ranked_table_to_csv(mentions, p))
-            emit("hashtags.csv", lambda p: ranked_table_to_csv(hashtags, p))
-            emit("locations_tagged.csv", lambda p: ranked_table_to_csv(loc_tagged, p))
-            emit("locations_stated.csv", lambda p: ranked_table_to_csv(loc_stated, p))
-            emit("devices.json", lambda p: write_json(device_report_to_dict(devices), p))
-            emit("emotion_totals.json", lambda p: write_json(totals.to_dict(), p))
-            emit("emotion_daily.csv", lambda p: daily_series_to_csv(daily, p))
-            emit("polarity_scores.csv", lambda p: scores_to_csv(corpus, scores, p))
-            emit(
-                "distribution.json",
-                lambda p: write_json(distribution_to_dict(dist, totals, extreme_pair), p),
-            )
+            # each output's file name and the writer that takes its path
+            writers = [
+                ("provenance.json", partial(write_json, corpus.provenance.to_dict())),
+                ("filtered_corpus.jsonl", partial(write_corpus_jsonl, corpus)),
+                *[
+                    (f"ngrams_{n}.csv", partial(ngram_table_to_csv, tables[n], top=cfg.ngram_top))
+                    for n in (1, 2, 3, 4)
+                ],
+                ("wordcloud.json", partial(write_json, word_cloud_to_dict(cloud))),
+                ("mentions.csv", partial(ranked_table_to_csv, mentions)),
+                ("hashtags.csv", partial(ranked_table_to_csv, hashtags)),
+                ("locations_tagged.csv", partial(ranked_table_to_csv, loc_tagged)),
+                ("locations_stated.csv", partial(ranked_table_to_csv, loc_stated)),
+                ("devices.json", partial(write_json, device_report_to_dict(devices))),
+                ("emotion_totals.json", partial(write_json, totals.to_dict())),
+                ("emotion_daily.csv", partial(daily_series_to_csv, daily)),
+                ("polarity_scores.csv", partial(scores_to_csv, corpus, scores)),
+                ("distribution.json", partial(write_json, distribution_to_dict(dist, totals, extremes))),
+            ]
+            for name, write in writers:
+                path = out_dir / name
+                write(path)
+                written.append(path)
             for path in written:
                 manifest.outputs[path.name] = _sha256(path)
             with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from .errors import EmptyInputError, SchemaError
+from .errors import ConfigError, EmptyInputError, SchemaError
 from .textprep import Sentences, read_lexicon
 
 NEGATOR = "negator"
@@ -43,10 +43,20 @@ class PolarityLexicon:
 
 @dataclass
 class ScoringParams:
+    """The context window and shifter weights of `score_sentence`; the only
+    defaults of the four, which `RunConfig` takes. Out of range is a `ConfigError`."""
+
     window_before: int = 4
     window_after: int = 2
     amplifier_weight: float = 0.8
     adversative_weight: float = 0.85
+
+    def __post_init__(self) -> None:
+        if not (0 <= self.window_before <= 20 and 0 <= self.window_after <= 20):
+            raise ConfigError("context windows must be in 0..20")
+        for name in ("amplifier_weight", "adversative_weight"):
+            if not 0 <= getattr(self, name) <= 2:  # NaN too
+                raise ConfigError(f"{name} must be in [0, 2]")
 
 
 @dataclass

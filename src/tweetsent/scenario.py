@@ -3,10 +3,13 @@
 Timing is an exogenous input (the analysis holds everything else equal);
 the trend direction comes solely from comparing positive and negative
 shares, with the dominant emotion classes attached as advisory metadata.
+A trend comes from a run's analysis (`derive_trend`) or from the
+distribution report the run wrote (`trend_from_report`); both agree.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .analytics import PolarityDistribution
@@ -40,28 +43,57 @@ _SCENARIOS = {
 
 
 def derive_trend(dist: PolarityDistribution, agg: EmotionProfile) -> SentimentTrend:
-    """Trend direction from the share comparison; equal shares are an error
-    the caller must resolve, and a positive or negative share outside
-    [0, 1] is refused.
+    """Trend direction from the share comparison: equal shares are a `TiedTrendError`
+    and a positive or negative share outside [0, 1] a `SchemaError`. The
+    dominant emotions are the top two classes with at least one hit."""
+    return _trend(dist.pos_share, dist.neg_share, agg)
 
-    The dominant emotions are the top two classes with at least one hit.
-    """
-    for name in ("pos_share", "neg_share"):
-        share = getattr(dist, name)
+
+def _trend(pos_share: float, neg_share: float, agg: EmotionProfile) -> SentimentTrend:
+    for name, share in (("pos_share", pos_share), ("neg_share", neg_share)):
         if not 0.0 <= share <= 1.0:  # false for NaN too
             raise SchemaError(f"{name} must be a share in [0, 1], got {share}")
-    if dist.pos_share == dist.neg_share:
-        raise TiedTrendError(
-            f"positive and negative shares tie at {dist.pos_share}"
-        )
-    direction = "positive" if dist.pos_share > dist.neg_share else "negative"
-    dominant = [cls for cls, count in dominant_classes(agg, 2) if count > 0]
+    if pos_share == neg_share:
+        raise TiedTrendError(f"positive and negative shares tie at {pos_share}")
     return SentimentTrend(
-        direction=direction,
-        pos_share=dist.pos_share,
-        neg_share=dist.neg_share,
-        dominant_emotions=dominant,
+        direction="positive" if pos_share > neg_share else "negative",
+        pos_share=float(pos_share),
+        neg_share=float(neg_share),
+        dominant_emotions=[cls for cls, count in dominant_classes(agg, 2) if count > 0],
     )
+
+
+def trend_from_report(report) -> SentimentTrend:
+    """The trend of a report made by `exports.distribution_to_dict`. The
+    shares `positive_share`, `negative_share` and the optional `neutral_share`
+    must be numbers, not bools; the optional `emotion_totals.counts` must map
+    emotions to non-negative integers (keys that are no emotion are ignored).
+    Anything else is a `SchemaError`."""
+    if not (isinstance(report, dict) and {"positive_share", "negative_share"} <= report.keys()):
+        raise SchemaError("scenario input needs positive_share and negative_share")
+    for key in ("positive_share", "negative_share", "neutral_share"):
+        value = report.get(key, 0.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaError(f"scenario input's {key} must be a number, got {value!r}")
+    totals = report.get("emotion_totals") or {}
+    counts = (totals.get("counts") or {}) if isinstance(totals, dict) else None
+    if not (isinstance(counts, dict) and all(type(v) is int and v >= 0 for v in counts.values())):
+        raise SchemaError(
+            "scenario input's emotion_totals.counts must map emotions to non-negative integers"
+        )
+    profile = EmotionProfile()
+    profile.counts.update((c, v) for c, v in counts.items() if c in profile.counts)
+    return _trend(report["positive_share"], report["negative_share"], profile)
+
+
+def load_trend(path) -> SentimentTrend:
+    """`trend_from_report` of the file at `path`; not UTF-8 JSON is a `SchemaError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
+        raise SchemaError(f"scenario input is not valid UTF-8 JSON: {exc}") from exc
+    return trend_from_report(report)
 
 
 def classify_scenario(trend: SentimentTrend, timing: str) -> ScenarioOutcome:

@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .errors import SchemaError
+
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
 # everything outside ASCII alphanumerics, apostrophe, whitespace and the
@@ -63,11 +65,14 @@ def remove_stopwords(sentences: Sentences, stoplist: set[str]) -> Sentences:
 
 def read_lexicon(path, bundled: str) -> str:
     """The text of the lexicon file at `path`, or of the bundled data file
-    named `bundled` if `path` is None."""
+    named `bundled` if `path` is None. A file that is not UTF-8 is a `SchemaError`."""
     if path is None:
         return (resources.files("tweetsent") / "data" / bundled).read_text("utf-8")
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"lexicon {path} is not UTF-8: {exc}") from exc
 
 
 def load_stoplist(path=None) -> set[str]:

@@ -315,14 +315,14 @@ def per_record_run(cfg, out_dir):
     c = corpus.filter_date_range(c, start, end)
     c = corpus.filter_keyword(c, cfg.keyword)
     c = corpus.filter_country(c, cfg.country)
-    c = corpus.filter_bots_and_duplicates(c, cfg.bot_policy())
+    c = corpus.filter_bots_and_duplicates(c, cfg.group(corpus.BotPolicy))
     ledger = textprep.MaskLedger()
     pattern = textprep.mask_pattern(textprep.load_abusive_lexicon(cfg.abusive_lexicon_path))
     c.records = [replace(r, text=textprep.mask_text(r.text, pattern, ledger)) for r in c.records]
     stoplist = textprep.load_stoplist(cfg.stopwords_path)
     emo_lex = emotion.load_emotion_lexicon(cfg.emotion_lexicon_path)
     pol_lex = polarity.load_polarity_lexicon(cfg.polarity_lexicon_path, cfg.shifter_lexicon_path)
-    params = cfg.scoring_params()
+    params = cfg.group(polarity.ScoringParams)
     full, stopped, profiles, scores = [], [], [], []
     for record in c.records:
         sentences = textprep.prepare(record.text)

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import tweetsent.cli as cli_mod
+from tweetsent.analytics import polarity_distribution
 from tweetsent.cli import main
 from tweetsent.corpus import BotPolicy, load_corpus
-from tweetsent.emotion import ALL_CATEGORIES
+from tweetsent.emotion import ALL_CATEGORIES, aggregate_profiles
 from tweetsent.errors import (
     ConfigError,
     EmptyCorpusError,
@@ -20,6 +21,7 @@ from tweetsent.errors import (
     SchemaError,
 )
 from tweetsent.pipeline import Analysis
+from tweetsent.scenario import classify_scenario, derive_trend
 
 DATA = Path(__file__).parent / "data"
 
@@ -196,8 +198,12 @@ def test_scenario_bad_payload_is_data_error(workdir):
     assert main(["scenario", "--input", "bad.json", "--timing", "now"]) == 3
 
 
-@pytest.mark.parametrize("share", [float("nan"), -0.5, 1.5, float("inf")])
-def test_scenario_nonsense_share_is_data_error(workdir, share):
+@pytest.mark.parametrize(
+    "share",
+    [float("nan"), -0.5, 1.5, float("inf"), True, "0.5", None],
+    ids=["nan", "-0.5", "1.5", "inf", "bool", "string", "null"],
+)
+def test_scenario_nonsense_share_is_data_error(workdir, capsys, share):
     (workdir / "odd.json").write_text(
         json.dumps({"positive_share": share, "negative_share": 0.3})
     )
@@ -206,6 +212,14 @@ def test_scenario_nonsense_share_is_data_error(workdir, share):
         json.dumps({"positive_share": 0.3, "negative_share": share})
     )
     assert main(["scenario", "--input", "odd.json", "--timing", "now"]) == 3
+    if not isinstance(share, float):
+        # any share that is not a number is refused, and the message names it
+        assert "negative_share must be a number" in capsys.readouterr().err
+        (workdir / "odd.json").write_text(
+            json.dumps({"positive_share": 0.6, "negative_share": 0.3, "neutral_share": share})
+        )
+        assert main(["scenario", "--input", "odd.json", "--timing", "now"]) == 3
+        assert "neutral_share must be a number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -305,26 +319,103 @@ def test_main_maps_each_error_to_its_exit_code(workdir, capsys, monkeypatch, exc
     assert capsys.readouterr().err == text + "\n"
 
 
+def test_run_config_out_of_range_scoring_params_keep_their_messages(workdir, capsys):
+    source = str(DATA / "corpus_1000.csv")
+    for field, value, message in [
+        ("window_before", 21, "context windows must be in 0..20"),
+        ("window_after", -1, "context windows must be in 0..20"),
+        ("amplifier_weight", float("nan"), "amplifier_weight must be in [0, 2]"),
+        ("adversative_weight", 2.5, "adversative_weight must be in [0, 2]"),
+    ]:
+        (workdir / "cfg.json").write_text(json.dumps({"input": source, field: value}))
+        assert main(["run", "--config", "cfg.json", "--output-dir", "o"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workdir / "o").exists()
+
+
+_NOT_UTF8 = [
+    (["scenario", "--input", "bad.bin", "--timing", "now"], 3, "scenario input is not valid UTF-8"),
+    (["run", "--config", "bad.bin"], 2, "config file is not valid UTF-8"),
+    (["sentiment", "--input", "CORPUS", "--stopwords", "bad.bin", "--output", "s.csv"], 3,
+     "lexicon bad.bin is not UTF-8"),
+    (["run", "--input", "CORPUS", "--stopwords", "bad.bin", "--output-dir", "o"], 3,
+     "stage 'stopwords' failed: lexicon bad.bin is not UTF-8"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message", _NOT_UTF8, ids=["scenario", "config", "sentiment-lexicon", "run-lexicon"]
+)
+def test_user_file_that_is_not_utf8_is_never_an_internal_error(workdir, capsys, argv, code,
+                                                                message):
+    (workdir / "bad.bin").write_bytes(b'{"positive_share": 0.6\xff}\n')
+    argv = [str(DATA / "corpus_1000.csv") if a == "CORPUS" else a for a in argv]
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in workdir.iterdir()) == ["bad.bin"]
+
+
+_DIRECTORY_FOR_A_FILE = [
+    ["run", "--input", "adir", "--output-dir", "o"],
+    ["run", "--config", "adir"],
+    ["run", "--input", "CORPUS", "--stopwords", "adir", "--output-dir", "o"],
+    ["ingest", "--input", "adir", "--output", "x.jsonl"],
+    ["sentiment", "--input", "CORPUS", "--stopwords", "adir", "--output", "s.csv"],
+    ["scenario", "--input", "adir", "--timing", "now"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    _DIRECTORY_FOR_A_FILE,
+    ids=["run-input", "run-config", "run-lexicon", "ingest-input", "sentiment-lexicon", "scenario"],
+)
+def test_directory_given_for_a_file_is_config_error(workdir, capsys, argv):
+    (workdir / "adir").mkdir()
+    argv = [str(DATA / "corpus_1000.csv") if a == "CORPUS" else a for a in argv]
+    assert main(argv) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert [p.name for p in workdir.iterdir()] == ["adir"]
+
+
 def test_exit_code_2_for_bad_country_flag(workdir):
     _synth(workdir, n=50)
     assert main(["ingest", "--input", "corpus.csv", "--country", "USA", "--output", "x.jsonl"]) == 2
 
 
-@pytest.mark.parametrize("value", ["10", True, None], ids=["string", "bool", "null"])
+_NUMBER_FIELDS = [
+    "window_before",
+    "window_after",
+    "amplifier_weight",
+    "adversative_weight",
+    "dup_window_seconds",
+    "burst_per_minute",
+    "min_distinct_tokens",
+    "ngram_top",
+    "wordcloud_top",
+    "rank_top",
+]
+_WRONG_TYPES = [
+    *[(f, v, f"{f}-{name}") for f in _NUMBER_FIELDS
+      for v, name in (("10", "string"), (True, "bool"), (None, "null"))],
+    ("input", 5, "input-number"),
+    ("format", None, "format-null"),
+    ("keyword", True, "keyword-bool"),
+    ("country", 5, "country-number"),
+    ("stopwords_path", 5, "stopwords_path-number"),
+    ("shifter_lexicon_path", False, "shifter_lexicon_path-bool"),
+    ("device_categories", 5, "device_categories-number"),
+    # a string of keywords would be matched letter by letter
+    ("device_categories", {"reopen": "reopen"}, "device_categories-string_keywords"),
+    ("device_categories", {"reopen": [""]}, "device_categories-empty_keyword"),
+    ("device_categories", {"reopen": [5]}, "device_categories-number_keyword"),
+    ("device_categories", {}, "device_categories-empty"),
+    ("device_categories", ["reopen"], "device_categories-list"),
+]
+
+
 @pytest.mark.parametrize(
-    "field",
-    [
-        "window_before",
-        "window_after",
-        "amplifier_weight",
-        "adversative_weight",
-        "dup_window_seconds",
-        "burst_per_minute",
-        "min_distinct_tokens",
-        "ngram_top",
-        "wordcloud_top",
-        "rank_top",
-    ],
+    "field, value", [case[:2] for case in _WRONG_TYPES], ids=[case[2] for case in _WRONG_TYPES]
 )
 def test_run_config_number_of_the_wrong_type_is_config_error(workdir, capsys, field, value):
     source = str(DATA / "corpus_1000.csv")
@@ -531,6 +622,27 @@ def test_ingest_reproduces_run_filter_chain(plain_run, tmp_path):
 def _csv_rows(path) -> list[list[str]]:
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("timing", ["now", "later"])
+def test_scenario_reads_the_trend_of_the_run_that_wrote_the_report(golden_run, capsys, timing):
+    # the run's analysis, rebuilt from its filtered corpus as the projections above do
+    analysis = Analysis(load_corpus(golden_run / "filtered_corpus.jsonl", "jsonl"), None)
+    trend = derive_trend(
+        polarity_distribution(analysis.scores),
+        aggregate_profiles(analysis.distinct_profiles, analysis.weights),
+    )
+    capsys.readouterr()
+    assert main(["scenario", "--input", str(golden_run / "distribution.json"),
+                 "--timing", timing]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["id"] == classify_scenario(trend, timing).id
+    assert printed["inputs"] == {
+        "pos_share": trend.pos_share,
+        "neg_share": trend.neg_share,
+        "dominant_emotions": trend.dominant_emotions,
+        "timing": timing,
+    }
 
 
 def test_report_devices_csv_flattens_run_devices(golden_run, tmp_path):

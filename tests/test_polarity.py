@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import min_max, score_sentence as oracle_score
-from tweetsent.errors import EmptyInputError, SchemaError
+from tweetsent.errors import ConfigError, EmptyInputError, SchemaError
 from tweetsent.polarity import (
     PolarityLexicon,
     PolarityScore,
@@ -142,6 +142,27 @@ def test_custom_params():
     assert score_sentence(["not", "x", "good"], TINY, params) == pytest.approx(
         1 / math.sqrt(3), abs=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"window_before": 21}, "context windows must be in 0..20"),
+        ({"window_after": -1}, "context windows must be in 0..20"),
+        ({"amplifier_weight": float("nan")}, "amplifier_weight must be in [0, 2]"),
+        ({"adversative_weight": float("nan")}, "adversative_weight must be in [0, 2]"),
+        ({"adversative_weight": 2.01}, "adversative_weight must be in [0, 2]"),
+    ],
+)
+def test_scoring_params_refuse_values_out_of_range(knobs, message):
+    with pytest.raises(ConfigError) as err:
+        ScoringParams(**knobs)
+    assert str(err.value) == message
+
+
+def test_scoring_params_accept_their_bounds():
+    ScoringParams(window_before=0, window_after=20, amplifier_weight=0, adversative_weight=2)
+    ScoringParams(window_before=20, window_after=0, amplifier_weight=2.0, adversative_weight=0.0)
 
 
 # ---------------------------------------------------------------------------

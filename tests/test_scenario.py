@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweetsent.analytics import Histogram, PolarityDistribution
-from tweetsent.emotion import EmotionProfile
+from tweetsent.emotion import ALL_CATEGORIES, EmotionProfile
 from tweetsent.errors import SchemaError, TiedTrendError
-from tweetsent.scenario import SentimentTrend, classify_scenario, derive_trend
+from tweetsent.exports import distribution_to_dict
+from tweetsent.polarity import PolarityScore
+from tweetsent.scenario import SentimentTrend, classify_scenario, derive_trend, trend_from_report
 
 
 def _dist(pos, neg):
@@ -115,3 +119,36 @@ def test_classify_scenario_pure_and_total(pos, neg, timing):
     second = classify_scenario(trend, timing)
     assert first == second
     assert first.id in {"S1", "S2", "S3", "S4"}
+
+
+def _trend_or_error(derive, *args):
+    try:
+        return derive(*args)
+    except (SchemaError, TiedTrendError) as exc:
+        return type(exc), str(exc)
+
+
+# shares on both sides of [0, 1], with NaN, and often equal
+_SHARE = st.floats(min_value=-0.5, max_value=1.5) | st.sampled_from([0.0, 0.25, 0.5, 1.0, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _SHARE,
+    _SHARE,
+    st.floats(allow_nan=True),
+    st.lists(st.integers(min_value=0, max_value=50), min_size=10, max_size=10),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_trend_from_report_reads_back_the_trend_of_the_report(pos, neg, neu, counts, tokens):
+    dist = PolarityDistribution(pos, neg, neu, Histogram(lo=-1.0, width=0.25, counts=[3, 0, 2]))
+    totals = EmotionProfile(counts=dict(zip(ALL_CATEGORIES, counts)), token_total=tokens)
+    low, high = PolarityScore(-0.5, 1), PolarityScore(0.75, 2)
+    report = distribution_to_dict(dist, totals, (low, high))
+    assert _trend_or_error(trend_from_report, report) == _trend_or_error(derive_trend, dist, totals)
+
+
+@pytest.mark.parametrize("report", [[0.6, 0.3], {"positive_share": 0.6}, "0.6"])
+def test_trend_from_report_needs_an_object_with_both_shares(report):
+    with pytest.raises(SchemaError, match="needs positive_share and negative_share"):
+        trend_from_report(report)
