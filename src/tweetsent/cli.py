@@ -41,7 +41,7 @@ from .exports import (
     scores_to_csv,
     write_json,
 )
-from .pipeline import Analysis, RunConfig, check_filters, filter_corpus, gc_paused, run_pipeline
+from .pipeline import Analysis, RunConfig, check_filters, check_output, gc_paused, load_filtered, run_pipeline
 from .synth import write_synthetic_corpus
 
 # a directory given where a file is expected is a configuration error, as a missing file is
@@ -62,12 +62,11 @@ def _add_filter_args(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_ingest(args) -> None:
-    window = check_filters(args.start_date, args.end_date, args.keyword, args.country)
+    chain = check_filters(args.start_date, args.end_date, args.keyword, args.country)
     # the bot flags' dests are BotPolicy field names; an unset flag keeps its default
     knobs = {name: getattr(args, name) for name in BotPolicy.__dataclass_fields__}
     policy = BotPolicy(**{name: value for name, value in knobs.items() if value is not None})
-    corpus = load_corpus(args.input, args.format)
-    corpus = filter_corpus(corpus, window, args.keyword, args.country, policy if args.bots else None)
+    corpus = load_filtered(args.input, args.format, chain, policy if args.bots else None)
     write_corpus_jsonl(corpus, args.output)
     if args.provenance:
         prov_path = Path(args.output).with_suffix(".provenance.json")
@@ -264,6 +263,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with gc_paused():
+            if getattr(args, "output", None) is not None:
+                check_output(args.output, "--output")
             args.func(args)
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         staged = isinstance(exc, PipelineStageError)

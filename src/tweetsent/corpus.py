@@ -2,7 +2,8 @@
 
 Every filter is a pure function returning a new Corpus; removed-record counts
 accumulate in the provenance so that, at any stage,
-parsed == len(records) + skipped + sum(filtered-by-stage).
+parsed == len(records) + skipped + sum(filtered-by-stage). The date, keyword
+and country filters each apply one row test, which the loader also applies.
 """
 
 from __future__ import annotations
@@ -158,8 +159,10 @@ def _parse_bool(value) -> bool:
     raise SchemaError(f"not a boolean: {value!r}")
 
 
-def _build_record(values, seen_ids: set[str]) -> TweetRecord:
-    """A record from the ten values in CSV_COLUMNS order, None where absent."""
+def _build_record(values, seen_ids: set[str], chain, check: bool) -> TweetRecord | str:
+    """A record from the ten values in CSV_COLUMNS order, None where absent, or
+    the name of the first `chain` test it fails. An invalid row raises
+    SchemaError; `check` also refuses one with a lone surrogate, filtered or not."""
     rid, created_at, text, source, location, country, hashtags, mentions, user_id, is_retweet = values
     rid = str(rid or "").strip()
     if not rid:
@@ -169,18 +172,32 @@ def _build_record(values, seen_ids: set[str]) -> TweetRecord:
     text = str(text or "")
     if not text.strip():
         raise SchemaError("missing text")
-    return TweetRecord(
-        id=rid,
-        created_at=parse_timestamp(str(created_at or "")),
-        text=text,
-        source_device=str(source or ""),
-        user_location=str(location or "").strip() or None,
-        country_code=str(country or "").strip() or None,
-        hashtags=_split_tags(hashtags),
-        mentions=_split_tags(mentions),
-        user_id=str(user_id or ""),
-        is_retweet=_parse_bool(is_retweet),
-    )
+    created_at = parse_timestamp(str(created_at or ""))
+    country = str(country or "").strip() or None
+    is_retweet = _parse_bool(is_retweet)
+    for failed, keep in chain:
+        if not keep(created_at, text, country):
+            break
+    else:
+        failed = None
+    # a filtered row becomes a record only to be checked
+    if failed is None or check:
+        record = TweetRecord(
+            id=rid,
+            created_at=created_at,
+            text=text,
+            source_device=str(source or ""),
+            user_location=str(location or "").strip() or None,
+            country_code=country,
+            hashtags=_split_tags(hashtags),
+            mentions=_split_tags(mentions),
+            user_id=str(user_id or ""),
+            is_retweet=is_retweet,
+        )
+        if check:
+            _check_encodable(record)
+    seen_ids.add(rid)
+    return failed or record
 
 
 def _check_encodable(record: TweetRecord) -> None:
@@ -203,8 +220,8 @@ _ANY_FIELD = 2**31 - 1
 _NUL_STAND_IN = "\udc00"
 
 
-def _read_csv(fh, lenient: bool):
-    """(records, parsed, skipped) of a CSV file; rows as csv.DictReader sees them.
+def _read_csv(fh, lenient: bool, chain):
+    """(records, parsed, skipped, filtered) of a CSV file; rows as csv.DictReader sees them.
 
     Blank lines are not rows. A column repeated in the header takes its last
     position; a short row reads None past its end (a missing is_retweet
@@ -217,18 +234,18 @@ def _read_csv(fh, lenient: bool):
     Python version. Any csv.Error there is a SchemaError.
     """
     if not lenient:
-        return _csv_records(csv.reader(fh), None)
+        return _csv_records(csv.reader(fh), None, chain)
     reader = csv.reader(line.replace("\0", _NUL_STAND_IN) for line in fh)
     field_limit = csv.field_size_limit(_ANY_FIELD)
     try:
-        return _csv_records(reader, field_limit)
+        return _csv_records(reader, field_limit, chain)
     except csv.Error as exc:
         raise SchemaError(f"unreadable CSV at line {reader.line_num}: {exc}") from exc
     finally:
         csv.field_size_limit(field_limit)
 
 
-def _csv_records(reader, field_limit: int | None):
+def _csv_records(reader, field_limit: int | None, chain):
     """The rows of `reader` as records; a field_limit marks the lenient read,
     which skips a row with a longer field or a lone surrogate and turns the
     NUL stand-in back into NUL."""
@@ -242,6 +259,7 @@ def _csv_records(reader, field_limit: int | None):
     width = max(columns) + 1
 
     records: list[TweetRecord] = []
+    filtered = dict.fromkeys([name for name, _ in chain], 0)
     seen_ids: set[str] = set()
     parsed = 0
     skipped = 0
@@ -257,20 +275,21 @@ def _csv_records(reader, field_limit: int | None):
         if len(row) < width:
             row += [None] * (width - len(row))
         try:
-            record = _build_record(pick(row), seen_ids)
-            if field_limit is not None:
-                _check_encodable(record)
+            record = _build_record(pick(row), seen_ids, chain, field_limit is not None)
         except SchemaError:
             skipped += 1
             continue
-        seen_ids.add(record.id)
-        records.append(record)
-    return records, parsed, skipped
+        if isinstance(record, str):
+            filtered[record] += 1
+        else:
+            records.append(record)
+    return records, parsed, skipped, filtered
 
 
-def _read_jsonl(fh, lenient: bool):
-    """(records, parsed, skipped) of a JSONL file, one object per non-blank line."""
+def _read_jsonl(fh, lenient: bool, chain):
+    """(records, parsed, skipped, filtered) of a JSONL file, one object per non-blank line."""
     records: list[TweetRecord] = []
+    filtered = dict.fromkeys([name for name, _ in chain], 0)
     seen_ids: set[str] = set()
     parsed = 0
     skipped = 0
@@ -282,21 +301,22 @@ def _read_jsonl(fh, lenient: bool):
             row = json.loads(line)
             if not isinstance(row, dict):
                 raise SchemaError("JSONL line is not an object")
-            record = _build_record(map(row.get, CSV_COLUMNS), seen_ids)
             # in a strictly decoded line only a \ud.. escape yields a surrogate;
             # the one-character test is a memchr that clears most lines
-            if lenient or ("\\" in line and ("\\ud" in line or "\\uD" in line)):
-                _check_encodable(record)
+            check = lenient or ("\\" in line and ("\\ud" in line or "\\uD" in line))
+            record = _build_record(map(row.get, CSV_COLUMNS), seen_ids, chain, check)
         except (ValueError, RecursionError, SchemaError):
             # ValueError covers json.JSONDecodeError and over-long integers
             skipped += 1
             continue
-        seen_ids.add(record.id)
-        records.append(record)
-    return records, parsed, skipped
+        if isinstance(record, str):
+            filtered[record] += 1
+        else:
+            records.append(record)
+    return records, parsed, skipped, filtered
 
 
-def load_corpus(path, format: str = "csv") -> Corpus:
+def load_corpus(path, format: str = "csv", filters=()) -> Corpus:
     """Ingest a CSV (header required) or JSONL corpus file.
 
     Well-formed rows become TweetRecords; malformed rows are skipped and
@@ -304,6 +324,10 @@ def load_corpus(path, format: str = "csv") -> Corpus:
     UTF-8, or a CSV file with a field over csv.field_size_limit(), is read a
     second time, leniently: each undecodable byte is kept as a lone
     surrogate, and every row holding one, or such a field, is skipped.
+
+    A valid row that fails a test of `filters`, a chain of (stage name, row
+    test), never becomes a record: it counts under the first it fails, in one
+    `provenance.filtered` key per stage. No valid row is an EmptyCorpusError.
     """
     path = Path(path)
     if not path.exists():
@@ -315,53 +339,59 @@ def load_corpus(path, format: str = "csv") -> Corpus:
     newline = "" if format == "csv" else None
     try:
         with open(path, encoding="utf-8", newline=newline) as fh:
-            records, parsed, skipped = read(fh, lenient=False)
+            records, parsed, skipped, filtered = read(fh, False, filters)
     except (UnicodeDecodeError, csv.Error):
         with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
-            records, parsed, skipped = read(fh, lenient=True)
+            records, parsed, skipped, filtered = read(fh, True, filters)
 
-    if not records:
+    if parsed == skipped:
         raise EmptyCorpusError(f"no valid records in {path}")
-    provenance = Provenance(source=str(path), format=format, parsed=parsed, skipped=skipped)
-    return Corpus(records=records, provenance=provenance)
+    return Corpus(records, Provenance(str(path), format, parsed, skipped, filtered))
 
 
-def _filtered(c: Corpus, stage: str, kept: list[TweetRecord]) -> Corpus:
+# each filter's row test, a function of (created_at, text, country_code)
+def date_range_test(start: date, end: date):
+    """Pass a row whose UTC calendar date lies in [start, end], inclusive."""
+    if start > end:
+        raise InvalidRangeError(f"start {start} after end {end}")
+    return lambda created_at, text, country: start <= created_at.date() <= end
+
+
+def keyword_test(keyword: str):
+    """Pass a row whose case-folded text contains the case-folded keyword."""
+    if not keyword:
+        raise ValueError("keyword must be non-empty")
+    needle = keyword.casefold()
+    return lambda created_at, text, country: needle in text.casefold()
+
+
+def country_test(code: str):
+    """Pass a row tagged with the code (case-insensitive). Untagged rows fail:
+    tweets from the target country that were never tagged cannot be recovered."""
+    wanted = code.upper()
+    return lambda created_at, text, country: country is not None and country.upper() == wanted
+
+
+def _filtered(c: Corpus, stage: str, keep) -> Corpus:
+    kept = [r for r in c.records if keep(r.created_at, r.text, r.country_code)]
     provenance = c.provenance.copy()
     provenance.record_filter(stage, len(c.records) - len(kept))
     return Corpus(records=kept, provenance=provenance)
 
 
 def filter_date_range(c: Corpus, start: date, end: date) -> Corpus:
-    """Keep records whose UTC calendar date lies in [start, end], inclusive."""
-    if start > end:
-        raise InvalidRangeError(f"start {start} after end {end}")
-    kept = [r for r in c.records if start <= r.created_at.date() <= end]
-    return _filtered(c, "date_range", kept)
+    """Keep records that pass `date_range_test(start, end)`."""
+    return _filtered(c, "date_range", date_range_test(start, end))
 
 
 def filter_keyword(c: Corpus, keyword: str) -> Corpus:
-    """Keep records whose case-folded text contains the case-folded keyword."""
-    if not keyword:
-        raise ValueError("keyword must be non-empty")
-    needle = keyword.casefold()
-    kept = [r for r in c.records if needle in r.text.casefold()]
-    return _filtered(c, "keyword", kept)
+    """Keep records that pass `keyword_test(keyword)`."""
+    return _filtered(c, "keyword", keyword_test(keyword))
 
 
 def filter_country(c: Corpus, code: str) -> Corpus:
-    """Keep records country-tagged with the given code (case-insensitive).
-
-    Untagged records are dropped: tweets from the target country that were
-    never tagged cannot be recovered here.
-    """
-    wanted = code.upper()
-    kept = [
-        r
-        for r in c.records
-        if r.country_code is not None and r.country_code.upper() == wanted
-    ]
-    return _filtered(c, "country", kept)
+    """Keep records that pass `country_test(code)`."""
+    return _filtered(c, "country", country_test(code))
 
 
 def normalize_for_dedup(text: str) -> str:

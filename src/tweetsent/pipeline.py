@@ -1,16 +1,16 @@
 """End-to-end run: ingest, filter, mask, tokenize, analyze, write reports.
 
-Stage order: load -> date_range -> keyword -> country -> bot/duplicate
-removal -> abusive masking -> tokenization -> stopword removal -> n-gram
-tables, emotion profiles, polarity scores, descriptive reports, and the
-scenario-ready sentiment summary.
+Stage order: load, with date_range -> keyword -> country tested on each row
+as it is read -> bot/duplicate removal -> abusive masking -> tokenization ->
+stopword removal -> n-gram tables, emotion profiles, polarity scores,
+descriptive reports, and the scenario-ready sentiment summary.
 
 Stream policy: unigram/bigram tables and emotion classification use the
 stopword-removed streams; trigram/quadgram tables and polarity scoring use
 the full streams, since function words carry both the longer word sequences
 and the valence shifters.
 
-`filter_corpus` composes the filters for `run` and for the CLI's `ingest`;
+`load_filtered` loads through the filters for `run` and for the CLI's `ingest`;
 `Analysis` composes the text stages, masking to polarity, for `run` and for
 the CLI's `ngrams`, `sentiment` and `report`, which read its fields.
 
@@ -37,10 +37,10 @@ from . import analytics, emotion, ngrams, polarity, textprep
 from .corpus import (
     BotPolicy,
     Corpus,
+    country_test,
+    date_range_test,
     filter_bots_and_duplicates,
-    filter_country,
-    filter_date_range,
-    filter_keyword,
+    keyword_test,
     load_corpus,
     mask_corpus,
     write_corpus_jsonl,
@@ -76,23 +76,35 @@ def parse_date(value: str) -> date:
 
 def check_filters(
     start_date: str | None, end_date: str | None, keyword: str | None, country: str | None
-) -> tuple[date, date] | None:
+) -> list:
     """Check the date, keyword and country filter values, where None turns a
-    filter off, and return the date window."""
-    window = None
+    filter off, and return the chain of (stage name, row test) of the filters
+    that are on, in that order, for `load_filtered`."""
+    chain = []
     if start_date is not None or end_date is not None:
         if start_date is None or end_date is None:
             raise ConfigError("start_date and end_date must be given together")
-        window = parse_date(start_date), parse_date(end_date)
-        if window[0] > window[1]:
+        start, end = parse_date(start_date), parse_date(end_date)
+        if start > end:
             raise ConfigError(f"start_date {start_date} after end_date {end_date}")
-    if keyword is not None and not (isinstance(keyword, str) and keyword):
-        raise ConfigError("keyword must be non-empty")
-    if country is not None and not (
-        isinstance(country, str) and len(country) == 2 and country.isalpha()
-    ):
-        raise ConfigError(f"country must be a two-letter code, got {country!r}")
-    return window
+        chain.append(("date_range", date_range_test(start, end)))
+    if keyword is not None:
+        if not (isinstance(keyword, str) and keyword):
+            raise ConfigError("keyword must be non-empty")
+        chain.append(("keyword", keyword_test(keyword)))
+    if country is not None:
+        if not (isinstance(country, str) and len(country) == 2 and country.isalpha()):
+            raise ConfigError(f"country must be a two-letter code, got {country!r}")
+        chain.append(("country", country_test(country)))
+    return chain
+
+
+def check_output(path: str, label: str, directory: bool = False) -> None:
+    """Refuse an output path that runs through a regular file; a `directory` may not be one."""
+    path = Path(path)
+    for part in [path, *path.parents] if directory else path.parents:
+        if part.is_file():
+            raise ConfigError(f"{label} {path} needs a directory where the file {part} is")
 
 
 # the accepted Python types and the description of each scalar annotation of
@@ -187,14 +199,12 @@ class RunConfig:
             if value is not None and not Path(value).exists():
                 raise ConfigError(f"{label} not found: {value}")
         check_filters(self.start_date, self.end_date, self.keyword, self.country)
+        check_output(self.output_dir, "output_dir", directory=True)
         # each parameter group checks its own fields
         self.group(ScoringParams)
         self.group(BotPolicy)
         if min(self.ngram_top, self.wordcloud_top, self.rank_top) < 1:
             raise ConfigError("top-k values must be >= 1")
-
-    def dates(self) -> tuple[date, date]:
-        return parse_date(self.start_date), parse_date(self.end_date)
 
     def group(self, cls):
         """The parameter group `cls`, copied from the fields of the same names."""
@@ -222,28 +232,25 @@ def stage(name: str):
         raise PipelineStageError(name, exc) from exc
 
 
-def filter_corpus(
-    corpus: Corpus,
-    window: tuple[date, date] | None = None,
-    keyword: str | None = None,
-    country: str | None = None,
-    policy: BotPolicy | None = None,
-) -> Corpus:
-    """Apply each filter that is given, in the order date range, keyword,
-    country, bots; None turns a filter off. Stop at a filter that leaves no
-    record, before any analysis runs. The values are checked by
-    `check_filters` and `BotPolicy`."""
-    for name, value, keep in (
-        ("date_range", window, lambda c: filter_date_range(c, *window)),
-        ("keyword", keyword, lambda c: filter_keyword(c, keyword)),
-        ("country", country, lambda c: filter_country(c, country)),
-        ("bots", policy, lambda c: filter_bots_and_duplicates(c, policy)),
-    ):
-        if value is not None:
+def load_filtered(path, format: str, chain=(), policy: BotPolicy | None = None) -> Corpus:
+    """Load the corpus at `path` through the date, keyword and country filters
+    of `chain` (see `check_filters`), which test each row as it is read, and
+    then through the bot filter if `policy` is given. Stop at the load if no
+    row is valid, or at the first filter that leaves no record, before any
+    analysis runs."""
+    with stage("load"):
+        corpus = load_corpus(path, format, chain)
+    left = corpus.provenance.parsed - corpus.provenance.skipped
+    for name, removed in corpus.provenance.filtered.items():
+        left -= removed
+        if not left:
             with stage(name):
-                corpus = keep(corpus)
-                if not corpus.records:
-                    raise EmptyCorpusError(f"the {name} filter left no records")
+                raise EmptyCorpusError(f"the {name} filter left no records")
+    if policy is not None:
+        with stage("bots"):
+            corpus = filter_bots_and_duplicates(corpus, policy)
+            if not corpus.records:
+                raise EmptyCorpusError("the bots filter left no records")
     return corpus
 
 
@@ -352,9 +359,8 @@ def _sha256(path: Path) -> str:
 def run_pipeline(cfg: RunConfig) -> RunManifest:
     with gc_paused():
         cfg.validate()
-        with stage("load"):
-            corpus = load_corpus(cfg.input, cfg.format)
-        corpus = filter_corpus(corpus, cfg.dates(), cfg.keyword, cfg.country, cfg.group(BotPolicy))
+        chain = check_filters(cfg.start_date, cfg.end_date, cfg.keyword, cfg.country)
+        corpus = load_filtered(cfg.input, cfg.format, chain, cfg.group(BotPolicy))
 
         with stage("mask"):
             analysis = Analysis(corpus, cfg, cfg.group(ScoringParams))

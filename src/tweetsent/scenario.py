@@ -49,8 +49,8 @@ def derive_trend(dist: PolarityDistribution, agg: EmotionProfile) -> SentimentTr
     return _trend(dist.pos_share, dist.neg_share, agg)
 
 
-def _trend(pos_share: float, neg_share: float, agg: EmotionProfile) -> SentimentTrend:
-    for name, share in (("pos_share", pos_share), ("neg_share", neg_share)):
+def _trend(pos_share: float, neg_share: float, agg: EmotionProfile, names=("pos_share", "neg_share")) -> SentimentTrend:
+    for name, share in zip(names, (pos_share, neg_share)):
         if not 0.0 <= share <= 1.0:  # false for NaN too
             raise SchemaError(f"{name} must be a share in [0, 1], got {share}")
     if pos_share == neg_share:
@@ -83,7 +83,8 @@ def trend_from_report(report) -> SentimentTrend:
         )
     profile = EmotionProfile()
     profile.counts.update((c, v) for c, v in counts.items() if c in profile.counts)
-    return _trend(report["positive_share"], report["negative_share"], profile)
+    keys = "positive_share", "negative_share"
+    return _trend(report[keys[0]], report[keys[1]], profile, keys)
 
 
 def load_trend(path) -> SentimentTrend:

@@ -307,10 +307,11 @@ def per_record_run(cfg, out_dir):
     stopword-filtered, classified and scored on its own, whatever text other
     records carry. Returns the mask ledger's occurrence count."""
     from dataclasses import replace
+    from datetime import date
 
     from tweetsent import analytics, corpus, emotion, exports, ngrams, polarity, textprep
 
-    start, end = cfg.dates()
+    start, end = date.fromisoformat(cfg.start_date), date.fromisoformat(cfg.end_date)
     c = corpus.load_corpus(cfg.input, cfg.format)
     c = corpus.filter_date_range(c, start, end)
     c = corpus.filter_keyword(c, cfg.keyword)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import tweetsent.cli as cli_mod
+import tweetsent.pipeline as pipeline_mod
 from tweetsent.analytics import polarity_distribution
 from tweetsent.cli import main
 from tweetsent.corpus import BotPolicy, load_corpus
@@ -222,6 +223,13 @@ def test_scenario_nonsense_share_is_data_error(workdir, capsys, share):
         assert "neutral_share must be a number" in capsys.readouterr().err
 
 
+def test_scenario_names_an_out_of_range_share_by_its_report_key(workdir, capsys):
+    for key, other in (("positive_share", "negative_share"), ("negative_share", "positive_share")):
+        (workdir / "odd.json").write_text(json.dumps({key: 1.5, other: 0.3}))
+        assert main(["scenario", "--input", "odd.json", "--timing", "now"]) == 3
+        assert capsys.readouterr().err == f"error: {key} must be a share in [0, 1], got 1.5\n"
+
+
 @pytest.mark.parametrize(
     "totals",
     [
@@ -378,6 +386,30 @@ def test_directory_given_for_a_file_is_config_error(workdir, capsys, argv):
     assert [p.name for p in workdir.iterdir()] == ["adir"]
 
 
+_OUTPUT_THROUGH_A_FILE = [
+    (["run", "--output-dir", "afile"], "output_dir afile"),
+    (["run", "--output-dir", "afile/sub"], "output_dir afile/sub"),
+    (["sentiment", "--output", "afile/x.csv"], "--output afile/x.csv"),
+    (["ingest", "--output", "afile/x.jsonl"], "--output afile/x.jsonl"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named", _OUTPUT_THROUGH_A_FILE, ids=["run", "run-sub", "sentiment", "ingest"]
+)
+def test_output_path_through_a_file_is_config_error(workdir, capsys, monkeypatch, argv, named):
+    (workdir / "afile").write_text("not a directory\n")
+    loads = []
+    for module in (cli_mod, pipeline_mod):
+        monkeypatch.setattr(module, "load_corpus", lambda *args: loads.append(args))
+    assert main([argv[0], "--input", str(DATA / "corpus_1000.csv"), *argv[1:]]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {named} needs a directory where the file afile is\n"
+    )
+    assert loads == []  # refused before any input is read
+    assert [p.name for p in workdir.iterdir()] == ["afile"]
+
+
 def test_exit_code_2_for_bad_country_flag(workdir):
     _synth(workdir, n=50)
     assert main(["ingest", "--input", "corpus.csv", "--country", "USA", "--output", "x.jsonl"]) == 2
@@ -532,13 +564,14 @@ def test_main_pauses_gc_and_restores_it(workdir, monkeypatch, gc_enabled):
     _synth(workdir, n=100)
     assert gc.isenabled() is gc_enabled
     seen = []
-    real_load = cli_mod.load_corpus
+    real_load = pipeline_mod.load_corpus
 
     def load(*args):
         seen.append(gc.isenabled())
         return real_load(*args)
 
-    monkeypatch.setattr(cli_mod, "load_corpus", load)
+    # `ingest` loads through pipeline.load_filtered
+    monkeypatch.setattr(pipeline_mod, "load_corpus", load)
     assert main(["ingest", "--input", "corpus.csv", "--output", "x.jsonl"]) == 0
     assert seen == [False]
     assert gc.isenabled() is gc_enabled
@@ -778,13 +811,13 @@ _FLAG_SURFACE = {
 def test_cli_flag_surface_is_pinned(tmp_path, monkeypatch):
     # the policy an `ingest --bots` without bot knobs filters with
     policies = []
-    real_filter = cli_mod.filter_corpus
+    real_load = cli_mod.load_filtered
 
-    def spy(corpus, window, keyword, country, policy):
+    def spy(path, format, chain, policy):
         policies.append(policy)
-        return real_filter(corpus, window, keyword, country, policy)
+        return real_load(path, format, chain, policy)
 
-    monkeypatch.setattr(cli_mod, "filter_corpus", spy)
+    monkeypatch.setattr(cli_mod, "load_filtered", spy)
     assert main(["ingest", "--input", str(DATA / "corpus_1000.csv"), "--bots",
                  "--output", str(tmp_path / "x.jsonl")]) == 0
     (policy,) = policies

@@ -22,7 +22,8 @@ from tweetsent.corpus import (
     parse_timestamp,
     write_corpus_jsonl,
 )
-from tweetsent.errors import EmptyCorpusError, InvalidRangeError, SchemaError
+from tweetsent.errors import EmptyCorpusError, InvalidRangeError, PipelineStageError, SchemaError
+from tweetsent.pipeline import check_filters, load_filtered
 
 # the csv module's default field-size limit; the loader must leave it in place
 CSV_FIELD_LIMIT = 131_072
@@ -413,6 +414,142 @@ def test_load_arbitrary_jsonl_bytes(tmp_path_factory, body):
     path.write_bytes(_jsonl_line(0).encode() + b"\n" + body)
     c = load_corpus(path, "jsonl")
     assert c.provenance.parsed == len(c.records) + c.provenance.skipped
+
+
+# ---------------------------------------------------------------------------
+# loading through the filters
+
+
+_DAY = date(2020, 5, 2)
+_WINDOWS = st.none() | st.tuples(st.integers(-3, 3), st.integers(0, 3)).map(
+    lambda t: (_DAY + timedelta(days=t[0]), _DAY + timedelta(days=t[0] + t[1]))
+)
+_KEYWORDS = st.none() | st.sampled_from(["reopen", "OK", "ss", "\u00df"]) | st.text(min_size=1, max_size=2)
+_COUNTRIES = st.none() | st.sampled_from(["US", "us", "GB"])
+
+# valid and nearly valid rows with different days, texts, countries and ids
+_ROW = st.fixed_dictionaries({
+    "status_id": st.sampled_from(["c0", "r1", "r2", "r3", ""]),
+    "created_at": st.sampled_from(["2020-04-30T23:59:59Z", "2020-05-01T22:30:00-04:00",
+                                   "2020-05-02T10:00:00Z", "2020-05-04T00:00:00Z", "05/02/2020"]),
+    "text": st.sampled_from(["reopen now", "OK then", "Stra\u00dfe REOPEN", "nothing", " "]),
+    "source": st.just("web"),
+    "location": st.sampled_from(["", "Ohio"]),
+    "country_code": st.sampled_from(["US", "us", " GB ", ""]),
+    "hashtags": st.sampled_from(["", "a|b", "\ud800"]),
+    "mentions": st.just(""),
+    "user_id": st.just("u1"),
+    "is_retweet": st.sampled_from(["false", "true", "maybe"]),
+})
+
+
+def _row_line(row, fmt):
+    if fmt == "jsonl":  # json.dumps writes a lone surrogate as a \ud800 escape
+        return json.dumps({**row, "hashtags": row["hashtags"].split("|")}).encode()
+    # a lone surrogate cannot be UTF-8; in CSV it stands for a byte that is not UTF-8
+    return b",".join(b"\xff" if v == "\ud800" else f'"{v}"'.encode() for v in row.values())
+
+
+def _chained(path, fmt, window, keyword, country):
+    """(corpus, first stage that left no record) of loading and then filtering."""
+    c = load_corpus(path, fmt)
+    emptied = None
+    for stage, value, keep in (
+        ("date_range", window, lambda c: filter_date_range(c, *window)),
+        ("keyword", keyword, lambda c: filter_keyword(c, keyword)),
+        ("country", country, lambda c: filter_country(c, country)),
+    ):
+        if value is not None:
+            c = keep(c)
+            emptied = emptied or (None if c.records else stage)
+    return c, emptied
+
+
+def _fused(path, fmt, window, keyword, country):
+    """(corpus, stage that left no record) of loading through the filters."""
+    start, end = (None, None) if window is None else (window[0].isoformat(), window[1].isoformat())
+    chain = check_filters(start, end, keyword, country)
+    c = load_corpus(path, fmt, chain)
+    try:
+        load_filtered(path, fmt, chain)
+    except PipelineStageError as exc:
+        assert isinstance(exc.cause, EmptyCorpusError)
+        return c, exc.stage
+    return c, None
+
+
+def _outcome(load, *args):
+    try:
+        c, stage = load(*args)
+    except (SchemaError, EmptyCorpusError) as exc:
+        return type(exc).__name__
+    provenance = c.provenance.to_dict()
+    return c.records, provenance, list(provenance["filtered"]), stage
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=400), st.lists(_ROW, max_size=6), _WINDOWS, _KEYWORDS, _COUNTRIES)
+def test_load_through_filters_equals_load_then_filter_csv(tmp_path_factory, body, rows, window,
+                                                          keyword, country):
+    path = tmp_path_factory.mktemp("fused") / "c.csv"
+    lines = [b"c0,2020-05-02T10:00:00Z,ok text,web,,US,,,u0,false"] + [_row_line(r, "csv") for r in rows]
+    path.write_bytes(CSV_HEADER.encode() + b"\n".join(lines) + b"\n" + body)
+    args = path, "csv", window, keyword, country
+    assert _outcome(_fused, *args) == _outcome(_chained, *args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary(max_size=300), st.lists(_ROW, max_size=6), _WINDOWS, _KEYWORDS, _COUNTRIES)
+def test_load_through_filters_equals_load_then_filter_jsonl(tmp_path_factory, body, rows, window,
+                                                            keyword, country):
+    path = tmp_path_factory.mktemp("fused") / "c.jsonl"
+    lines = [_jsonl_line(0).encode()] + [_row_line(r, "jsonl") for r in rows]
+    path.write_bytes(b"\n".join(lines) + b"\n" + body)
+    args = path, "jsonl", window, keyword, country
+    assert _outcome(_fused, *args) == _outcome(_chained, *args)
+
+
+def test_filtered_row_id_still_counts_as_seen(tmp_path):
+    lines = [
+        _jsonl_line(0, created_at="2020-04-01T10:00:00Z"),  # filtered out by date
+        _jsonl_line(0),  # the same id again, in the window: a duplicate
+        _jsonl_line(1),
+    ]
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    c = load_filtered(path, "jsonl", check_filters("2020-05-02", "2020-05-02", "reopen", "US"))
+    assert [r.id for r in c.records] == ["j1"]
+    assert (c.provenance.parsed, c.provenance.skipped) == (3, 1)
+    assert list(c.provenance.filtered.items()) == [("date_range", 1), ("keyword", 0), ("country", 0)]
+
+
+def test_filtered_row_with_lone_surrogate_is_skipped_not_filtered(tmp_path):
+    lines = [
+        _jsonl_line(0),
+        _jsonl_line(1, created_at="2020-04-01T10:00:00Z", hashtags=["\ud800"]),
+        _jsonl_line(2, created_at="2020-04-01T10:00:00Z"),
+    ]
+    assert "\\ud800" in lines[1]
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    c = load_filtered(path, "jsonl", check_filters("2020-05-02", "2020-05-02", None, None))
+    assert [r.id for r in c.records] == ["j0"]
+    assert (c.provenance.parsed, c.provenance.skipped) == (3, 1)
+    assert c.provenance.filtered == {"date_range": 1}
+
+
+def test_all_valid_rows_outside_window_stop_at_date_range_not_load(tmp_path):
+    lines = [_jsonl_line(i, created_at="2020-04-01T10:00:00Z") for i in range(3)] + ["{not json"]
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PipelineStageError) as info:
+        load_filtered(path, "jsonl", check_filters("2020-05-02", "2020-05-02", "reopen", "US"))
+    assert info.value.stage == "date_range"
+    assert isinstance(info.value.cause, EmptyCorpusError)
+    path.write_text("{not json\n")
+    with pytest.raises(PipelineStageError) as info:
+        load_filtered(path, "jsonl", check_filters("2020-05-02", "2020-05-02", "reopen", "US"))
+    assert info.value.stage == "load"
 
 
 def _csv_row(i, text=None):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,14 @@ def test_tied_trend_raises():
 def test_share_outside_unit_interval_rejected(pos, neg):
     with pytest.raises(SchemaError):
         derive_trend(_dist(pos, neg), EmotionProfile())
+
+
+def test_out_of_range_share_is_named_by_its_field():
+    # derive_trend names the distribution's field, trend_from_report the report's key
+    with pytest.raises(SchemaError, match=r"^pos_share must be a share in \[0, 1\], got 1.5$"):
+        derive_trend(_dist(1.5, 0.3), EmotionProfile())
+    with pytest.raises(SchemaError, match=r"^negative_share must be a share in \[0, 1\], got -0.5$"):
+        trend_from_report({"positive_share": 0.3, "negative_share": -0.5})
 
 
 def test_no_dominant_emotions_without_hits():
@@ -145,7 +154,12 @@ def test_trend_from_report_reads_back_the_trend_of_the_report(pos, neg, neu, cou
     totals = EmotionProfile(counts=dict(zip(ALL_CATEGORIES, counts)), token_total=tokens)
     low, high = PolarityScore(-0.5, 1), PolarityScore(0.75, 2)
     report = distribution_to_dict(dist, totals, (low, high))
-    assert _trend_or_error(trend_from_report, report) == _trend_or_error(derive_trend, dist, totals)
+    want = _trend_or_error(derive_trend, dist, totals)
+    if isinstance(want, tuple):  # the report names a share by its own key
+        kind, message = want
+        keys = {"pos_share": "positive_share", "neg_share": "negative_share"}
+        want = kind, re.sub(r"^(pos|neg)_share", lambda m: keys[m[0]], message)
+    assert _trend_or_error(trend_from_report, report) == want
 
 
 @pytest.mark.parametrize("report", [[0.6, 0.3], {"positive_share": 0.6}, "0.6"])
