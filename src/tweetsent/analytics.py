@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
-from itertools import repeat
+from itertools import chain, compress, repeat
 from operator import contains, itemgetter
 from typing import NamedTuple
 
@@ -131,19 +131,17 @@ def device_group_report(
         if texts is not None:
             texts.append(text)
 
+    # each distinct text is scanned once for each keyword, in C; a text counts
+    # once however many of a category's keywords it holds
+    distinct = list(dict.fromkeys(chain.from_iterable(per_device.values())))
+    hit_texts = {
+        name: set(compress(distinct, map(any, zip(*[map(contains, distinct, repeat(kw)) for kw in keywords]))))
+        for name, keywords in categories.items()
+    }
     groups: dict[str, tuple[int, dict[str, float]]] = {}
     for device, texts in per_device.items():
         n = len(texts)
-        ratios = {}
-        for name, keywords in categories.items():
-            if n == 0:
-                ratios[name] = 0.0
-                continue
-            # each keyword's hit flags over the texts, computed in C; a text
-            # counts once however many of the keywords it holds
-            flags = [map(contains, texts, repeat(kw)) for kw in keywords]
-            hits = sum(map(any, zip(*flags)))
-            ratios[name] = hits / n
+        ratios = {name: sum(map(hits.__contains__, texts)) / n if n else 0.0 for name, hits in hit_texts.items()}
         groups[device] = (n, ratios)
     return DeviceGroupReport(groups=groups)
 

@@ -263,6 +263,73 @@ def dictreader_load(path, parse_timestamp):
     return records, parsed, skipped
 
 
+def jsonl_load(path, parse_timestamp):
+    """The JSONL loader as its contract reads it: every line that holds more
+    than whitespace is one row, decoded with json.loads, which must give an
+    object. Returns (records as field tuples, parsed, skipped), or the name of
+    the error the loader raises. `parse_timestamp` turns a created_at string
+    into a datetime or raises."""
+    true_strings = {"true", "t", "1", "yes"}
+    false_strings = {"false", "f", "0", "no", ""}
+
+    def split_tags(value):
+        if value is None:
+            return []
+        if isinstance(value, list):
+            return [str(v) for v in value if str(v)]
+        return [part for part in str(value).split("|") if part]
+
+    # an undecodable byte becomes a lone surrogate, which skips its row
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = list(fh)
+    records = []
+    seen = set()
+    parsed = 0
+    skipped = 0
+    for line in lines:
+        if not line.strip():
+            continue
+        parsed += 1
+        try:
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise ValueError("not an object")
+            rid = str(row.get("status_id") or "").strip()
+            text = str(row.get("text") or "")
+            if not rid or rid in seen or not text.strip():
+                raise ValueError("bad row")
+            created = parse_timestamp(str(row.get("created_at") or ""))
+            flag = row.get("is_retweet")
+            if not isinstance(flag, bool):
+                flag = str(flag).strip().lower()
+                if flag not in true_strings and flag not in false_strings:
+                    raise ValueError("bad bool")
+                flag = flag in true_strings
+            record = (
+                rid,
+                created,
+                text,
+                str(row.get("source") or ""),
+                str(row.get("location") or "").strip() or None,
+                str(row.get("country_code") or "").strip() or None,
+                split_tags(row.get("hashtags")),
+                split_tags(row.get("mentions")),
+                str(row.get("user_id") or ""),
+                flag,
+            )
+            for field in record[:1] + record[2:9]:
+                for part in field if isinstance(field, list) else [field or ""]:
+                    part.encode("utf-8")
+        except Exception:
+            skipped += 1
+            continue
+        seen.add(rid)
+        records.append(record)
+    if not records:
+        return "EmptyCorpusError"
+    return records, parsed, skipped
+
+
 def device_ratios(records, texts, categories, devices):
     """Per device: (record count, {category: share of its records whose text
     contains any of the category's keywords}), by rescanning every text."""

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_record
-from oracles import dictreader_load, filter_chain_ids, jsonl_line
+from oracles import dictreader_load, filter_chain_ids, jsonl_line, jsonl_load
 from tweetsent.corpus import (
     CSV_COLUMNS,
     BotPolicy,
@@ -414,6 +414,74 @@ def test_load_arbitrary_jsonl_bytes(tmp_path_factory, body):
     path.write_bytes(_jsonl_line(0).encode() + b"\n" + body)
     c = load_corpus(path, "jsonl")
     assert c.provenance.parsed == len(c.records) + c.provenance.skipped
+
+
+_MISSING = object()
+_JSONL_VALUES = {
+    "status_id": ["j0", "j1", " j2 ", "", 7, float("inf"), None, _MISSING],
+    "created_at": ["2020-05-02T10:00:00Z", "2020-05-02T10:00:00+02:00", "2020-05-02", 5, _MISSING],
+    "text": ["reopen now", "", " ", float("nan"), ["a"], "a \ud800 b"],
+    "hashtags": [[], ["a", ""], "a|b", None, [1, True], ["\ud83d"], _MISSING],
+    "country_code": ["US", " us ", "", None],
+    "is_retweet": [False, True, "yes", " T ", "maybe", 0, None, _MISSING],
+}
+# each edge line is a template; ROW stands for a valid row's JSON
+_JSONL_EDGES = [
+    " ROW ", "\tROW\t", "ROW\r", "\rROW",  # JSON whitespace around the object
+    "\x0bROW", "ROW\x0c", "\u00a0ROW", "ROW\u2028", "\x0b", "\u00a0 \x0c",  # other whitespace
+    "\ufeffROW",  # a byte-order mark
+    "NaN", "Infinity", "[ROW]", '"reopen"', "5", "null",  # not an object
+    "ROW{}", "ROW x", "{}{}", "{} x", "ROW ROW",  # data after the object
+    '{"status_id": "j5", "text": "reopen"', "{", "", "x",  # no object, or an unterminated one
+    "[" * 100_000 + "]" * 100_000,  # too deep
+    _jsonl_line(9).replace('"j9"', "1" * 5_000),  # an integer too long to convert
+]
+
+
+@st.composite
+def _jsonl_files(draw):
+    # rows with valid and invalid values, edge lines and arbitrary bytes, then
+    # maybe a byte-order mark at the start and a CRLF or CR line ending
+    lines = []
+    for i in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["row", "row", "edge", "bytes"]))
+        if kind == "bytes":
+            lines.append(draw(st.binary(max_size=40)))
+            continue
+        overrides = {
+            name: value
+            for name, values in _JSONL_VALUES.items()
+            if draw(st.integers(min_value=0, max_value=3)) == 0
+            for value in [draw(st.sampled_from(values))]
+        }
+        row = json.loads(_jsonl_line(draw(st.integers(min_value=0, max_value=3))))
+        row.update(overrides)
+        row = json.dumps({k: v for k, v in row.items() if v is not _MISSING})
+        if kind == "edge":
+            row = draw(st.sampled_from(_JSONL_EDGES)).replace("ROW", row)
+        lines.append(row.encode())
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    ending = draw(st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"]))
+    return bom + ending.join(lines) + ending
+
+
+@settings(max_examples=150, deadline=None)
+@given(_jsonl_files())
+def test_jsonl_loader_matches_json_loads_oracle(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("jsonl") / "c.jsonl"
+    path.write_bytes(body)
+    try:
+        c = load_corpus(path, "jsonl")
+    except EmptyCorpusError as exc:
+        got = type(exc).__name__
+    else:
+        records = [
+            (r.id, r.created_at, r.text, r.source_device, r.user_location, r.country_code,
+             r.hashtags, r.mentions, r.user_id, r.is_retweet)
+            for r in c.records
+        ]
+        got = records, c.provenance.parsed, c.provenance.skipped
+    assert got == jsonl_load(path, parse_timestamp)
 
 
 # ---------------------------------------------------------------------------
