@@ -135,7 +135,7 @@ def device_group_report(
     # once however many of a category's keywords it holds
     distinct = list(dict.fromkeys(chain.from_iterable(per_device.values())))
     hit_texts = {
-        name: set(compress(distinct, map(any, zip(*[map(contains, distinct, repeat(kw)) for kw in keywords]))))
+        name: set().union(*[compress(distinct, map(contains, distinct, repeat(kw))) for kw in keywords])
         for name, keywords in categories.items()
     }
     groups: dict[str, tuple[int, dict[str, float]]] = {}
