@@ -19,8 +19,10 @@ and the number of pairs in which the change read better (`change_lower_pairs` or
 Keys the script does not write are kept, so a note added to the file
 survives a later run.
 
-The exit code is 0 when every run finished and passed its checks, 1
-otherwise; the file is written either way.
+The exit code is 0 when every run finished, passed its checks and
+checked its outputs against the reference digests, 1 otherwise; the file is
+written either way. A seed without recorded digests is checked only against
+an earlier run of itself, which is not enough.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import sys
 from pathlib import Path
 
 CHECKED = "checking outputs against "
+REFERENCE = "reference digests"
 
 
 def run_side(checkout: Path, argv: list[str]) -> tuple[dict | None, str, str]:
@@ -141,7 +144,12 @@ def main(argv=None) -> int:
     record[f"{key}runs"] = kept + runs
     args.out.write_text(json.dumps(record, indent=1) + "\n", "utf-8")
     print(json.dumps({name: entry[name] for name in ("run_s", "records_per_s") if name in entry}, indent=1))
-    return 0 if all_correct else 1
+    unchecked = [(side, line) for side in checked for line in sorted(checked[side])
+                 if line != CHECKED + REFERENCE]
+    for side, line in unchecked:
+        basis = line.removeprefix(CHECKED) or "(none printed)"
+        print(f"{side}: outputs checked against {basis}, not {REFERENCE}", file=sys.stderr)
+    return 0 if all_correct and not unchecked else 1
 
 
 if __name__ == "__main__":

@@ -17,9 +17,6 @@ from .corpus import (
     Corpus,
     TweetRecord,
     filter_bots_and_duplicates,
-    filter_country,
-    filter_date_range,
-    filter_keyword,
     load_corpus,
 )
 from .emotion import EmotionLexicon, EmotionProfile, aggregate_profiles, classify, dominant_classes, load_emotion_lexicon

@@ -1,9 +1,10 @@
-"""Tweet record schema, CSV/JSONL ingestion, and the corpus filtering chain.
+"""Tweet record schema, CSV/JSONL ingestion, the bot filter, masking and the
+JSONL writer.
 
-Every filter is a pure function returning a new Corpus; removed-record counts
-accumulate in the provenance so that, at any stage,
-parsed == len(records) + skipped + sum(filtered-by-stage). The date, keyword
-and country filters each apply one row test, which the loader also applies.
+The loader applies a chain of row filters, which `pipeline.check_filters`
+builds, to each valid row as it is read; removed-record counts accumulate
+in the provenance so that, at any stage,
+parsed == len(records) + skipped + sum(filtered-by-stage).
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import json
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
 
-from .errors import ConfigError, EmptyCorpusError, InvalidRangeError, SchemaError
+from .errors import ConfigError, EmptyCorpusError, SchemaError
 from .textprep import mask_pattern, mask_text
 
 CSV_COLUMNS = [
@@ -135,10 +136,9 @@ def parse_timestamp(value: str) -> datetime:
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     try:
-        parsed = datetime.fromisoformat(text)
-    except ValueError as exc:  # a date or time field out of range
+        return datetime.fromisoformat(text).astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:  # a field, or the UTC instant, out of range
         raise SchemaError(f"timestamp out of range: {value!r}") from exc
-    return parsed.astimezone(timezone.utc)
 
 
 def _split_tags(value) -> list[str]:
@@ -336,9 +336,10 @@ def load_corpus(path, format: str = "csv", filters=()) -> Corpus:
     second time, leniently: each undecodable byte is kept as a lone
     surrogate, and every row holding one, or such a field, is skipped.
 
-    A valid row that fails a test of `filters`, a chain of (stage name, row
-    test), never becomes a record: it counts under the first it fails, in one
-    `provenance.filtered` key per stage. No valid row is an EmptyCorpusError.
+    A valid row that fails a test of `filters`, a chain of (stage name,
+    test(created_at, text, country_code)), never becomes a record: it counts
+    under the first it fails, in one `provenance.filtered` key per stage. No
+    valid row is an EmptyCorpusError.
     """
     path = Path(path)
     if not path.exists():
@@ -358,51 +359,6 @@ def load_corpus(path, format: str = "csv", filters=()) -> Corpus:
     if parsed == skipped:
         raise EmptyCorpusError(f"no valid records in {path}")
     return Corpus(records, Provenance(str(path), format, parsed, skipped, filtered))
-
-
-# each filter's row test, a function of (created_at, text, country_code)
-def date_range_test(start: date, end: date):
-    """Pass a row whose UTC calendar date lies in [start, end], inclusive."""
-    if start > end:
-        raise InvalidRangeError(f"start {start} after end {end}")
-    return lambda created_at, text, country: start <= created_at.date() <= end
-
-
-def keyword_test(keyword: str):
-    """Pass a row whose case-folded text contains the case-folded keyword."""
-    if not keyword:
-        raise ValueError("keyword must be non-empty")
-    needle = keyword.casefold()
-    return lambda created_at, text, country: needle in text.casefold()
-
-
-def country_test(code: str):
-    """Pass a row tagged with the code (case-insensitive). Untagged rows fail:
-    tweets from the target country that were never tagged cannot be recovered."""
-    wanted = code.upper()
-    return lambda created_at, text, country: country is not None and country.upper() == wanted
-
-
-def _filtered(c: Corpus, stage: str, keep) -> Corpus:
-    kept = [r for r in c.records if keep(r.created_at, r.text, r.country_code)]
-    provenance = c.provenance.copy()
-    provenance.record_filter(stage, len(c.records) - len(kept))
-    return Corpus(records=kept, provenance=provenance)
-
-
-def filter_date_range(c: Corpus, start: date, end: date) -> Corpus:
-    """Keep records that pass `date_range_test(start, end)`."""
-    return _filtered(c, "date_range", date_range_test(start, end))
-
-
-def filter_keyword(c: Corpus, keyword: str) -> Corpus:
-    """Keep records that pass `keyword_test(keyword)`."""
-    return _filtered(c, "keyword", keyword_test(keyword))
-
-
-def filter_country(c: Corpus, code: str) -> Corpus:
-    """Keep records that pass `country_test(code)`."""
-    return _filtered(c, "country", country_test(code))
 
 
 def normalize_for_dedup(text: str) -> str:

@@ -37,10 +37,7 @@ from . import analytics, emotion, ngrams, polarity, textprep
 from .corpus import (
     BotPolicy,
     Corpus,
-    country_test,
-    date_range_test,
     filter_bots_and_duplicates,
-    keyword_test,
     load_corpus,
     mask_corpus,
     write_corpus_jsonl,
@@ -79,7 +76,11 @@ def check_filters(
 ) -> list:
     """Check the date, keyword and country filter values, where None turns a
     filter off, and return the chain of (stage name, row test) of the filters
-    that are on, in that order, for `load_filtered`."""
+    that are on, in that order, for `load_filtered`. A row test takes a valid
+    row's UTC `created_at`, `text` and `country_code` and passes a row whose
+    UTC calendar date lies in [start, end], whose case-folded text contains
+    the case-folded keyword, and whose country tag is the code in any case:
+    untagged tweets from the country cannot be recovered, so they fail."""
     chain = []
     if start_date is not None or end_date is not None:
         if start_date is None or end_date is None:
@@ -87,15 +88,17 @@ def check_filters(
         start, end = parse_date(start_date), parse_date(end_date)
         if start > end:
             raise ConfigError(f"start_date {start_date} after end_date {end_date}")
-        chain.append(("date_range", date_range_test(start, end)))
+        chain.append(("date_range", lambda at, text, code: start <= at.date() <= end))
     if keyword is not None:
         if not (isinstance(keyword, str) and keyword):
             raise ConfigError("keyword must be non-empty")
-        chain.append(("keyword", keyword_test(keyword)))
+        needle = keyword.casefold()
+        chain.append(("keyword", lambda at, text, code: needle in text.casefold()))
     if country is not None:
         if not (isinstance(country, str) and len(country) == 2 and country.isalpha()):
             raise ConfigError(f"country must be a two-letter code, got {country!r}")
-        chain.append(("country", country_test(country)))
+        wanted = country.upper()
+        chain.append(("country", lambda at, text, code: code is not None and code.upper() == wanted))
     return chain
 
 

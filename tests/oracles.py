@@ -4,7 +4,8 @@ Everything here is deliberately written from first principles (nested loops,
 plain dicts) and never calls into the package's own counting or scoring
 paths, so oracle-equality tests actually cross-check two implementations.
 The one exception is `per_record_run`, which checks how the pipeline
-composes the stages, not the stages themselves.
+composes the stages, not the stages themselves; its date, keyword and
+country filters are `filter_rows`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import json
 import math
 import re
+from datetime import timezone
 from pathlib import Path
 
 
@@ -119,22 +121,47 @@ def count_items(list_of_lists):
     return counts
 
 
+def filter_rows(records, start, end, keyword, country):
+    """Record-by-record reference of the date, keyword and country filters,
+    where None turns a filter off (the window by its start). Returns the kept
+    records and {stage: records removed} for the filters that are on, in
+    chain order; a record counts under the first filter it fails."""
+    stages = []
+    if start is not None:
+        stages.append("date_range")
+    if keyword is not None:
+        stages.append("keyword")
+    if country is not None:
+        stages.append("country")
+    removed = {stage: 0 for stage in stages}
+    kept = []
+    for r in records:
+        failed = None
+        for stage in stages:
+            if stage == "date_range":
+                day = r.created_at.astimezone(timezone.utc).date()
+                passes = start <= day and day <= end
+            elif stage == "keyword":
+                passes = keyword.casefold() in r.text.casefold()
+            else:
+                passes = r.country_code is not None and r.country_code.upper() == country.upper()
+            if not passes:
+                failed = stage
+                break
+        if failed is None:
+            kept.append(r)
+        else:
+            removed[failed] += 1
+    return kept, removed
+
+
 def filter_chain_ids(records, start, end, keyword, country, policy):
     """Record-by-record reference of the full filtering chain; returns kept ids.
 
     Quadratic duplicate scan and per-user sliding burst check, evaluated over
     the survivors of the date/keyword/country stages like the real chain.
     """
-    survivors = []
-    needle = keyword.casefold()
-    for r in records:
-        if not (start <= r.created_at.date() <= end):
-            continue
-        if needle not in r.text.casefold():
-            continue
-        if r.country_code is None or r.country_code.upper() != country.upper():
-            continue
-        survivors.append(r)
+    survivors, _ = filter_rows(records, start, end, keyword, country)
 
     def norm(text):
         return " ".join(text.casefold().split())
@@ -369,10 +396,11 @@ def daily_shares(records, profiles, classes):
 
 
 def per_record_run(cfg, out_dir):
-    """Write every report of a run of `cfg` into `out_dir`, composing the
-    package's stage functions with each record masked, prepared,
-    stopword-filtered, classified and scored on its own, whatever text other
-    records carry. Returns the mask ledger's occurrence count."""
+    """Write every report of a run of `cfg` into `out_dir`, composing
+    `filter_rows` and the package's other stage functions with each record
+    masked, prepared, stopword-filtered, classified and scored on its own,
+    whatever text other records carry. Returns the mask ledger's occurrence
+    count."""
     from dataclasses import replace
     from datetime import date
 
@@ -380,9 +408,8 @@ def per_record_run(cfg, out_dir):
 
     start, end = date.fromisoformat(cfg.start_date), date.fromisoformat(cfg.end_date)
     c = corpus.load_corpus(cfg.input, cfg.format)
-    c = corpus.filter_date_range(c, start, end)
-    c = corpus.filter_keyword(c, cfg.keyword)
-    c = corpus.filter_country(c, cfg.country)
+    kept, removed = filter_rows(c.records, start, end, cfg.keyword, cfg.country)
+    c = corpus.Corpus(kept, replace(c.provenance, filtered=removed))
     c = corpus.filter_bots_and_duplicates(c, cfg.group(corpus.BotPolicy))
     ledger = textprep.MaskLedger()
     pattern = textprep.mask_pattern(textprep.load_abusive_lexicon(cfg.abusive_lexicon_path))

@@ -1,9 +1,11 @@
 """scripts/bench_pairs.py's summary: medians, the parent's interquartile
-range and the pairs each side won, by the metric's direction."""
+range and the pairs each side won, by the metric's direction; and its exit
+code, which needs every run checked against the reference digests."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -11,11 +13,15 @@ import pytest
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 
 
-def _summarize():
+def _module():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.summarize
+    return module
+
+
+def _summarize():
+    return _module().summarize
 
 
 def _run(side, pair, run_s, rate):
@@ -41,3 +47,38 @@ def test_summary_counts_pairs_by_direction_and_ties_for_neither():
     }
     assert summary["records_per_s"]["change_higher_pairs"] == 1
     assert summary["records_per_s"]["parent_iqr"] == 105.0 - 95.0
+
+
+@pytest.mark.parametrize(
+    "change_basis, code",
+    [("reference digests", 0), ("an earlier run of this seed", 1), (None, 1)],
+    ids=["reference", "earlier-run", "none-printed"],
+)
+def test_exit_1_unless_every_run_checked_against_reference_digests(tmp_path, monkeypatch, capsys,
+                                                                   change_basis, code):
+    module = _module()
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    spec = {"end_to_end": [{"name": "run_s", "better": "lower"}], "per_layer": []}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def run_side(checkout, argv):
+        basis = "reference digests" if checkout.name == "parent" else change_basis
+        checked = "" if basis is None else module.CHECKED + basis
+        return {"correct": True, "metrics": {"run_s": {"value": 0.1, "unit": "s"}}}, checked, "m"
+
+    monkeypatch.setattr(module, "run_side", run_side)
+    out = tmp_path / "bench.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--pairs", "2",
+            "--seed", "37", "--seconds", "1", "--out", str(out)]
+    assert module.main(argv) == code
+    entry = json.loads(out.read_text())["summary"]["w"]
+    assert entry["all_correct"] is True
+    assert entry["parent_checked_against"] == ["checking outputs against reference digests"]
+    assert entry["change_checked_against"] == ["" if change_basis is None else module.CHECKED + change_basis]
+    err = capsys.readouterr().err
+    if code:
+        basis = change_basis or "(none printed)"
+        assert f"change: outputs checked against {basis}, not reference digests" in err
+    assert "parent: outputs checked" not in err

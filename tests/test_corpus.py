@@ -10,19 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_record
-from oracles import dictreader_load, filter_chain_ids, jsonl_line, jsonl_load
+from oracles import dictreader_load, filter_chain_ids, filter_rows, jsonl_line, jsonl_load
+from tweetsent.cli import main
 from tweetsent.corpus import (
     CSV_COLUMNS,
     BotPolicy,
+    Corpus,
     filter_bots_and_duplicates,
-    filter_country,
-    filter_date_range,
-    filter_keyword,
     load_corpus,
     parse_timestamp,
     write_corpus_jsonl,
 )
-from tweetsent.errors import EmptyCorpusError, InvalidRangeError, PipelineStageError, SchemaError
+from tweetsent.errors import ConfigError, EmptyCorpusError, PipelineStageError, SchemaError
 from tweetsent.pipeline import check_filters, load_filtered
 
 # the csv module's default field-size limit; the loader must leave it in place
@@ -121,66 +120,63 @@ def test_timestamp_requires_offset():
 # date / keyword / country filters
 
 
+def _load_rows(tmp_path, rows, *filters):
+    """The corpus of a JSONL file of `rows`, (status_id, field overrides)
+    pairs, loaded through `check_filters(*filters)`."""
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(_jsonl_line(0, status_id=rid, **fields) + "\n" for rid, fields in rows))
+    return load_corpus(path, "jsonl", check_filters(*filters))
+
+
 def _dated(rid, day):
-    return make_record(rid=rid, created=f"2020-{day}T12:00:00+00:00", user=rid)
+    return rid, {"created_at": f"2020-{day}T12:00:00+00:00"}
 
 
-def test_date_range_inclusive_bounds():
-    c = make_corpus(
-        [_dated("a", "04-29"), _dated("b", "04-30"), _dated("c", "05-08"), _dated("d", "05-09")]
-    )
-    out = filter_date_range(c, date(2020, 4, 30), date(2020, 5, 8))
+def test_date_range_inclusive_bounds(tmp_path):
+    rows = [_dated("a", "04-29"), _dated("b", "04-30"), _dated("c", "05-08"), _dated("d", "05-09")]
+    out = _load_rows(tmp_path, rows, "2020-04-30", "2020-05-08", None, None)
     assert [r.id for r in out.records] == ["b", "c"]
     assert out.provenance.filtered["date_range"] == 2
 
 
-def test_date_range_single_day():
-    c = make_corpus([_dated("a", "05-03")])
-    out = filter_date_range(c, date(2020, 5, 3), date(2020, 5, 3))
+def test_date_range_checks_the_utc_date(tmp_path):
+    rows = [
+        ("a", {"created_at": "2020-04-29T23:30:00-01:00"}),  # 04-30 in UTC
+        ("b", {"created_at": "2020-05-08T23:30:00-01:00"}),  # 05-09 in UTC
+    ]
+    out = _load_rows(tmp_path, rows, "2020-04-30", "2020-05-08", None, None)
+    assert [r.id for r in out.records] == ["a"]
+    assert out.provenance.filtered["date_range"] == 1
+
+
+def test_date_range_single_day(tmp_path):
+    out = _load_rows(tmp_path, [_dated("a", "05-03")], "2020-05-03", "2020-05-03", None, None)
     assert len(out.records) == 1
 
 
 def test_date_range_invalid():
-    c = make_corpus([_dated("a", "05-03")])
-    with pytest.raises(InvalidRangeError):
-        filter_date_range(c, date(2020, 5, 4), date(2020, 5, 3))
+    with pytest.raises(ConfigError, match="after end_date"):
+        check_filters("2020-05-04", "2020-05-03", None, None)
 
 
-def test_keyword_case_insensitive_substring():
-    c = make_corpus(
-        [
-            make_record(rid="a", text="Reopen now"),
-            make_record(rid="b", text="stay home"),
-            make_record(rid="c", text="the reopening debate"),
-        ]
-    )
-    out = filter_keyword(c, "reopen")
+def test_keyword_case_insensitive_substring(tmp_path):
+    rows = [("a", {"text": "Reopen now"}), ("b", {"text": "stay home"}),
+            ("c", {"text": "the reopening debate"})]
+    out = _load_rows(tmp_path, rows, None, None, "reopen", None)
     assert [r.id for r in out.records] == ["a", "c"]
     # brute-force substring cross-check for the stem case
     assert "reopen" in "the reopening debate".casefold()
 
 
-def test_keyword_empty_corpus_passthrough():
-    out = filter_keyword(make_corpus([]), "reopen")
-    assert out.records == []
-
-
-def test_country_matching():
-    c = make_corpus(
-        [
-            make_record(rid="a", country="US"),
-            make_record(rid="b", country="CA"),
-            make_record(rid="c", country=None),
-        ]
-    )
-    out = filter_country(c, "us")
+def test_country_matching(tmp_path):
+    rows = [("a", {"country_code": "US"}), ("b", {"country_code": "CA"}), ("c", {"country_code": None})]
+    out = _load_rows(tmp_path, rows, None, None, None, "us")
     assert [r.id for r in out.records] == ["a"]
     assert out.provenance.filtered["country"] == 2
 
 
-def test_country_all_untagged_is_empty_not_error():
-    c = make_corpus([make_record(rid="a", country=None)])
-    out = filter_country(c, "US")
+def test_country_all_untagged_is_empty_not_error(tmp_path):
+    out = _load_rows(tmp_path, [("a", {"country_code": None})], None, None, None, "US")
     assert out.records == []
 
 
@@ -251,13 +247,11 @@ def _conserved(c):
     return p.parsed == len(c.records) + p.skipped + sum(p.filtered.values())
 
 
-def test_full_chain_matches_bruteforce_oracle(synth_corpus):
+def test_full_chain_matches_bruteforce_oracle(synth_dir, synth_corpus):
     start, end = date(2020, 5, 1), date(2020, 5, 7)
     policy = BotPolicy()
-    c = filter_date_range(synth_corpus, start, end)
-    c = filter_keyword(c, "reopen")
-    c = filter_country(c, "US")
-    c = filter_bots_and_duplicates(c, policy)
+    chain = check_filters("2020-05-01", "2020-05-07", "reopen", "US")
+    c = load_filtered(synth_dir["csv"], "csv", chain, policy)
     expected = filter_chain_ids(synth_corpus.records, start, end, "reopen", "US", policy)
     assert {r.id for r in c.records} == expected
     assert _conserved(c)
@@ -269,10 +263,6 @@ def test_filters_idempotent_and_order_stable(synth_corpus):
     twice = filter_bots_and_duplicates(once, policy)
     assert [r.id for r in twice.records] == [r.id for r in once.records]
 
-    kw_once = filter_keyword(synth_corpus, "reopen")
-    kw_twice = filter_keyword(kw_once, "reopen")
-    assert [r.id for r in kw_twice.records] == [r.id for r in kw_once.records]
-
     # order stability: kept ids appear in original relative order
     original = [r.id for r in synth_corpus.records]
     kept = [r.id for r in once.records]
@@ -280,17 +270,16 @@ def test_filters_idempotent_and_order_stable(synth_corpus):
     assert kept == sorted(kept, key=positions.__getitem__)
 
 
-def test_provenance_conserved_after_every_stage(synth_corpus):
-    c = synth_corpus
-    assert _conserved(c)
-    for step in (
-        lambda x: filter_date_range(x, date(2020, 4, 30), date(2020, 5, 8)),
-        lambda x: filter_keyword(x, "reopen"),
-        lambda x: filter_country(x, "US"),
-        lambda x: filter_bots_and_duplicates(x, BotPolicy()),
+def test_provenance_conserved_after_every_stage(synth_dir, synth_corpus):
+    assert _conserved(synth_corpus)
+    for filters in (
+        ("2020-04-30", "2020-05-08", None, None),
+        ("2020-04-30", "2020-05-08", "reopen", None),
+        ("2020-04-30", "2020-05-08", "reopen", "US"),
     ):
-        c = step(c)
+        c = load_corpus(synth_dir["csv"], "csv", check_filters(*filters))
         assert _conserved(c)
+    assert _conserved(filter_bots_and_duplicates(c, BotPolicy()))
 
 
 @st.composite
@@ -519,18 +508,19 @@ def _row_line(row, fmt):
 
 
 def _chained(path, fmt, window, keyword, country):
-    """(corpus, first stage that left no record) of loading and then filtering."""
+    """(corpus, first stage that left no record) of loading and then filtering
+    record by record."""
     c = load_corpus(path, fmt)
+    start, end = window or (None, None)
+    kept, removed = filter_rows(c.records, start, end, keyword, country)
+    left = len(c.records)
     emptied = None
-    for stage, value, keep in (
-        ("date_range", window, lambda c: filter_date_range(c, *window)),
-        ("keyword", keyword, lambda c: filter_keyword(c, keyword)),
-        ("country", country, lambda c: filter_country(c, country)),
-    ):
-        if value is not None:
-            c = keep(c)
-            emptied = emptied or (None if c.records else stage)
-    return c, emptied
+    for stage, n in removed.items():
+        left -= n
+        emptied = emptied or (None if left else stage)
+    provenance = c.provenance.copy()
+    provenance.filtered = removed
+    return Corpus(kept, provenance), emptied
 
 
 def _fused(path, fmt, window, keyword, country):
@@ -736,6 +726,8 @@ _RFC3339_ACCEPTED = {
     "2020-05-02T23:30:00.1-04:30": "2020-05-03T04:00:00.100000+00:00",
     " 2020-05-02T10:00:00Z\n": "2020-05-02T10:00:00+00:00",
 }
+# valid layouts and fields whose instant falls outside datetime's range in UTC
+_BEYOND_UTC = ["0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00"]
 _RFC3339_REJECTED = [
     "20200502T100000Z",  # basic format
     "2020-W18-6T10:00:00Z",  # week date
@@ -759,6 +751,7 @@ _RFC3339_REJECTED = [
     "0000-05-02T10:00:00Z",
     "\u0662\u0660\u0662\u0660-05-02T10:00:00Z",  # non-ASCII digits
     "",
+    *_BEYOND_UTC,
 ]
 
 
@@ -769,6 +762,27 @@ def test_timestamp_accepted_set_is_rfc3339_on_every_version():
     for value in _RFC3339_REJECTED:
         with pytest.raises(SchemaError):
             parse_timestamp(value)
+
+
+@pytest.mark.parametrize("stamp", _BEYOND_UTC)
+def test_csv_timestamp_beyond_utc_is_a_skipped_row(tmp_path, stamp):
+    path = tmp_path / "c.csv"
+    beyond = _csv_row(1).replace("2020-05-02T10:00:00Z", stamp)
+    path.write_text(CSV_HEADER + _csv_row(0) + "\n" + beyond + "\n")
+    c = load_corpus(path, "csv")
+    assert [r.id for r in c.records] == ["c0"]
+    assert (c.provenance.parsed, c.provenance.skipped) == (2, 1)
+
+
+@pytest.mark.parametrize("stamp", _BEYOND_UTC)
+def test_jsonl_timestamp_beyond_utc_is_a_skipped_row(tmp_path, stamp):
+    path = tmp_path / "c.jsonl"
+    path.write_text(_jsonl_line(1, created_at=stamp) + "\n" + _jsonl_line(0) + "\n")
+    c = load_corpus(path, "jsonl")
+    assert [r.id for r in c.records] == ["j0"]
+    assert (c.provenance.parsed, c.provenance.skipped) == (2, 1)
+    assert main(["ingest", "--input", str(path), "--format", "jsonl",
+                 "--output", str(tmp_path / "x.jsonl")]) == 0
 
 
 @settings(max_examples=200, deadline=None)
