@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .corpus import Corpus
 from .emotion import EMOTION_CLASSES, EmotionProfile
-from .errors import EmptyInputError, InvalidRangeError
+from .errors import EmptyInputError, InvalidRangeError, SchemaError
 from .polarity import PolarityScore, classify_polarity
 
 DEVICE_CLASSES = ("Twitter for iPhone", "Twitter for Android")
@@ -37,6 +37,7 @@ DEFAULT_DEVICE_CATEGORIES: dict[str, list[str]] = {
 }
 
 HISTOGRAM_BIN_WIDTH = 0.25
+MAX_HISTOGRAM_BINS = 2**20
 
 
 @dataclass
@@ -174,7 +175,8 @@ def polarity_distribution(scores: list[PolarityScore]) -> PolarityDistribution:
     """Positive/negative/neutral shares plus a fixed-width score histogram.
 
     Bins are 0.25 wide spanning [floor(min), ceil(max)]; a value equal to the
-    upper edge lands in the last bin.
+    upper edge lands in the last bin. More than MAX_HISTOGRAM_BINS bins is
+    a `SchemaError`.
     """
     if not scores:
         raise EmptyInputError("distribution over empty score list")
@@ -184,7 +186,10 @@ def polarity_distribution(scores: list[PolarityScore]) -> PolarityDistribution:
     values = [s.value for s in scores]
     lo = float(math.floor(min(values)))
     hi = float(math.ceil(max(values)))
-    n_bins = max(1, round((hi - lo) / HISTOGRAM_BIN_WIDTH))
+    span = (hi - lo) / HISTOGRAM_BIN_WIDTH
+    if span > MAX_HISTOGRAM_BINS:
+        raise SchemaError(f"scores from {lo} to {hi} need more than {MAX_HISTOGRAM_BINS} histogram bins")
+    n_bins = max(1, round(span))
     counts = [0] * n_bins
     for v in values:
         idx = min(int((v - lo) / HISTOGRAM_BIN_WIDTH), n_bins - 1)

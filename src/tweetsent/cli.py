@@ -93,8 +93,8 @@ def cmd_ngrams(args) -> None:
 def cmd_sentiment(args) -> None:
     analysis = Analysis(load_corpus(args.input, args.format), args)
     scores = analysis.scores
-    scores_to_csv(analysis.corpus, scores, args.output, analysis.profiles)
     dist = analytics.polarity_distribution(scores)
+    scores_to_csv(analysis.corpus, scores, args.output, analysis.profiles)
     print(f"wrote {args.output}")
     print(
         f"shares positive={dist.pos_share:.4f} negative={dist.neg_share:.4f} "

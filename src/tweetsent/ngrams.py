@@ -1,6 +1,7 @@
 """Ranked word-frequency and n-gram (n = 1..4) tables over prepared texts.
 
-Grams never cross sentence boundaries. Tables order entries by count
+Grams never cross sentence boundaries. Each table is counted in one C-level
+pass over the texts' chained token stream. Tables order entries by count
 descending, ties broken lexicographically on the space-joined gram, which
 makes every table a total order and re-runs byte-identical.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat, tee
 from operator import eq, lt
 
 from .errors import InvalidNError
@@ -26,8 +27,22 @@ class NgramTable:
     total_grams: int
 
 
-def _rank_key(item: tuple[tuple[str, ...], int]) -> tuple[int, str]:
-    return -item[1], " ".join(item[0])
+def _rank_key(item: tuple[tuple[str, ...], int]) -> tuple[int, tuple[str, ...]]:
+    return -item[1], item[0]
+
+
+def _windows(texts: list[Sentences], n: int):
+    """Every sentence's width-n windows, in order; plain tokens for n = 1.
+    Zips n shifted copies of the whole token stream and drops, by flags
+    looked up per sentence length, the windows that cross a sentence end."""
+    tokens = chain.from_iterable(chain.from_iterable(texts))
+    if n == 1:
+        return tokens
+    lengths = set(map(len, chain.from_iterable(texts)))
+    flags_of_len = {size: (True,) * (size - n + 1) + (False,) * min(size, n - 1) for size in lengths}
+    grams = zip(*map(islice, tee(tokens, n), range(n), repeat(None)))
+    flags = map(flags_of_len.__getitem__, map(len, chain.from_iterable(texts)))
+    return compress(grams, chain.from_iterable(flags))
 
 
 def build_table(
@@ -36,36 +51,35 @@ def build_table(
     """Exact counts over all texts with deterministic ordering.
 
     Width-n sliding windows per sentence; a sentence shorter than n yields
-    none. Text i counts `weights[i]` >= 1 times (once if None). Only the
-    first `top` entries of the order are kept (all of them when `top` is
-    None); `total_grams` always counts every gram.
+    none. Text i counts `weights[i]` >= 1 times (once if None): one `Counter`
+    counts every text's windows, then a text of weight w adds them w - 1
+    more times. Only the first `top` entries of the order are kept (all of
+    them when `top` is None); `total_grams` always counts every gram.
+
+    Precondition: no token holds a character at or below U+0020, as every
+    token of `textprep.prepare` matches [a-z0-9']+. Ties then compare gram
+    tuples in the order of their space-joined text.
     """
     if not 1 <= n <= MAX_N:
         raise InvalidNError(f"n must be in 1..{MAX_N}, got {n}")
-    # a sentence's windows zip its n copies shifted by 0..n-1 tokens
-    shifts = [slice(i, None) for i in range(n)]
-
-    def windows(group: list[Sentences]):
-        return chain.from_iterable(zip(*map(s.__getitem__, shifts)) for ts in group for s in ts)
-
-    counts: Counter[tuple[str, ...]] = Counter(windows(texts))
+    counts = Counter(_windows(texts, n))
     weights = [1] * len(texts) if weights is None else weights
-    for sentences, weight in zip(texts, weights, strict=True):
-        if weight > 1:
-            for gram in windows([sentences]):
-                counts[gram] += weight - 1
-    k = len(counts) if top is None else top
-    return NgramTable(n=n, entries=_top_entries(counts, k), total_grams=sum(counts.values()))
+    for sentences, weight in compress(zip(texts, weights, strict=True), map(lt, repeat(1), weights)):
+        for gram in _windows([sentences], n):
+            counts[gram] += weight - 1
+    entries = _top_entries(counts, len(counts) if top is None else top)
+    if n == 1:
+        entries = [((token,), count) for token, count in entries]
+    return NgramTable(n=n, entries=entries, total_grams=sum(counts.values()))
 
 
-def _top_entries(counts: Counter[tuple[str, ...]], k: int) -> list[tuple[tuple[str, ...], int]]:
-    """The first k entries in _rank_key order, equal keys in insertion order.
+def _top_entries(counts: Counter, k: int) -> list:
+    """The first k entries in _rank_key order.
 
     Every entry counting above the k-th highest count (the floor) is kept;
-    the places left go to the grams at the floor whose joined text sorts
-    lowest. For n = 4 the floor is usually 1 and nearly every entry sits at
-    it, so the entries are split by count in two C scans, and only the kept
-    ones are ranked.
+    the places left go to the lowest grams at the floor. For n = 4 the floor
+    is usually 1 and nearly every entry sits at it, so the entries are split
+    by count in two C scans, and only the kept ones are ranked.
     """
     largest = heapq.nlargest(k, counts.values())
     if not largest:
@@ -75,7 +89,7 @@ def _top_entries(counts: Counter[tuple[str, ...]], k: int) -> list[tuple[tuple[s
     above = compress(counts, map(lt, repeat(floor), counted))
     at_floor = compress(counts, map(eq, repeat(floor), counted))
     entries = sorted([(gram, counts[gram]) for gram in above], key=_rank_key)
-    entries += [(gram, floor) for gram in heapq.nsmallest(k - len(entries), at_floor, key=" ".join)]
+    entries += [(gram, floor) for gram in heapq.nsmallest(k - len(entries), at_floor)]
     return entries
 
 

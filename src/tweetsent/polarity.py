@@ -156,13 +156,16 @@ def score_text(sentences: Sentences, lex: PolarityLexicon, params: ScoringParams
 
     Sentences are added left to right in a plain loop: builtin sum() adds
     floats with compensation from Python 3.12 on, which would change the
-    bytes of a total.
+    bytes of a total. A total that overflows to infinity, or NaN, is a
+    `SchemaError`.
     """
     params = params or ScoringParams()
     # sum() of no sentences was the int 0, which polarity_scores.csv writes as "0"
     total = 0.0 if sentences else 0
     for sentence in sentences:
         total += score_sentence(sentence, lex, params)
+    if not math.isfinite(total):
+        raise SchemaError(f"polarity: a text scores {total}; the lexicon's scores are too large")
     return PolarityScore(value=total, n_sentences=len(sentences))
 
 

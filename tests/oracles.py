@@ -5,7 +5,7 @@ plain dicts) and never calls into the package's own counting or scoring
 paths, so oracle-equality tests actually cross-check two implementations.
 The one exception is `per_record_run`, which checks how the pipeline
 composes the stages, not the stages themselves; its date, keyword and
-country filters are `filter_rows`.
+country filters are `filter_rows`, and its n-gram tables `ranked_ngrams`.
 """
 
 from __future__ import annotations
@@ -56,6 +56,12 @@ def ngram_counts(texts, n):
                 gram = tuple(sentence[i : i + n])
                 counts[gram] = counts.get(gram, 0) + 1
     return counts
+
+
+def ranked_ngrams(counts, top=None):
+    """The (gram, count) items of `counts` by count descending, ties by the
+    space-joined gram; the first `top` of them (all when `top` is None)."""
+    return sorted(counts.items(), key=lambda item: (-item[1], " ".join(item[0])))[:top]
 
 
 def score_sentence(tokens, entries, shifters, window_before=4, window_after=2,
@@ -397,10 +403,10 @@ def daily_shares(records, profiles, classes):
 
 def per_record_run(cfg, out_dir):
     """Write every report of a run of `cfg` into `out_dir`, composing
-    `filter_rows` and the package's other stage functions with each record
-    masked, prepared, stopword-filtered, classified and scored on its own,
-    whatever text other records carry. Returns the mask ledger's occurrence
-    count."""
+    `filter_rows`, `ranked_ngrams` and the package's other stage functions,
+    with each record masked, prepared, stopword-filtered, classified and
+    scored on its own, whatever text other records carry. Returns the mask
+    ledger's occurrence count."""
     from dataclasses import replace
     from datetime import date
 
@@ -434,7 +440,8 @@ def per_record_run(cfg, out_dir):
     tables = {}
     for n in (1, 2, 3, 4):
         top = max(cfg.ngram_top, cfg.wordcloud_top) if n == 1 else cfg.ngram_top
-        tables[n] = ngrams.build_table(stopped if n <= 2 else full, n, top)
+        counts = ngram_counts(stopped if n <= 2 else full, n)
+        tables[n] = ngrams.NgramTable(n, ranked_ngrams(counts, top), sum(counts.values()))
         exports.ngram_table_to_csv(tables[n], out / f"ngrams_{n}.csv", cfg.ngram_top)
     cloud = ngrams.word_cloud_weights(tables[1], cfg.wordcloud_top)
     exports.write_json(exports.word_cloud_to_dict(cloud), out / "wordcloud.json")

@@ -20,7 +20,7 @@ from tweetsent.analytics import (
     rank_mentions,
 )
 from tweetsent.emotion import EMOTION_CLASSES, EmotionProfile, classify
-from tweetsent.errors import EmptyInputError
+from tweetsent.errors import EmptyInputError, SchemaError
 from tweetsent.polarity import PolarityScore
 from tweetsent.textprep import prepare, remove_stopwords
 
@@ -282,6 +282,21 @@ def test_distribution_all_positive():
 def test_distribution_empty():
     with pytest.raises(EmptyInputError):
         polarity_distribution([])
+
+
+def test_histogram_refuses_more_than_2_pow_20_bins_before_allocating():
+    # [0, 2**18 + 1] holds 2**20 + 4 quarter-wide bins
+    with pytest.raises(SchemaError, match="histogram bins"):
+        polarity_distribution(_scores([0.0, 2.0**18 + 0.5]))
+    # a span too wide for a float is refused too
+    with pytest.raises(SchemaError, match="histogram bins"):
+        polarity_distribution(_scores([-1e308, 1e308]))
+
+
+def test_histogram_of_exactly_2_pow_20_bins():
+    dist = polarity_distribution(_scores([0.0, 2.0**18]))
+    assert len(dist.histogram.counts) == 2**20
+    assert (dist.histogram.counts[0], dist.histogram.counts[-1]) == (1, 1)
 
 
 def test_distribution_matches_counting_oracle():

@@ -307,6 +307,45 @@ def test_exit_code_3_for_empty_corpus(workdir):
 
 
 @pytest.mark.parametrize(
+    "score, texts, argv, message",
+    [
+        ("1e308", ["great great great reopen"] * 2, ["sentiment", "--output", "s.csv"], "scores inf"),
+        (
+            "1e308",
+            ["great great great reopen"] * 2,
+            ["report", "--what", "distribution", "--output", "d.json"],
+            "scores inf",
+        ),
+        ("1e308", ["great great great reopen now"], ["run", "--output-dir", "o"], "stage 'polarity'"),
+        ("1e200", ["great great great reopen", "reopen now"], ["sentiment", "--output", "s.csv"], "bins"),
+        (
+            "1e200",
+            ["great great great reopen now", "we reopen now"],
+            ["run", "--output-dir", "o"],
+            "stage 'distribution'",
+        ),
+    ],
+)
+def test_polarity_scores_too_large_to_report_exit_3_and_write_nothing(
+    workdir, capsys, score, texts, argv, message
+):
+    # finite lexicon scores whose text totals overflow, or whose histogram
+    # would need more than 2**20 bins; each fails before allocating one
+    (workdir / "lex.csv").write_text(f"term,score\ngreat,{score}\n")
+    rows = [
+        f"t{i},2020-05-02T1{i}:00:00Z,{text},Twitter for iPhone,,US,,,u{i},false\n"
+        for i, text in enumerate(texts)
+    ]
+    (workdir / "c.csv").write_text(
+        "status_id,created_at,text,source,location,country_code,hashtags,mentions,user_id,is_retweet\n"
+        + "".join(rows)
+    )
+    assert main([*argv, "--input", "c.csv", "--polarity-lexicon", "lex.csv"]) == 3
+    assert message in capsys.readouterr().err
+    assert sorted(path.name for path in workdir.iterdir()) == ["c.csv", "lex.csv"]
+
+
+@pytest.mark.parametrize(
     "exc, code, text",
     [
         (ConfigError("bad"), 2, "error: bad"),

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ngram_counts
+from oracles import ngram_counts, ranked_ngrams
 from tweetsent.errors import InvalidNError
 from tweetsent.ngrams import build_table, word_cloud_weights
 from tweetsent.textprep import prepare, remove_stopwords
@@ -100,10 +102,6 @@ def test_table_ordering_invariant(synth_corpus):
 # top-k selection
 
 
-def _full_order(counts):
-    return sorted(counts.items(), key=lambda e: (-e[1], " ".join(e[0])))
-
-
 # a small vocabulary so that equal counts, and ties at the cut-off, are common
 _TEXT = st.lists(st.lists(st.sampled_from(["a", "b", "c", "ab", "d"]), max_size=7), max_size=3)
 _CORPORA = st.lists(_TEXT, max_size=12)
@@ -115,7 +113,7 @@ def test_top_k_is_prefix_of_full_order(corpus, n, k):
     texts = [_text(*(s for s in text if s)) for text in corpus]
     full = ngram_counts(texts, n)
     table = build_table(texts, n, top=k)
-    assert table.entries == _full_order(full)[:k]
+    assert table.entries == ranked_ngrams(full, k)
     assert table.total_grams == sum(full.values())
 
 
@@ -139,8 +137,38 @@ def test_weighted_table_equals_the_expanded_corpus(weighted, n, top, rng):
     table = build_table(distinct, n, top, weights)
     assert table == build_table(records, n, top)
     full = ngram_counts(records, n)
-    assert table.entries == _full_order(full)[: len(full) if top is None else top]
+    assert table.entries == ranked_ngrams(full, top)
     assert table.total_grams == sum(full.values())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.data())
+def test_one_pass_count_equals_the_oracle(n, data):
+    # sentences of 0..n+1 tokens, so texts of only short sentences, empty
+    # sentences and empty texts are common, and windows that would cross a
+    # sentence end are many
+    sentence = st.lists(st.sampled_from(["a", "b", "ab", "c"]), max_size=n + 1).map(tuple)
+    texts = data.draw(st.lists(st.lists(sentence, max_size=4), max_size=8))
+    weights = data.draw(st.lists(st.integers(1, 5), min_size=len(texts), max_size=len(texts)))
+    counts = ngram_counts([text for text, w in zip(texts, weights) for _ in range(w)], n)
+    full = ranked_ngrams(counts)
+    # a cut between two equal counts, when the table has one
+    ties = [i for i in range(1, len(full)) if full[i - 1][1] == full[i][1]]
+    cuts = st.sampled_from(ties) if ties else st.integers(1, len(full) + 1)
+    top = data.draw(st.one_of(st.none(), st.just(0), cuts))
+    table = build_table(texts, n, top, weights)
+    assert table.entries == full[:top]
+    assert table.total_grams == sum(counts.values())
+    assert all(type(gram) is tuple and len(gram) == n for gram, _ in table.entries)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=st.characters(max_codepoint=0x7F))))
+def test_prepare_tokens_sort_above_the_space(raw):
+    # build_table ranks ties by gram tuples; they sort as the space-joined
+    # grams only when every token character sorts above U+0020
+    for sentence in prepare(raw):
+        assert all(re.fullmatch(r"[a-z0-9']+", token) for token in sentence)
 
 
 def test_weights_must_align_with_texts():
@@ -159,7 +187,7 @@ def test_top_none_keeps_every_entry(synth_corpus):
         table = build_table(texts, n, top=None)
         full = ngram_counts(texts, n)
         assert dict(table.entries) == full
-        assert table.entries == _full_order(full)
+        assert table.entries == ranked_ngrams(full)
 
 
 # ---------------------------------------------------------------------------

@@ -377,3 +377,15 @@ def test_shifter_free_sentence_scores_exactly_as_the_full_rule(pol_lex, data):
     tokens = data.draw(st.lists(st.sampled_from(vocabulary), max_size=12))
     want = oracle_score(tokens, pol_lex.entries, pol_lex.shifters)
     assert score_sentence(tokens, pol_lex).hex() == want.hex()
+
+
+def test_text_score_that_is_not_finite_is_schema_error():
+    lex = PolarityLexicon(entries={"great": 1e308, "awful": -1e308}, shifters={})
+    assert score_text([("great",)], lex).value == 1e308
+    for sentences in (
+        [("great", "great", "great", "reopen")],  # one sentence overflows
+        [("great",), ("great",)],  # two finite sentences add up to infinity
+        [("great", "great"), ("awful", "awful")],  # +inf and -inf make NaN
+    ):
+        with pytest.raises(SchemaError, match="too large"):
+            score_text(sentences, lex)
