@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from itertools import chain, compress, repeat
-from operator import contains, itemgetter
+from operator import contains
 from typing import NamedTuple
 
 from .corpus import Corpus
@@ -155,11 +155,11 @@ def daily_emotion_series(c: Corpus, profiles: list[EmotionProfile]) -> DailySeri
     """
     if len(profiles) != len(c.records):
         raise ValueError("profiles must align 1:1 with corpus records")
-    # one row of class counts per record, summed per day column by column
-    row_of = itemgetter(*EMOTION_CLASSES)
+    # one row of class counts per record (the eight classes lead a profile),
+    # summed per day column by column
     per_day: dict[date, list[tuple[int, ...]]] = {}
     for record, profile in zip(c.records, profiles):
-        per_day.setdefault(record.created_at.date(), []).append(row_of(profile.counts))
+        per_day.setdefault(record.created_at.date(), []).append(profile[:8])
 
     days = sorted(per_day)
     values: dict[str, list[float]] = {cls: [] for cls in EMOTION_CLASSES}

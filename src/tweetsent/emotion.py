@@ -8,7 +8,8 @@ stemming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from operator import itemgetter, mul
 
 from .errors import SchemaError
 from .textprep import Sentences, read_lexicon
@@ -25,13 +26,13 @@ EMOTION_CLASSES = (
 )
 ALL_CATEGORIES = EMOTION_CLASSES + ("positive", "negative")
 
+# term -> the categories it carries
+EmotionLexicon = dict[str, frozenset[str]]
 
-@dataclass
-class EmotionLexicon:
-    entries: dict[str, frozenset[str]]
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.entries
+# one text's hit count in each category, then its token count: an immutable
+# row, so a profile shared by every record of one text cannot be edited
+# through any of them
+EmotionProfile = namedtuple("EmotionProfile", ALL_CATEGORIES + ("token_total",), defaults=(0,) * 11)
 
 
 def load_emotion_lexicon(path=None) -> EmotionLexicon:
@@ -58,45 +59,30 @@ def load_emotion_lexicon(path=None) -> EmotionLexicon:
             raise SchemaError(f"emotion lexicon line {lineno}: flag must be 0 or 1")
         if flag == "1":
             staging.setdefault(term.lower(), set()).add(category)
-    return EmotionLexicon(entries={t: frozenset(c) for t, c in staging.items()})
-
-
-@dataclass
-class EmotionProfile:
-    counts: dict[str, int] = field(
-        default_factory=lambda: {c: 0 for c in ALL_CATEGORIES}
-    )
-    token_total: int = 0
-
-    def to_dict(self) -> dict:
-        return {"counts": {c: self.counts[c] for c in ALL_CATEGORIES}, "token_total": self.token_total}
+    return {t: frozenset(c) for t, c in staging.items()}
 
 
 def classify(sentences: Sentences, lex: EmotionLexicon) -> EmotionProfile:
     """Count category hits per token occurrence; sentence structure is ignored."""
-    profile = EmotionProfile(token_total=sum(map(len, sentences)))
-    counts = profile.counts
-    entries = lex.entries
+    counts = dict.fromkeys(ALL_CATEGORIES, 0)
     for sentence in sentences:
         for token in sentence:
-            categories = entries.get(token)
+            categories = lex.get(token)
             if categories:
                 for category in categories:
                     counts[category] += 1
-    return profile
+    return EmotionProfile(*counts.values(), sum(map(len, sentences)))
 
 
 def aggregate_profiles(
     profiles: list[EmotionProfile], weights: list[int] | None = None
 ) -> EmotionProfile:
     """Sum of the profiles, `profiles[i]` counted `weights[i]` times (once if None)."""
-    total = EmotionProfile()
     weights = [1] * len(profiles) if weights is None else weights
-    for p, weight in zip(profiles, weights, strict=True):
-        for category, value in p.counts.items():
-            total.counts[category] += value * weight
-        total.token_total += p.token_total * weight
-    return total
+    if len(weights) != len(profiles):
+        raise ValueError(f"{len(weights)} weights for {len(profiles)} profiles")
+    # no profiles give no columns, and every field defaults to 0
+    return EmotionProfile(*(sum(map(mul, column, weights)) for column in zip(*profiles)))
 
 
 def dominant_classes(p: EmotionProfile, k: int) -> list[tuple[str, int]]:
@@ -105,10 +91,7 @@ def dominant_classes(p: EmotionProfile, k: int) -> list[tuple[str, int]]:
     Ties resolve in the fixed class order anger, anticipation, disgust, fear,
     joy, sadness, surprise, trust.
     """
-    if not 1 <= k <= 10:
-        raise ValueError("k must be in 1..10")
-    ranked = sorted(
-        ((c, p.counts[c]) for c in EMOTION_CLASSES),
-        key=lambda item: (-item[1], EMOTION_CLASSES.index(item[0])),
-    )
-    return ranked[:k]
+    if not 1 <= k <= len(EMOTION_CLASSES):
+        raise ValueError(f"k must be in 1..{len(EMOTION_CLASSES)}")
+    # a reversed sort is still stable: tied classes keep the class order
+    return sorted(zip(EMOTION_CLASSES, p), key=itemgetter(1), reverse=True)[:k]

@@ -71,16 +71,18 @@ def scores_to_csv(
     they are made, so no row list is held."""
     header = ["status_id", "value", "n_sentences", "label"]
     rows = (
-        [record.id, score.value, score.n_sentences, classify_polarity(score)]
+        (record.id, score.value, score.n_sentences, classify_polarity(score))
         for record, score in zip(corpus.records, scores)
     )
     if profiles is not None:
         header += ALL_CATEGORIES
-        rows = (
-            row + [profile.counts[c] for c in ALL_CATEGORIES]
-            for row, profile in zip(rows, profiles)
-        )
+        rows = (row + profile[:-1] for row, profile in zip(rows, profiles))
     _write_csv(path, header, rows)
+
+
+def emotion_totals_to_dict(totals: EmotionProfile) -> dict:
+    *counts, token_total = totals
+    return {"counts": dict(zip(ALL_CATEGORIES, counts)), "token_total": token_total}
 
 
 def device_report_to_csv(report: DeviceGroupReport, path) -> None:
@@ -148,7 +150,7 @@ def distribution_to_dict(
         "histogram": histogram_to_dict(dist.histogram),
     }
     if emotion_totals is not None:
-        out["emotion_totals"] = emotion_totals.to_dict()
+        out["emotion_totals"] = emotion_totals_to_dict(emotion_totals)
     if extremes is not None:
         low, high = extremes
         out["extremes"] = {"min": low.value, "max": high.value}

@@ -47,6 +47,7 @@ from .exports import (
     daily_series_to_csv,
     device_report_to_dict,
     distribution_to_dict,
+    emotion_totals_to_dict,
     ngram_table_to_csv,
     ranked_table_to_csv,
     scores_to_csv,
@@ -432,7 +433,7 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
                 ("locations_tagged.csv", partial(ranked_table_to_csv, loc_tagged)),
                 ("locations_stated.csv", partial(ranked_table_to_csv, loc_stated)),
                 ("devices.json", partial(write_json, device_report_to_dict(devices))),
-                ("emotion_totals.json", partial(write_json, totals.to_dict())),
+                ("emotion_totals.json", partial(write_json, emotion_totals_to_dict(totals))),
                 ("emotion_daily.csv", partial(daily_series_to_csv, daily)),
                 ("polarity_scores.csv", partial(scores_to_csv, corpus, scores)),
                 ("distribution.json", partial(write_json, distribution_to_dict(dist, totals, extremes))),

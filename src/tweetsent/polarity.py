@@ -91,6 +91,8 @@ def load_polarity_lexicon(polarity_path=None, shifter_path=None) -> PolarityLexi
     shifters: dict[str, str] = {}
     for row in csv.DictReader(shift_text.splitlines()):
         term = (row.get("term") or "").strip().lower()
+        if not term:
+            raise SchemaError("shifter lexicon: empty term")
         kind_code = (row.get("kind") or "").strip()
         if kind_code not in _SHIFTER_CODES:
             raise SchemaError(f"shifter lexicon: kind for {term!r} must be 1..4")

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .analytics import PolarityDistribution
-from .emotion import EmotionProfile, dominant_classes
+from .emotion import ALL_CATEGORIES, EmotionProfile, dominant_classes
 from .errors import SchemaError, TiedTrendError
 
 TIMINGS = ("now", "later")
@@ -81,8 +81,7 @@ def trend_from_report(report) -> SentimentTrend:
         raise SchemaError(
             "scenario input's emotion_totals.counts must map emotions to non-negative integers"
         )
-    profile = EmotionProfile()
-    profile.counts.update((c, v) for c, v in counts.items() if c in profile.counts)
+    profile = EmotionProfile(**{c: v for c, v in counts.items() if c in ALL_CATEGORIES})
     keys = "positive_share", "negative_share"
     return _trend(report[keys[0]], report[keys[1]], profile, keys)
 

@@ -65,11 +65,12 @@ def remove_stopwords(sentences: Sentences, stoplist: set[str]) -> Sentences:
 
 def read_lexicon(path, bundled: str) -> str:
     """The text of the lexicon file at `path`, or of the bundled data file
-    named `bundled` if `path` is None. A file that is not UTF-8 is a `SchemaError`."""
+    named `bundled` if `path` is None. A UTF-8 byte-order mark that starts
+    the file is dropped; a file that is not UTF-8 is a `SchemaError`."""
     if path is None:
         return (resources.files("tweetsent") / "data" / bundled).read_text("utf-8")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"lexicon {path} is not UTF-8: {exc}") from exc

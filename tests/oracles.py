@@ -391,7 +391,7 @@ def daily_shares(records, profiles, classes):
         if day not in by_day:
             by_day[day] = {c: 0 for c in classes}
         for c in classes:
-            by_day[day][c] = by_day[day][c] + profile.counts[c]
+            by_day[day][c] = by_day[day][c] + getattr(profile, c)
     shares = {}
     for day, bucket in by_day.items():
         total = 0
@@ -457,7 +457,7 @@ def per_record_run(cfg, out_dir):
     devices = analytics.device_group_report(c, cleaned, cfg.device_categories)
     exports.write_json(exports.device_report_to_dict(devices), out / "devices.json")
     totals = emotion.aggregate_profiles(profiles)
-    exports.write_json(totals.to_dict(), out / "emotion_totals.json")
+    exports.write_json(exports.emotion_totals_to_dict(totals), out / "emotion_totals.json")
     exports.daily_series_to_csv(analytics.daily_emotion_series(c, profiles), out / "emotion_daily.csv")
     with open(out / "polarity_scores.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

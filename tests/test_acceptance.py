@@ -86,16 +86,17 @@ def test_criterion_04_emotion_unit_sum(synth_corpus, emo_lex, stoplist):
         sentences = remove_stopwords(prepare(record.text), stoplist)
         tokens = [t for s in sentences for t in s]
         got = classify(sentences, emo_lex)
-        assert got.counts == emotion_counts(tokens, emo_lex.entries, ALL_CATEGORIES)
+        want = emotion_counts(tokens, emo_lex, ALL_CATEGORIES)
+        assert got == EmotionProfile(**want, token_total=got.token_total)
         assert got.token_total == len(tokens)
-        assert all(got.counts[c] <= got.token_total for c in ALL_CATEGORIES)
+        assert all(getattr(got, c) <= got.token_total for c in ALL_CATEGORIES)
 
     # a single complex tweet carrying two positive hits and one negative hit
     fixture = make_record(rid="mixed", text="A good benefit, but bad timing.")
     ts = remove_stopwords(prepare(fixture.text), stoplist)
     profile = classify(ts, emo_lex)
-    assert profile.counts["positive"] == 2
-    assert profile.counts["negative"] == 1
+    assert profile.positive == 2
+    assert profile.negative == 1
     _ok(4, "per-record category counts equal brute-force recounts; mixed 2/1 case holds")
 
 

@@ -206,13 +206,6 @@ def test_device_ratios_invariant_under_group_duplication():
 # daily series
 
 
-def _profile(**counts):
-    p = EmotionProfile()
-    for k, v in counts.items():
-        p.counts[k] = v
-    return p
-
-
 def test_daily_proportions():
     c = make_corpus(
         [
@@ -220,7 +213,7 @@ def test_daily_proportions():
             make_record(rid="2", created="2020-05-02T23:00:00+00:00"),
         ]
     )
-    series = daily_emotion_series(c, [_profile(trust=3), _profile(fear=1)])
+    series = daily_emotion_series(c, [EmotionProfile(trust=3), EmotionProfile(fear=1)])
     assert len(series.days) == 1
     assert series.values["trust"] == [0.75]
     assert series.values["fear"] == [0.25]
@@ -253,7 +246,7 @@ def test_daily_series_matches_recount(synth_corpus, emo_lex, stoplist):
         day = record.created_at.date()
         bucket = by_day.setdefault(day, {cls: 0 for cls in EMOTION_CLASSES})
         for cls in EMOTION_CLASSES:
-            bucket[cls] += profile.counts[cls]
+            bucket[cls] += getattr(profile, cls)
     for i, day in enumerate(series.days):
         total = sum(by_day[day].values())
         for cls in EMOTION_CLASSES:
@@ -398,7 +391,7 @@ def test_daily_series_matches_recount_property(rows):
         record = make_record(rid=str(i), created="2020-05-01T00:00:00+00:00")
         record.created_at += timedelta(seconds=offset)
         records.append(record)
-        profiles.append(_profile(**dict(zip(EMOTION_CLASSES, counts))))
+        profiles.append(EmotionProfile(**dict(zip(EMOTION_CLASSES, counts))))
     series = daily_emotion_series(make_corpus(records), profiles)
     want = daily_shares(records, profiles, EMOTION_CLASSES)
     assert series.days == sorted(want)

@@ -757,7 +757,7 @@ def test_sentiment_emotion_columns_are_analysis_profiles(golden_run, tmp_path):
     profiles = Analysis(corpus, None).profiles
     assert len(rows) == len(profiles) > 600
     assert [row[4:] for row in rows] == [
-        [str(profile.counts[c]) for c in ALL_CATEGORIES] for profile in profiles
+        [str(getattr(profile, c)) for c in ALL_CATEGORIES] for profile in profiles
     ]
 
 

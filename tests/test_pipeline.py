@@ -275,6 +275,9 @@ def test_analysis_keeps_one_result_per_distinct_text_with_its_record_count(golde
     per_record = (analysis.cleaned, analysis.profiles, analysis.scores)
     assert [len(values) for values in per_record] == [len(texts)] * 3
     assert not hasattr(analysis, "full") and not hasattr(analysis, "stopped")
+    # the records of one text share its profile, which cannot be edited in place
+    with pytest.raises(AttributeError):
+        analysis.distinct_profiles[0].trust += 1
 
 
 def test_each_analysis_shares_its_tokens_and_no_other_analysis_does(golden_workdir):

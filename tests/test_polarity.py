@@ -74,6 +74,13 @@ def test_loader_rejects_bad_kind(tmp_path):
         load_polarity_lexicon(pol, shift)
 
 
+def test_loader_rejects_empty_shifter_term(tmp_path):
+    shift = tmp_path / "s.csv"
+    shift.write_text("term,kind\n,1\nnot,1\n")
+    with pytest.raises(SchemaError, match="^shifter lexicon: empty term$"):
+        load_polarity_lexicon(None, shift)
+
+
 # ---------------------------------------------------------------------------
 # hand-traced scoring vectors
 

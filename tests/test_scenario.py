@@ -25,11 +25,7 @@ def _dist(pos, neg):
 
 
 def _trust_anticipation_profile():
-    p = EmotionProfile()
-    p.counts["trust"] = 40
-    p.counts["anticipation"] = 30
-    p.counts["fear"] = 10
-    return p
+    return EmotionProfile(trust=40, anticipation=30, fear=10)
 
 
 def test_positive_trend_with_dominant_emotions():
@@ -69,8 +65,7 @@ def test_no_dominant_emotions_without_hits():
 
 
 def test_dominant_emotions_skip_classes_without_hits():
-    p = EmotionProfile()
-    p.counts["fear"] = 2
+    p = EmotionProfile(fear=2)
     assert derive_trend(_dist(0.2, 0.5), p).dominant_emotions == ["fear"]
 
 
@@ -151,7 +146,7 @@ _SHARE = st.floats(min_value=-0.5, max_value=1.5) | st.sampled_from([0.0, 0.25, 
 )
 def test_trend_from_report_reads_back_the_trend_of_the_report(pos, neg, neu, counts, tokens):
     dist = PolarityDistribution(pos, neg, neu, Histogram(lo=-1.0, width=0.25, counts=[3, 0, 2]))
-    totals = EmotionProfile(counts=dict(zip(ALL_CATEGORIES, counts)), token_total=tokens)
+    totals = EmotionProfile(**dict(zip(ALL_CATEGORIES, counts)), token_total=tokens)
     low, high = PolarityScore(-0.5, 1), PolarityScore(0.75, 2)
     report = distribution_to_dict(dist, totals, (low, high))
     want = _trend_or_error(derive_trend, dist, totals)

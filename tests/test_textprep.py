@@ -1,15 +1,28 @@
 from __future__ import annotations
 
 import re
+from functools import partial
+from importlib import resources
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import make_corpus, make_record
 from tweetsent.corpus import mask_corpus
+from tweetsent.emotion import load_emotion_lexicon
+from tweetsent.polarity import load_polarity_lexicon
 from tweetsent.synth import ABUSIVE_POOL
-from tweetsent.textprep import MaskLedger, mask_pattern, mask_text, prepare, remove_stopwords
+from tweetsent.textprep import (
+    MaskLedger,
+    load_abusive_lexicon,
+    load_stoplist,
+    mask_pattern,
+    mask_text,
+    prepare,
+    remove_stopwords,
+)
 
 # text built from the pieces that the cleaning rules treat specially: URLs
 # (with dots), mentions, hashtags, edge and inner apostrophes, runs of
@@ -289,3 +302,27 @@ def test_mask_corpus_masks_each_text_as_a_record_by_record_pass_would(pool, pick
     assert ledger.replacements == per_record.replacements
     assert ledger.counter == per_record.counter
     assert ledger.occurrences == per_record.occurrences
+
+
+# every lexicon loader, with the bundled file it reads by default; the
+# bundled abusive list is empty, so that loader gets the synthetic pool
+_LOADERS = {
+    "stopwords": (load_stoplist, "stopwords.txt"),
+    "abusive": (load_abusive_lexicon, None),
+    "emotion": (load_emotion_lexicon, "emotion_lexicon.tsv"),
+    "polarity": (partial(load_polarity_lexicon, shifter_path=None), "polarity_lexicon.csv"),
+    "shifters": (partial(load_polarity_lexicon, None), "shifters.csv"),
+}
+
+
+@pytest.mark.parametrize("load, bundled", _LOADERS.values(), ids=_LOADERS)
+def test_lexicon_with_a_byte_order_mark_loads_as_without(tmp_path, load, bundled):
+    if bundled is None:
+        text = "".join(f"{word}\n" for word in sorted(ABUSIVE_POOL))
+    else:
+        text = (resources.files("tweetsent") / "data" / bundled).read_text("utf-8")
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load(marked) == load(plain)
