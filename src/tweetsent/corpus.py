@@ -1,10 +1,10 @@
 """Tweet record schema, CSV/JSONL ingestion, the bot filter, masking and the
 JSONL writer.
 
-The loader applies a chain of row filters, which `pipeline.check_filters`
-builds, to each valid row as it is read; removed-record counts accumulate
-in the provenance so that, at any stage,
-parsed == len(records) + skipped + sum(filtered-by-stage).
+Two row sources, `_csv_rows` and `_jsonl_rows`, feed one loop, `_collect`,
+which runs each valid row through the filters `pipeline.check_filters`
+builds; removed-record counts accumulate in the provenance so that, at any
+stage, parsed == len(records) + skipped + sum(filtered-by-stage).
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def _parse_bool(value) -> bool:
     raise SchemaError(f"not a boolean: {value!r}")
 
 
-def _build_record(values, seen_ids: set[str], chain, check: bool) -> TweetRecord | str:
+def _build_record(values, check: bool, seen_ids: set[str], chain) -> TweetRecord | str:
     """A record from the ten values in CSV_COLUMNS order, None where absent, or
     the name of the first `chain` test it fails. An invalid row raises
     SchemaError; `check` also refuses one with a lone surrogate, filtered or not."""
@@ -212,70 +212,45 @@ _ANY_FIELD = 2**31 - 1
 _NUL_STAND_IN = "\udc00"
 
 
-def _read_csv(fh, lenient: bool, chain):
-    """(records, parsed, skipped, filtered) of a CSV file; rows as csv.DictReader sees them.
+def _csv_rows(fh, field_limit: int | None):
+    """The rows of a CSV file as csv.DictReader sees them, as `_collect` takes them.
 
     Blank lines are not rows. A column repeated in the header takes its last
     position; a short row reads None past its end (a missing is_retweet
     rejects the row); extra fields are ignored.
 
-    Read strictly, a field over csv.field_size_limit() raises csv.Error. The
-    lenient read lifts that process-wide limit until it returns, so the
-    reader consumes such a field whole and stays in step with the file; the
-    row is then skipped and counted. It also reads a NUL as text on every
+    Read strictly (field_limit None), a field over csv.field_size_limit()
+    raises csv.Error. The lenient read gets the limit that load_corpus lifted
+    for it, so the reader consumes such a field whole and stays in step with
+    the file; the row is invalid. It also reads a NUL as text on every
     Python version. Any csv.Error there is a SchemaError.
     """
-    if not lenient:
-        return _csv_records(csv.reader(fh), None, chain)
-    reader = csv.reader(line.replace("\0", _NUL_STAND_IN) for line in fh)
-    field_limit = csv.field_size_limit(_ANY_FIELD)
+    lenient = field_limit is not None
+    reader = csv.reader(line.replace("\0", _NUL_STAND_IN) for line in fh) if lenient else csv.reader(fh)
     try:
-        return _csv_records(reader, field_limit, chain)
-    except csv.Error as exc:
-        raise SchemaError(f"unreadable CSV at line {reader.line_num}: {exc}") from exc
-    finally:
-        csv.field_size_limit(field_limit)
-
-
-def _csv_records(reader, field_limit: int | None, chain):
-    """The rows of `reader` as records; a field_limit marks the lenient read,
-    which skips a row with a longer field or a lone surrogate and turns the
-    NUL stand-in back into NUL."""
-    header = next(reader, None) or []
-    missing = [c for c in CSV_COLUMNS if c not in header]
-    if missing:
-        raise SchemaError(f"missing CSV columns: {', '.join(missing)}")
-    position = {name: i for i, name in enumerate(header)}
-    columns = [position[c] for c in CSV_COLUMNS]
-    pick = itemgetter(*columns)
-    width = max(columns) + 1
-
-    records: list[TweetRecord] = []
-    filtered = dict.fromkeys([name for name, _ in chain], 0)
-    seen_ids: set[str] = set()
-    parsed = 0
-    skipped = 0
-    for row in reader:
-        if not row:
-            continue
-        parsed += 1
-        if field_limit is not None:
-            if max(map(len, row)) > field_limit:
-                skipped += 1
+        header = next(reader, None) or []
+        missing = [c for c in CSV_COLUMNS if c not in header]
+        if missing:
+            raise SchemaError(f"missing CSV columns: {', '.join(missing)}")
+        position = {name: i for i, name in enumerate(header)}
+        columns = [position[c] for c in CSV_COLUMNS]
+        pick = itemgetter(*columns)
+        width = max(columns) + 1
+        for row in reader:
+            if not row:
                 continue
-            row = [field.replace(_NUL_STAND_IN, "\0") for field in row]
-        if len(row) < width:
-            row += [None] * (width - len(row))
-        try:
-            record = _build_record(pick(row), seen_ids, chain, field_limit is not None)
-        except SchemaError:
-            skipped += 1
-            continue
-        if isinstance(record, str):
-            filtered[record] += 1
-        else:
-            records.append(record)
-    return records, parsed, skipped, filtered
+            if lenient:
+                if max(map(len, row)) > field_limit:
+                    yield SchemaError("CSV field over csv.field_size_limit()"), None
+                    continue
+                row = [field.replace(_NUL_STAND_IN, "\0") for field in row]
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            yield pick(row), lenient
+    except csv.Error as exc:
+        if not lenient:
+            raise
+        raise SchemaError(f"unreadable CSV at line {reader.line_num}: {exc}") from exc
 
 
 # the whitespace JSON allows around a value (RFC 8259), which str.strip() exceeds
@@ -283,48 +258,65 @@ _JSON_SPACE = " \t\n\r"
 _PICK_COLUMNS = itemgetter(*CSV_COLUMNS)
 
 
-def _read_jsonl(fh, lenient: bool, chain):
-    """(records, parsed, skipped, filtered) of a JSONL file, one row per non-blank line.
+def _jsonl_rows(fh, field_limit: int | None):
+    """The rows of a JSONL file, one per non-blank line, as `_collect` takes them.
 
     A line that is empty or all whitespace is not a row. A row is accepted
     exactly as json.loads accepts it, by the C scanner json.loads ends in:
     one JSON object, with only JSON whitespace (space, tab, CR, LF) around
     it. A byte-order mark or other Unicode whitespace around the object, or
-    anything after it, makes the row invalid.
+    anything after it, makes the row invalid. The lenient read (given a
+    field_limit) checks every row for a lone surrogate.
     """
     scan = json.decoder.JSONDecoder().scan_once
+    for line in fh:
+        if line.isspace():  # as `not line.strip()`, without a copy
+            continue
+        value = line.strip(_JSON_SPACE)
+        try:
+            row, end = scan(value, 0)
+        except (StopIteration, ValueError, RecursionError):
+            # StopIteration: no JSON value where the line starts; ValueError
+            # covers malformed JSON and over-long integers
+            row = end = None
+        if end != len(value) or not isinstance(row, dict):
+            yield SchemaError("JSONL line is not one JSON object"), None
+            continue
+        # in a strictly decoded line only a \ud.. escape yields a surrogate;
+        # the one-character test is a memchr that clears most lines
+        check = field_limit is not None or ("\\" in line and ("\\ud" in line or "\\uD" in line))
+        try:
+            values = _PICK_COLUMNS(row)
+        except KeyError:  # an absent key reads None
+            values = map(row.get, CSV_COLUMNS)
+        yield values, check
+
+
+def _collect(rows, chain, source: str, format: str) -> Corpus:
+    """The corpus of `rows`: the values of each row with its surrogate-check
+    flag, or (SchemaError, None) for a row invalid before any value exists.
+    Only a SchemaError skips a row; any other exception propagates."""
     records: list[TweetRecord] = []
     filtered = dict.fromkeys([name for name, _ in chain], 0)
     seen_ids: set[str] = set()
     parsed = 0
     skipped = 0
-    for line in fh:
-        if line.isspace():  # as `not line.strip()`, without a copy
-            continue
+    for values, check in rows:
         parsed += 1
         try:
-            value = line.strip(_JSON_SPACE)
-            row, end = scan(value, 0)
-            if end != len(value) or not isinstance(row, dict):
-                raise SchemaError("JSONL line is not one JSON object")
-            # in a strictly decoded line only a \ud.. escape yields a surrogate;
-            # the one-character test is a memchr that clears most lines
-            check = lenient or ("\\" in line and ("\\ud" in line or "\\uD" in line))
-            try:
-                values = _PICK_COLUMNS(row)
-            except KeyError:  # an absent key reads None
-                values = map(row.get, CSV_COLUMNS)
-            record = _build_record(values, seen_ids, chain, check)
-        except (StopIteration, ValueError, RecursionError, SchemaError):
-            # StopIteration: no JSON value where the line starts; ValueError
-            # covers malformed JSON and over-long integers
+            if check is None:  # a row without values: `values` is its SchemaError
+                raise values
+            record = _build_record(values, check, seen_ids, chain)
+        except SchemaError:
             skipped += 1
             continue
         if isinstance(record, str):
             filtered[record] += 1
         else:
             records.append(record)
-    return records, parsed, skipped, filtered
+    if parsed == skipped:
+        raise EmptyCorpusError(f"no valid records in {source}")
+    return Corpus(records, Provenance(source, format, parsed, skipped, filtered))
 
 
 def load_corpus(path, format: str = "csv", filters=()) -> Corpus:
@@ -347,18 +339,19 @@ def load_corpus(path, format: str = "csv", filters=()) -> Corpus:
     if format not in ("csv", "jsonl"):
         raise SchemaError(f"unknown corpus format {format!r}")
 
-    read = _read_csv if format == "csv" else _read_jsonl
+    rows = _csv_rows if format == "csv" else _jsonl_rows
     newline = "" if format == "csv" else None
     try:
         with open(path, encoding="utf-8", newline=newline) as fh:
-            records, parsed, skipped, filtered = read(fh, False, filters)
+            return _collect(rows(fh, None), filters, str(path), format)
     except (UnicodeDecodeError, csv.Error):
-        with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
-            records, parsed, skipped, filtered = read(fh, True, filters)
-
-    if parsed == skipped:
-        raise EmptyCorpusError(f"no valid records in {path}")
-    return Corpus(records, Provenance(str(path), format, parsed, skipped, filtered))
+        # restored here: a row source's finally would wait until it is closed
+        field_limit = csv.field_size_limit(_ANY_FIELD)
+        try:
+            with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+                return _collect(rows(fh, field_limit), filters, str(path), format)
+        finally:
+            csv.field_size_limit(field_limit)
 
 
 def normalize_for_dedup(text: str) -> str:

@@ -222,9 +222,6 @@ class RunManifest:
     outputs: dict[str, str] = field(default_factory=dict)
     version: str = VERSION
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @contextmanager
 def stage(name: str):
@@ -445,7 +442,7 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
             for path in written:
                 manifest.outputs[path.name] = _sha256(path)
             with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
+                json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
                 fh.write("\n")
         except Exception as exc:
             for path in written:

@@ -645,6 +645,40 @@ def test_csv_over_long_multiline_field_is_one_skipped_row(tmp_path):
     assert csv.field_size_limit() == CSV_FIELD_LIMIT  # restored after the lenient read
 
 
+def _failing_row_test(seen):
+    def keep(created_at, text, country):
+        seen.append(text)
+        raise RuntimeError("a bug in a row test")
+    return [("date_range", keep)]
+
+
+def test_internal_error_in_a_row_test_leaves_the_load(tmp_path):
+    # exit 4 means a bug, never bad data: only a SchemaError is a skipped row
+    for fmt, line in [("csv", _csv_row(0)), ("jsonl", _jsonl_line(0))]:
+        head = CSV_HEADER.encode() if fmt == "csv" else b""
+        for bad in (b"", b"\xff"):  # an undecodable byte sends the file to the lenient read
+            path = tmp_path / f"c.{fmt}"
+            path.write_bytes(head + line.encode().replace(b"reopen", b"reopen" + bad) + b"\n")
+            seen = []
+            with pytest.raises(RuntimeError, match="a bug in a row test"):
+                load_corpus(path, fmt, _failing_row_test(seen))
+            # the test ran once, on the row as the lenient read keeps it if the byte is there
+            assert len(seen) == 1 and ("\udcff" in seen[0]) == bool(bad)
+
+
+def test_csv_field_limit_restored_while_the_load_error_is_held(tmp_path):
+    limit = csv.field_size_limit()
+    path = tmp_path / "c.csv"
+    path.write_bytes(CSV_HEADER.encode() + _csv_row(0).encode().replace(b"reopen", b"re\xffopen") + b"\n")
+    seen = []
+    with pytest.raises(RuntimeError) as info:
+        load_corpus(path, "csv", _failing_row_test(seen))
+    assert seen == ["re\udcffopen text 0"]  # raised in the lenient read
+    # the held exception keeps the frames of the load, and so a suspended row source, alive
+    assert info.value.__traceback__ is not None
+    assert csv.field_size_limit() == limit
+
+
 def test_csv_nul_byte_never_resumes_mid_file(tmp_path):
     # the csv module refuses NUL before Python 3.11; the lenient re-read
     # then keeps the NUL as text, as later versions read it strictly
