@@ -1,10 +1,6 @@
 """Lexicon-driven sentiment analytics for tweet corpora."""
 
 from .analytics import (
-    DailySeries,
-    DeviceGroupReport,
-    PolarityDistribution,
-    RankedTable,
     daily_emotion_series,
     device_group_report,
     polarity_distribution,
@@ -27,12 +23,11 @@ from .polarity import (
     PolarityScore,
     ScoringParams,
     classify_polarity,
-    extremes,
     load_polarity_lexicon,
     score_sentence,
     score_text,
 )
-from .scenario import ScenarioOutcome, SentimentTrend, classify_scenario, derive_trend
+from .scenario import ScenarioOutcome, SentimentTrend, classify_scenario, trend_from_report
 from .synth import generate_synthetic_corpus, write_synthetic_corpus
 from .textprep import MaskLedger, Sentences, prepare, remove_stopwords
 

@@ -3,18 +3,17 @@
 Covers mention/hashtag/location rankings, device-grouped keyword ratios
 (normalized within each device group so unequal group sizes stay
 comparable), the daily emotion-share series, and the signed-score
-distribution with its positive/negative/neutral split.
+distribution with its positive/negative/neutral split. Each report is the
+JSON value that `run` and `report` write; `exports` flattens it to CSV.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from datetime import date
 from itertools import chain, compress, repeat
 from operator import contains
-from typing import NamedTuple
 
 from .corpus import Corpus
 from .emotion import EMOTION_CLASSES, EmotionProfile
@@ -40,60 +39,31 @@ HISTOGRAM_BIN_WIDTH = 0.25
 MAX_HISTOGRAM_BINS = 2**20
 
 
-@dataclass
-class RankedTable:
-    label: str
-    rows: list[tuple[str, int, int]]  # (key, count, rank)
-
-
-@dataclass
-class DeviceGroupReport:
-    groups: dict[str, tuple[int, dict[str, float]]]  # device -> (n_records, ratios)
-
-
-@dataclass
-class DailySeries:
-    days: list[date]
-    values: dict[str, list[float]]
-
-
-@dataclass
-class Histogram:
-    lo: float
-    width: float
-    counts: list[int]
-
-
-class PolarityDistribution(NamedTuple):
-    pos_share: float
-    neg_share: float
-    neu_share: float
-    histogram: Histogram
-
-
-def _ranked(label: str, counter: Counter, k: int) -> RankedTable:
+def _ranked(label: str, counter: Counter, k: int) -> dict:
+    """`{"label", "rows": [{"rank", "key", "count"}]}`: the `k` >= 1 largest
+    counts, count-descending, ties by key."""
     if k < 1:
         raise InvalidRangeError("k must be >= 1")
     ordered = sorted(counter.items(), key=lambda item: (-item[1], item[0]))[:k]
-    rows = [(key, count, rank) for rank, (key, count) in enumerate(ordered, start=1)]
-    return RankedTable(label=label, rows=rows)
+    rows = [{"rank": rank, "key": key, "count": count} for rank, (key, count) in enumerate(ordered, start=1)]
+    return {"label": label, "rows": rows}
 
 
-def rank_mentions(c: Corpus, k: int) -> RankedTable:
+def rank_mentions(c: Corpus, k: int) -> dict:
     counter: Counter[str] = Counter()
     for record in c.records:
         counter.update(record.mentions)
     return _ranked("mentions", counter, k)
 
 
-def rank_hashtags(c: Corpus, k: int) -> RankedTable:
+def rank_hashtags(c: Corpus, k: int) -> dict:
     counter: Counter[str] = Counter()
     for record in c.records:
         counter.update(record.hashtags)
     return _ranked("hashtags", counter, k)
 
 
-def rank_locations(c: Corpus, k: int, field: str = "stated") -> RankedTable:
+def rank_locations(c: Corpus, k: int, field: str = "stated") -> dict:
     """Rank user_location strings verbatim (they are unreliable; no cleanup).
 
     field="tagged" restricts to country-tagged records, field="stated" uses
@@ -113,8 +83,9 @@ def rank_locations(c: Corpus, k: int, field: str = "stated") -> RankedTable:
 
 def device_group_report(
     c: Corpus, cleaned: list[str], categories: dict[str, list[str]] | None = None
-) -> DeviceGroupReport:
-    """Within-group share of records mentioning each keyword category.
+) -> dict:
+    """Within-group share of records mentioning each keyword category:
+    `{device: {"n_records", "category_ratios": {category: ratio}}}`.
 
     `cleaned` holds each record's cleaned text (its prepared tokens joined
     by spaces), aligned with the records. Only the two major device classes
@@ -139,16 +110,17 @@ def device_group_report(
         name: set().union(*[compress(distinct, map(contains, distinct, repeat(kw))) for kw in keywords])
         for name, keywords in categories.items()
     }
-    groups: dict[str, tuple[int, dict[str, float]]] = {}
+    groups = {}
     for device, texts in per_device.items():
         n = len(texts)
         ratios = {name: sum(map(hits.__contains__, texts)) / n if n else 0.0 for name, hits in hit_texts.items()}
-        groups[device] = (n, ratios)
-    return DeviceGroupReport(groups=groups)
+        groups[device] = {"n_records": n, "category_ratios": ratios}
+    return groups
 
 
-def daily_emotion_series(c: Corpus, profiles: list[EmotionProfile]) -> DailySeries:
-    """Per-day share of each emotion class among that day's emotion hits.
+def daily_emotion_series(c: Corpus, profiles: list[EmotionProfile]) -> dict:
+    """Per-day share of each emotion class among that day's emotion hits:
+    `{"days": [ISO date], "values": {class: [share per day]}}`.
 
     Days bucket on the UTC calendar date. A day whose records hit no emotion
     terms reports zero for every class.
@@ -168,15 +140,18 @@ def daily_emotion_series(c: Corpus, profiles: list[EmotionProfile]) -> DailySeri
         total = sum(sums)
         for cls, count in zip(EMOTION_CLASSES, sums):
             values[cls].append(count / total if total else 0.0)
-    return DailySeries(days=days, values=values)
+    return {"days": [day.isoformat() for day in days], "values": values}
 
 
-def polarity_distribution(scores: list[PolarityScore]) -> PolarityDistribution:
-    """Positive/negative/neutral shares plus a fixed-width score histogram.
+def polarity_distribution(scores: list[PolarityScore]) -> dict:
+    """Positive/negative/neutral shares, a fixed-width score histogram and the
+    extreme scores: `{"positive_share", "negative_share", "neutral_share",
+    "histogram": {"lo", "width", "counts"}, "extremes": {"min", "max"}}`.
 
     Bins are 0.25 wide spanning [floor(min), ceil(max)]; a value equal to the
     upper edge lands in the last bin. More than MAX_HISTOGRAM_BINS bins is
-    a `SchemaError`.
+    a `SchemaError`. Of tied extreme values the first is kept: an int 0 (a
+    text without sentences) ahead of a float 0.0 writes as 0.
     """
     if not scores:
         raise EmptyInputError("distribution over empty score list")
@@ -184,8 +159,9 @@ def polarity_distribution(scores: list[PolarityScore]) -> PolarityDistribution:
     n = len(scores)
 
     values = [s.value for s in scores]
-    lo = float(math.floor(min(values)))
-    hi = float(math.ceil(max(values)))
+    low, high = min(values), max(values)
+    lo = float(math.floor(low))
+    hi = float(math.ceil(high))
     span = (hi - lo) / HISTOGRAM_BIN_WIDTH
     if span > MAX_HISTOGRAM_BINS:
         raise SchemaError(f"scores from {lo} to {hi} need more than {MAX_HISTOGRAM_BINS} histogram bins")
@@ -195,9 +171,10 @@ def polarity_distribution(scores: list[PolarityScore]) -> PolarityDistribution:
         idx = min(int((v - lo) / HISTOGRAM_BIN_WIDTH), n_bins - 1)
         counts[idx] += 1
 
-    return PolarityDistribution(
-        pos_share=labels["positive"] / n,
-        neg_share=labels["negative"] / n,
-        neu_share=labels["neutral"] / n,
-        histogram=Histogram(lo=lo, width=HISTOGRAM_BIN_WIDTH, counts=counts),
-    )
+    return {
+        "positive_share": labels["positive"] / n,
+        "negative_share": labels["negative"] / n,
+        "neutral_share": labels["neutral"] / n,
+        "histogram": {"lo": lo, "width": HISTOGRAM_BIN_WIDTH, "counts": counts},
+        "extremes": {"min": low, "max": high},
+    }

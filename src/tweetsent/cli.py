@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
-from . import analytics, emotion, polarity, scenario
+from . import analytics, scenario
 from .corpus import BotPolicy, load_corpus, write_corpus_jsonl
 from .errors import (
     ConfigError,
@@ -28,15 +27,11 @@ from .errors import (
 )
 from .exports import (
     daily_series_to_csv,
-    daily_series_to_dict,
     device_report_to_csv,
-    device_report_to_dict,
     distribution_to_csv,
-    distribution_to_dict,
     ngram_table_to_csv,
     ngram_table_to_rows,
     ranked_table_to_csv,
-    ranked_table_to_dict,
     scenario_to_dict,
     scores_to_csv,
     write_json,
@@ -97,8 +92,8 @@ def cmd_sentiment(args) -> None:
     scores_to_csv(analysis.corpus, scores, args.output, analysis.profiles)
     print(f"wrote {args.output}")
     print(
-        f"shares positive={dist.pos_share:.4f} negative={dist.neg_share:.4f} "
-        f"neutral={dist.neu_share:.4f}"
+        f"shares positive={dist['positive_share']:.4f} negative={dist['negative_share']:.4f} "
+        f"neutral={dist['neutral_share']:.4f}"
     )
 
 
@@ -106,35 +101,32 @@ def cmd_report(args) -> None:
     corpus = load_corpus(args.input, args.format)
     what = args.what
 
+    # a report is the JSON value it is written as; `to_csv` flattens it
     if what in ("mentions", "hashtags", "locations"):
+        # the rankings read no lexicon, so they build no Analysis
         if what == "mentions":
             report = analytics.rank_mentions(corpus, args.top)
         elif what == "hashtags":
             report = analytics.rank_hashtags(corpus, args.top)
         else:
             report = analytics.rank_locations(corpus, args.top, args.field)
-        to_csv, to_dict = ranked_table_to_csv, ranked_table_to_dict
+        to_csv = ranked_table_to_csv
     else:
         analysis = Analysis(corpus, args)
         if what == "devices":
             report = analytics.device_group_report(analysis.corpus, analysis.cleaned)
-            to_csv, to_dict = device_report_to_csv, device_report_to_dict
+            to_csv = device_report_to_csv
         elif what == "daily":
             report = analytics.daily_emotion_series(analysis.corpus, analysis.profiles)
-            to_csv, to_dict = daily_series_to_csv, daily_series_to_dict
+            to_csv = daily_series_to_csv
         else:
-            scores = analysis.scores
-            report = analytics.polarity_distribution(scores)
-            totals = emotion.aggregate_profiles(analysis.distinct_profiles, analysis.weights)
+            report = analysis.distribution()
             to_csv = distribution_to_csv
-            to_dict = partial(
-                distribution_to_dict, emotion_totals=totals, extremes=polarity.extremes(scores)
-            )
 
     if args.export == "csv":
         to_csv(report, args.output)
     else:
-        write_json(to_dict(report), args.output)
+        write_json(report, args.output)
     print(f"wrote {args.output}")
 
 

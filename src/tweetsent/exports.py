@@ -1,5 +1,7 @@
-"""CSV/JSON serialization for report objects. All writers emit UTF-8 with
-LF line endings so repeated runs are byte-identical."""
+"""The JSON writer, the CSV flatteners of the reports that `analytics`
+builds as JSON values, and the JSON values of the n-gram rows, word cloud,
+emotion totals and scenario outcome. All writers emit UTF-8 with LF line
+endings so repeated runs are byte-identical."""
 
 from __future__ import annotations
 
@@ -7,7 +9,6 @@ import csv
 import json
 from dataclasses import asdict
 
-from .analytics import DailySeries, DeviceGroupReport, Histogram, PolarityDistribution, RankedTable
 from .corpus import Corpus
 from .emotion import ALL_CATEGORIES, EMOTION_CLASSES, EmotionProfile
 from .ngrams import NgramTable
@@ -45,15 +46,8 @@ def ngram_table_to_rows(table: NgramTable, top: int | None = None) -> list[dict]
     ]
 
 
-def ranked_table_to_csv(table: RankedTable, path) -> None:
-    _write_csv(path, ["rank", "key", "count"], [(rank, key, count) for key, count, rank in table.rows])
-
-
-def ranked_table_to_dict(table: RankedTable) -> dict:
-    return {
-        "label": table.label,
-        "rows": [{"rank": rank, "key": key, "count": count} for key, count, rank in table.rows],
-    }
+def ranked_table_to_csv(table: dict, path) -> None:
+    _write_csv(path, ["rank", "key", "count"], [(r["rank"], r["key"], r["count"]) for r in table["rows"]])
 
 
 def word_cloud_to_dict(weights: list[tuple[str, float]]) -> list[dict]:
@@ -85,76 +79,35 @@ def emotion_totals_to_dict(totals: EmotionProfile) -> dict:
     return {"counts": dict(zip(ALL_CATEGORIES, counts)), "token_total": token_total}
 
 
-def device_report_to_csv(report: DeviceGroupReport, path) -> None:
+def device_report_to_csv(report: dict, path) -> None:
     _write_csv(
         path,
         ["device", "n_records", "category", "ratio"],
         (
-            (device, n, name, ratio)
-            for device, (n, ratios) in report.groups.items()
-            for name, ratio in ratios.items()
+            (device, group["n_records"], name, ratio)
+            for device, group in report.items()
+            for name, ratio in group["category_ratios"].items()
         ),
     )
 
 
-def device_report_to_dict(report: DeviceGroupReport) -> dict:
-    return {
-        device: {"n_records": n, "category_ratios": dict(ratios)}
-        for device, (n, ratios) in report.groups.items()
-    }
+def daily_series_to_csv(series: dict, path) -> None:
+    values = series["values"]
+    _write_csv(
+        path,
+        ["date", *EMOTION_CLASSES],
+        zip(series["days"], *[values[cls] for cls in EMOTION_CLASSES]),
+    )
 
 
-def daily_series_to_csv(series: DailySeries, path) -> None:
-    header = ["date"] + list(EMOTION_CLASSES)
-    rows = []
-    for i, day in enumerate(series.days):
-        rows.append([day.isoformat()] + [series.values[cls][i] for cls in EMOTION_CLASSES])
-    _write_csv(path, header, rows)
-
-
-def daily_series_to_dict(series: DailySeries) -> dict:
-    return {
-        "days": [d.isoformat() for d in series.days],
-        "values": {cls: series.values[cls] for cls in EMOTION_CLASSES},
-    }
-
-
-def histogram_to_dict(hist: Histogram) -> dict:
-    return {"lo": hist.lo, "width": hist.width, "counts": hist.counts}
-
-
-def distribution_to_csv(dist: PolarityDistribution, path) -> None:
+def distribution_to_csv(dist: dict, path) -> None:
     """The three shares, then one row per histogram bin."""
-    hist = dist.histogram
-    rows = [
-        ("positive_share", dist.pos_share),
-        ("negative_share", dist.neg_share),
-        ("neutral_share", dist.neu_share),
-    ]
-    for i, count in enumerate(hist.counts):
-        lo = hist.lo + i * hist.width
-        rows.append((f"bin[{lo},{lo + hist.width})", count))
+    hist = dist["histogram"]
+    rows = [(key, dist[key]) for key in ("positive_share", "negative_share", "neutral_share")]
+    for i, count in enumerate(hist["counts"]):
+        lo = hist["lo"] + i * hist["width"]
+        rows.append((f"bin[{lo},{lo + hist['width']})", count))
     _write_csv(path, ["key", "value"], rows)
-
-
-def distribution_to_dict(
-    dist: PolarityDistribution,
-    emotion_totals: EmotionProfile | None = None,
-    extremes: tuple | None = None,
-) -> dict:
-    """Corpus-level sentiment summary; this is the scenario-ready aggregate."""
-    out = {
-        "positive_share": dist.pos_share,
-        "negative_share": dist.neg_share,
-        "neutral_share": dist.neu_share,
-        "histogram": histogram_to_dict(dist.histogram),
-    }
-    if emotion_totals is not None:
-        out["emotion_totals"] = emotion_totals_to_dict(emotion_totals)
-    if extremes is not None:
-        low, high = extremes
-        out["extremes"] = {"min": low.value, "max": high.value}
-    return out
 
 
 def scenario_to_dict(outcome: ScenarioOutcome, trend: SentimentTrend, timing: str) -> dict:

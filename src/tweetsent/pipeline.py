@@ -45,8 +45,6 @@ from .corpus import (
 from .errors import ConfigError, EmptyCorpusError, InvalidRangeError, PipelineStageError
 from .exports import (
     daily_series_to_csv,
-    device_report_to_dict,
-    distribution_to_dict,
     emotion_totals_to_dict,
     ngram_table_to_csv,
     ranked_table_to_csv,
@@ -96,7 +94,7 @@ def check_filters(
         needle = keyword.casefold()
         chain.append(("keyword", lambda at, text, code: needle in text.casefold()))
     if country is not None:
-        if not (isinstance(country, str) and len(country) == 2 and country.isalpha()):
+        if not (isinstance(country, str) and len(country) == 2 and country.isascii() and country.isalpha()):
             raise ConfigError(f"country must be a two-letter code, got {country!r}")
         wanted = country.upper()
         chain.append(("country", lambda at, text, code: code is not None and code.upper() == wanted))
@@ -278,7 +276,8 @@ class Analysis:
     its prepared text (`distinct_full`), stopword-filtered text
     (`distinct_stopped`), emotion profile (`distinct_profiles`) and record
     count (`weights`); per record its cleaned text (`cleaned`), emotion
-    profile (`profiles`) and polarity score (`scores`).
+    profile (`profiles`) and polarity score (`scores`); over all records the
+    emotion totals (`totals`) and the distribution report (`distribution`).
 
     Lexicon paths are read from `paths`, a `RunConfig` or the CLI's parsed
     arguments; an absent or `None` path means the bundled file. `params`
@@ -331,6 +330,10 @@ class Analysis:
     def profiles(self) -> list[emotion.EmotionProfile]:
         return self._expand(self.distinct_profiles)
 
+    @cached_property
+    def totals(self) -> emotion.EmotionProfile:
+        return emotion.aggregate_profiles(self.distinct_profiles, self.weights)
+
     def ngram_table(self, n: int, top: int) -> ngrams.NgramTable:
         """The first `top` >= 1 rows of the n-gram table: over the
         stopword-filtered texts for n <= 2, over the full texts for n >= 3."""
@@ -347,6 +350,13 @@ class Analysis:
         return self._expand(
             [polarity.score_text(ts, lex, self._params) for ts in self.distinct_full]
         )
+
+    def distribution(self) -> dict:
+        """The scenario-ready summary that `distribution.json` holds: the
+        scores' distribution report with the emotion totals."""
+        report = analytics.polarity_distribution(self.scores)
+        report["emotion_totals"] = emotion_totals_to_dict(self.totals)
+        return report
 
 
 def _sha256(path: Path) -> str:
@@ -384,7 +394,7 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
         # the n-gram tables above are built before any profile or score exists
         with stage("emotion"):
             profiles = analysis.profiles
-            totals = emotion.aggregate_profiles(analysis.distinct_profiles, analysis.weights)
+            totals = analysis.totals
         with stage("polarity"):
             scores = analysis.scores
 
@@ -396,8 +406,7 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
             devices = analytics.device_group_report(corpus, analysis.cleaned, cfg.device_categories)
             daily = analytics.daily_emotion_series(corpus, profiles)
         with stage("distribution"):
-            dist = analytics.polarity_distribution(scores)
-            extremes = polarity.extremes(scores)
+            dist = analysis.distribution()
 
         manifest = RunManifest(
             config=asdict(cfg),
@@ -429,11 +438,11 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
                 ("hashtags.csv", partial(ranked_table_to_csv, hashtags)),
                 ("locations_tagged.csv", partial(ranked_table_to_csv, loc_tagged)),
                 ("locations_stated.csv", partial(ranked_table_to_csv, loc_stated)),
-                ("devices.json", partial(write_json, device_report_to_dict(devices))),
+                ("devices.json", partial(write_json, devices)),
                 ("emotion_totals.json", partial(write_json, emotion_totals_to_dict(totals))),
                 ("emotion_daily.csv", partial(daily_series_to_csv, daily)),
                 ("polarity_scores.csv", partial(scores_to_csv, corpus, scores)),
-                ("distribution.json", partial(write_json, distribution_to_dict(dist, totals, extremes))),
+                ("distribution.json", partial(write_json, dist)),
             ]
             for name, write in writers:
                 path = out_dir / name

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from .errors import ConfigError, EmptyInputError, SchemaError
+from .errors import ConfigError, SchemaError
 from .textprep import Sentences, read_lexicon
 
 NEGATOR = "negator"
@@ -178,16 +178,3 @@ def classify_polarity(score: PolarityScore) -> str:
         return "negative"
     return "neutral"
 
-
-def extremes(scores: list[PolarityScore]) -> tuple[PolarityScore, PolarityScore]:
-    """Scores attaining the minimum and maximum value, first occurrence on ties."""
-    if not scores:
-        raise EmptyInputError("extremes over empty score list")
-    lowest = scores[0]
-    highest = scores[0]
-    for s in scores[1:]:
-        if s.value < lowest.value:
-            lowest = s
-        if s.value > highest.value:
-            highest = s
-    return lowest, highest

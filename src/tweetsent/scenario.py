@@ -3,8 +3,8 @@
 Timing is an exogenous input (the analysis holds everything else equal);
 the trend direction comes solely from comparing positive and negative
 shares, with the dominant emotion classes attached as advisory metadata.
-A trend comes from a run's analysis (`derive_trend`) or from the
-distribution report the run wrote (`trend_from_report`); both agree.
+A trend is read from a distribution report (`trend_from_report`): the one
+a run wrote, or the same dict from `pipeline.Analysis.distribution`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .analytics import PolarityDistribution
 from .emotion import ALL_CATEGORIES, EmotionProfile, dominant_classes
 from .errors import SchemaError, TiedTrendError
 
@@ -42,48 +41,43 @@ _SCENARIOS = {
 }
 
 
-def derive_trend(dist: PolarityDistribution, agg: EmotionProfile) -> SentimentTrend:
-    """Trend direction from the share comparison: equal shares are a `TiedTrendError`
-    and a positive or negative share outside [0, 1] a `SchemaError`. The
-    dominant emotions are the top two classes with at least one hit."""
-    return _trend(dist.pos_share, dist.neg_share, agg)
-
-
-def _trend(pos_share: float, neg_share: float, agg: EmotionProfile, names=("pos_share", "neg_share")) -> SentimentTrend:
-    for name, share in zip(names, (pos_share, neg_share)):
-        if not 0.0 <= share <= 1.0:  # false for NaN too
-            raise SchemaError(f"{name} must be a share in [0, 1], got {share}")
-    if pos_share == neg_share:
-        raise TiedTrendError(f"positive and negative shares tie at {pos_share}")
-    return SentimentTrend(
-        direction="positive" if pos_share > neg_share else "negative",
-        pos_share=float(pos_share),
-        neg_share=float(neg_share),
-        dominant_emotions=[cls for cls, count in dominant_classes(agg, 2) if count > 0],
-    )
-
-
 def trend_from_report(report) -> SentimentTrend:
-    """The trend of a report made by `exports.distribution_to_dict`. The
-    shares `positive_share`, `negative_share` and the optional `neutral_share`
-    must be numbers, not bools; the optional `emotion_totals.counts` must map
-    emotions to non-negative integers (keys that are no emotion are ignored).
-    Anything else is a `SchemaError`."""
+    """The trend of a distribution report (`pipeline.Analysis.distribution`).
+    The shares `positive_share`, `negative_share` and the optional
+    `neutral_share` must be numbers, not bools; the optional
+    `emotion_totals.counts` must map emotions to non-negative integers (keys
+    that are no emotion are ignored, and null stands for an absent object).
+    Anything else, or a positive or negative share outside [0, 1], is a
+    `SchemaError`; equal shares are a `TiedTrendError`. The dominant emotions
+    are the top two classes with at least one hit."""
     if not (isinstance(report, dict) and {"positive_share", "negative_share"} <= report.keys()):
         raise SchemaError("scenario input needs positive_share and negative_share")
     for key in ("positive_share", "negative_share", "neutral_share"):
         value = report.get(key, 0.0)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"scenario input's {key} must be a number, got {value!r}")
-    totals = report.get("emotion_totals") or {}
-    counts = (totals.get("counts") or {}) if isinstance(totals, dict) else None
+    # an absent or null emotion_totals or counts holds no counts; an
+    # emotion_totals that is no object is refused as its counts are
+    totals = report.get("emotion_totals")
+    counts = totals.get("counts") if isinstance(totals, dict) else totals
+    counts = {} if counts is None else counts
     if not (isinstance(counts, dict) and all(type(v) is int and v >= 0 for v in counts.values())):
         raise SchemaError(
             "scenario input's emotion_totals.counts must map emotions to non-negative integers"
         )
     profile = EmotionProfile(**{c: v for c, v in counts.items() if c in ALL_CATEGORIES})
-    keys = "positive_share", "negative_share"
-    return _trend(report[keys[0]], report[keys[1]], profile, keys)
+    pos_share, neg_share = report["positive_share"], report["negative_share"]
+    for key, share in (("positive_share", pos_share), ("negative_share", neg_share)):
+        if not 0.0 <= share <= 1.0:  # false for NaN too
+            raise SchemaError(f"{key} must be a share in [0, 1], got {share}")
+    if pos_share == neg_share:
+        raise TiedTrendError(f"positive and negative shares tie at {pos_share}")
+    return SentimentTrend(
+        direction="positive" if pos_share > neg_share else "negative",
+        pos_share=float(pos_share),
+        neg_share=float(neg_share),
+        dominant_emotions=[cls for cls, count in dominant_classes(profile, 2) if count > 0],
+    )
 
 
 def load_trend(path) -> SentimentTrend:

@@ -5,7 +5,8 @@ plain dicts) and never calls into the package's own counting or scoring
 paths, so oracle-equality tests actually cross-check two implementations.
 The one exception is `per_record_run`, which checks how the pipeline
 composes the stages, not the stages themselves; its date, keyword and
-country filters are `filter_rows`, and its n-gram tables `ranked_ngrams`.
+country filters are `filter_rows`, its n-gram tables `ranked_ngrams`, and
+its score extremes `min_max`.
 """
 
 from __future__ import annotations
@@ -209,6 +210,7 @@ def filter_chain_ids(records, start, end, keyword, country, policy):
 
 
 def min_max(values):
+    """The least and greatest of `values`, the first of tied ones, by a scan."""
     lo = values[0]
     hi = values[0]
     for v in values:
@@ -217,6 +219,30 @@ def min_max(values):
         if v > hi:
             hi = v
     return lo, hi
+
+
+def scenario_trend(pos, neg, counts, classes):
+    """The trend of a report with shares `pos`, `neg` and emotion `counts`
+    ({class: n}, a class it lacks counts 0): (direction, pos, neg, the first
+    two of `classes` by count, earlier first on ties, that have a hit), or
+    (error name, message) for a share that is NaN or outside [0, 1], checked
+    positive first, or for equal shares."""
+    for key, share in (("positive_share", pos), ("negative_share", neg)):
+        if share != share or share < 0 or share > 1:
+            return "SchemaError", f"{key} must be a share in [0, 1], got {share}"
+    if pos == neg:
+        return "TiedTrendError", f"positive and negative shares tie at {pos}"
+    left = list(classes)
+    dominant = []
+    for _ in range(2):
+        best = left[0]
+        for cls in left:
+            if counts.get(cls, 0) > counts.get(best, 0):
+                best = cls
+        left.remove(best)
+        if counts.get(best, 0) > 0:
+            dominant.append(best)
+    return ("positive" if pos > neg else "negative"), float(pos), float(neg), dominant
 
 
 def jsonl_line(record):
@@ -364,8 +390,9 @@ def jsonl_load(path, parse_timestamp):
 
 
 def device_ratios(records, texts, categories, devices):
-    """Per device: (record count, {category: share of its records whose text
-    contains any of the category's keywords}), by rescanning every text."""
+    """Per device: {"n_records": its record count, "category_ratios":
+    {category: share of its records whose text contains any of the
+    category's keywords}}, by rescanning every text."""
     out = {}
     for device in devices:
         group = [text for record, text in zip(records, texts) if record.source_device == device]
@@ -378,7 +405,7 @@ def device_ratios(records, texts, categories, devices):
                         hits += 1
                         break
             ratios[name] = hits / len(group) if group else 0.0
-        out[device] = (len(group), ratios)
+        out[device] = {"n_records": len(group), "category_ratios": ratios}
     return out
 
 
@@ -455,7 +482,7 @@ def per_record_run(cfg, out_dir):
         exports.ranked_table_to_csv(table, out / f"{name}.csv")
     cleaned = [" ".join(token for sentence in ts for token in sentence) for ts in full]
     devices = analytics.device_group_report(c, cleaned, cfg.device_categories)
-    exports.write_json(exports.device_report_to_dict(devices), out / "devices.json")
+    exports.write_json(devices, out / "devices.json")
     totals = emotion.aggregate_profiles(profiles)
     exports.write_json(exports.emotion_totals_to_dict(totals), out / "emotion_totals.json")
     exports.daily_series_to_csv(analytics.daily_emotion_series(c, profiles), out / "emotion_daily.csv")
@@ -466,7 +493,9 @@ def per_record_run(cfg, out_dir):
             writer.writerow(
                 [record.id, score.value, score.n_sentences, polarity.classify_polarity(score)]
             )
-    dist = analytics.polarity_distribution(scores)
-    payload = exports.distribution_to_dict(dist, totals, polarity.extremes(scores))
+    payload = analytics.polarity_distribution(scores)
+    low, high = min_max([score.value for score in scores])
+    payload["extremes"] = {"min": low, "max": high}
+    payload["emotion_totals"] = exports.emotion_totals_to_dict(totals)
     exports.write_json(payload, out / "distribution.json")
     return ledger.occurrences

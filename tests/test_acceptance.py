@@ -16,14 +16,14 @@ import pytest
 
 from conftest import make_record
 from oracles import emotion_counts, ngram_counts, score_sentence as oracle_score
-from tweetsent.analytics import Histogram, PolarityDistribution, device_group_report
+from tweetsent.analytics import device_group_report
 from tweetsent.corpus import BotPolicy, filter_bots_and_duplicates
 from tweetsent.emotion import ALL_CATEGORIES, EmotionProfile, classify
 from tweetsent.errors import TiedTrendError
 from tweetsent.ngrams import build_table
 from tweetsent.pipeline import RunConfig, run_pipeline
 from tweetsent.polarity import PolarityLexicon, score_sentence
-from tweetsent.scenario import SentimentTrend, classify_scenario, derive_trend
+from tweetsent.scenario import SentimentTrend, classify_scenario, trend_from_report
 from tweetsent.synth import ABUSIVE_POOL, write_synthetic_corpus
 from tweetsent.textprep import MaskLedger, mask_pattern, mask_text, prepare, remove_stopwords
 
@@ -130,9 +130,8 @@ def test_criterion_06_scenario_mapping():
         trend = SentimentTrend(direction, 0.6, 0.2, [])
         outcome = classify_scenario(trend, timing)
         assert (outcome.id, outcome.narrative_key) == (sid, key)
-    tied = PolarityDistribution(0.4, 0.4, 0.2, Histogram(0.0, 0.25, []))
     with pytest.raises(TiedTrendError):
-        derive_trend(tied, EmotionProfile())
+        trend_from_report({"positive_share": 0.4, "negative_share": 0.4, "neutral_share": 0.2})
     _ok(6, "all four trend/timing pairs map to S1..S4; exact tie raises TiedTrend")
 
 
@@ -160,7 +159,7 @@ def test_criterion_08_planted_ground_truth(synth_corpus, synth_dir):
     assert removed == planted
     cleaned = [" ".join(t for s in prepare(r.text) for t in s) for r in filtered.records]
     report = device_group_report(filtered, cleaned)
-    sizes = {device: report.groups[device][0] for device in ledger["device_counts"]}
+    sizes = {device: report[device]["n_records"] for device in ledger["device_counts"]}
     assert sizes == ledger["device_counts"]
     _ok(8, f"bot filter removed exactly the {len(planted)} planted records; device sizes match")
 

@@ -37,6 +37,11 @@ def _devices(corpus, categories=None):
     return device_group_report(corpus, [_cleaned(r.text) for r in corpus.records], categories)
 
 
+def _rows(table):
+    """A ranking's rows as (key, count, rank)."""
+    return [(row["key"], row["count"], row["rank"]) for row in table["rows"]]
+
+
 # ---------------------------------------------------------------------------
 # rankings
 
@@ -49,13 +54,15 @@ def test_rank_mentions_counts_and_ranks():
             make_record(rid="3", mentions=["b"]),
         ]
     )
-    table = rank_mentions(c, 2)
-    assert table.rows == [("a", 2, 1), ("b", 1, 2)]
+    assert rank_mentions(c, 2) == {
+        "label": "mentions",
+        "rows": [{"rank": 1, "key": "a", "count": 2}, {"rank": 2, "key": "b", "count": 1}],
+    }
 
 
 def test_rank_mentions_empty():
     c = make_corpus([make_record(rid="1")])
-    assert rank_mentions(c, 5).rows == []
+    assert rank_mentions(c, 5) == {"label": "mentions", "rows": []}
 
 
 def test_rank_hashtags_two_tags():
@@ -65,8 +72,7 @@ def test_rank_hashtags_two_tags():
             make_record(rid="2", hashtags=["covid19"]),
         ]
     )
-    table = rank_hashtags(c, 5)
-    assert table.rows == [("covid19", 2, 1), ("reopen", 1, 2)]
+    assert _rows(rank_hashtags(c, 5)) == [("covid19", 2, 1), ("reopen", 1, 2)]
 
 
 def test_rank_ties_break_lexicographically():
@@ -76,7 +82,7 @@ def test_rank_ties_break_lexicographically():
             make_record(rid="2", hashtags=["alpha"]),
         ]
     )
-    assert rank_hashtags(c, 5).rows == [("alpha", 1, 1), ("zeta", 1, 2)]
+    assert _rows(rank_hashtags(c, 5)) == [("alpha", 1, 1), ("zeta", 1, 2)]
 
 
 def test_rank_locations_variants():
@@ -89,8 +95,8 @@ def test_rank_locations_variants():
     )
     stated = rank_locations(c, 5, "stated")
     tagged = rank_locations(c, 5, "tagged")
-    assert stated.rows == [("Austin, TX", 2, 1)]
-    assert tagged.rows == [("Austin, TX", 1, 1)]
+    assert (stated["label"], _rows(stated)) == ("locations_stated", [("Austin, TX", 2, 1)])
+    assert (tagged["label"], _rows(tagged)) == ("locations_tagged", [("Austin, TX", 1, 1)])
 
 
 @pytest.mark.parametrize("k", [0, -2])
@@ -113,7 +119,7 @@ def test_rankings_refuse_k_below_1(rank, k):
 
 def test_rank_locations_all_absent():
     c = make_corpus([make_record(rid="1", location=None)])
-    assert rank_locations(c, 5, "stated").rows == []
+    assert rank_locations(c, 5, "stated")["rows"] == []
 
 
 def test_rank_locations_bad_field():
@@ -129,16 +135,17 @@ def test_rankings_match_count_oracle(synth_corpus):
         (rank_mentions(synth_corpus, 10_000), mention_counts),
         (rank_hashtags(synth_corpus, 10_000), hashtag_counts),
     ):
-        assert {key: count for key, count, _ in table.rows} == expected
-        counts = [count for _, count, _ in table.rows]
+        rows = _rows(table)
+        assert {key: count for key, count, _ in rows} == expected
+        counts = [count for _, count, _ in rows]
         assert counts == sorted(counts, reverse=True)
-        assert [rank for *_, rank in table.rows] == list(range(1, len(table.rows) + 1))
+        assert [rank for *_, rank in rows] == list(range(1, len(rows) + 1))
 
     location_counts = count_items(
         [[r.user_location] for r in synth_corpus.records if r.user_location is not None]
     )
     table = rank_locations(synth_corpus, 10_000, "stated")
-    assert {key: count for key, count, _ in table.rows} == location_counts
+    assert {key: count for key, count, _ in _rows(table)} == location_counts
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +161,14 @@ def test_device_ratio_normalized_within_group():
         make_record(rid="5", text="reopen now", device="Twitter Web App"),
     ]
     report = _devices(make_corpus(records), {"economy": ["econom"]})
-    n, ratios = report.groups["Twitter for iPhone"]
-    assert n == 4
-    assert ratios["economy"] == 0.5
-    assert "Twitter Web App" not in report.groups  # smaller classes ignored
+    assert report["Twitter for iPhone"] == {"n_records": 4, "category_ratios": {"economy": 0.5}}
+    assert "Twitter Web App" not in report  # smaller classes ignored
 
 
 def test_device_zero_matches_zero_ratio():
     records = [make_record(rid="1", text="stay home", device="Twitter for Android")]
     report = _devices(make_corpus(records), {"trump": ["trump"]})
-    assert report.groups["Twitter for Android"][1]["trump"] == 0.0
+    assert report["Twitter for Android"]["category_ratios"]["trump"] == 0.0
 
 
 def test_device_report_requires_aligned_texts():
@@ -176,7 +181,7 @@ def test_device_report_matches_bruteforce(synth_corpus):
     report = _devices(synth_corpus, DEFAULT_DEVICE_CATEGORIES)
     for device in ("Twitter for iPhone", "Twitter for Android"):
         group = [r for r in synth_corpus.records if r.source_device == device]
-        n, ratios = report.groups[device]
+        n, ratios = report[device]["n_records"], report[device]["category_ratios"]
         assert n == len(group)
         for name, keywords in DEFAULT_DEVICE_CATEGORIES.items():
             hits = 0
@@ -199,7 +204,7 @@ def test_device_ratios_invariant_under_group_duplication():
     categories = {"reopen": ["reopen"]}
     once = _devices(make_corpus(records), categories)
     twice = _devices(make_corpus(doubled), categories)
-    assert once.groups["Twitter for iPhone"][1] == twice.groups["Twitter for iPhone"][1]
+    assert once["Twitter for iPhone"]["category_ratios"] == twice["Twitter for iPhone"]["category_ratios"]
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +219,15 @@ def test_daily_proportions():
         ]
     )
     series = daily_emotion_series(c, [EmotionProfile(trust=3), EmotionProfile(fear=1)])
-    assert len(series.days) == 1
-    assert series.values["trust"] == [0.75]
-    assert series.values["fear"] == [0.25]
+    assert series["days"] == ["2020-05-02"]
+    assert series["values"]["trust"] == [0.75]
+    assert series["values"]["fear"] == [0.25]
 
 
 def test_daily_zero_hit_day_emits_zeros():
     c = make_corpus([make_record(rid="1", created="2020-05-02T01:00:00+00:00")])
     series = daily_emotion_series(c, [EmotionProfile()])
-    assert all(series.values[cls] == [0.0] for cls in EMOTION_CLASSES)
+    assert all(series["values"][cls] == [0.0] for cls in EMOTION_CLASSES)
 
 
 def test_daily_alignment_required():
@@ -237,39 +242,43 @@ def test_daily_series_matches_recount(synth_corpus, emo_lex, stoplist):
         for r in synth_corpus.records
     ]
     series = daily_emotion_series(synth_corpus, profiles)
-    assert [d.isoformat() for d in series.days] == sorted(d.isoformat() for d in series.days)
-    assert len(series.days) == 9
+    assert series["days"] == sorted(series["days"])
+    assert len(series["days"]) == 9
 
     # independent recount per day
     by_day = {}
     for record, profile in zip(synth_corpus.records, profiles):
-        day = record.created_at.date()
+        day = record.created_at.date().isoformat()
         bucket = by_day.setdefault(day, {cls: 0 for cls in EMOTION_CLASSES})
         for cls in EMOTION_CLASSES:
             bucket[cls] += getattr(profile, cls)
-    for i, day in enumerate(series.days):
+    for i, day in enumerate(series["days"]):
         total = sum(by_day[day].values())
         for cls in EMOTION_CLASSES:
             want = by_day[day][cls] / total if total else 0.0
-            assert series.values[cls][i] == want
+            assert series["values"][cls][i] == want
         if total:
-            assert sum(series.values[cls][i] for cls in EMOTION_CLASSES) == pytest.approx(1.0)
+            assert sum(series["values"][cls][i] for cls in EMOTION_CLASSES) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
 # polarity distribution
 
 
+def _shares(dist):
+    return dist["positive_share"], dist["negative_share"], dist["neutral_share"]
+
+
 def test_distribution_thirds():
     dist = polarity_distribution(_scores([1.0, -1.0, 0.0]))
-    assert dist.pos_share == pytest.approx(1 / 3)
-    assert dist.neg_share == pytest.approx(1 / 3)
-    assert dist.neu_share == pytest.approx(1 / 3)
+    assert dist["positive_share"] == pytest.approx(1 / 3)
+    assert dist["negative_share"] == pytest.approx(1 / 3)
+    assert dist["neutral_share"] == pytest.approx(1 / 3)
 
 
 def test_distribution_all_positive():
     dist = polarity_distribution(_scores([0.5, 1.5]))
-    assert (dist.pos_share, dist.neg_share, dist.neu_share) == (1.0, 0.0, 0.0)
+    assert _shares(dist) == (1.0, 0.0, 0.0)
 
 
 def test_distribution_empty():
@@ -288,8 +297,9 @@ def test_histogram_refuses_more_than_2_pow_20_bins_before_allocating():
 
 def test_histogram_of_exactly_2_pow_20_bins():
     dist = polarity_distribution(_scores([0.0, 2.0**18]))
-    assert len(dist.histogram.counts) == 2**20
-    assert (dist.histogram.counts[0], dist.histogram.counts[-1]) == (1, 1)
+    counts = dist["histogram"]["counts"]
+    assert len(counts) == 2**20
+    assert (counts[0], counts[-1]) == (1, 1)
 
 
 def test_distribution_matches_counting_oracle():
@@ -299,10 +309,8 @@ def test_distribution_matches_counting_oracle():
     n_pos = sum(1 for v in values if v > 0)
     n_neg = sum(1 for v in values if v < 0)
     n_neu = sum(1 for v in values if v == 0)
-    assert dist.pos_share == n_pos / 500
-    assert dist.neg_share == n_neg / 500
-    assert dist.neu_share == n_neu / 500
-    assert abs(dist.pos_share + dist.neg_share + dist.neu_share - 1.0) < 1e-9
+    assert _shares(dist) == (n_pos / 500, n_neg / 500, n_neu / 500)
+    assert abs(sum(_shares(dist)) - 1.0) < 1e-9
 
 
 @settings(max_examples=100, deadline=None)
@@ -315,24 +323,24 @@ def test_distribution_permutation_invariant(values, rng):
     rng.shuffle(shuffled)
     a = polarity_distribution(_scores(values))
     b = polarity_distribution(_scores(shuffled))
-    assert (a.pos_share, a.neg_share, a.neu_share) == (b.pos_share, b.neg_share, b.neu_share)
-    assert a.histogram.counts == b.histogram.counts
-    assert abs(a.pos_share + a.neg_share + a.neu_share - 1.0) < 1e-9
+    assert _shares(a) == _shares(b)
+    assert a["histogram"]["counts"] == b["histogram"]["counts"]
+    assert abs(sum(_shares(a)) - 1.0) < 1e-9
 
 
 def test_histogram_bins_quarter_width():
     dist = polarity_distribution(_scores([-0.9, -0.1, 0.3, 1.0]))
-    hist = dist.histogram
-    assert hist.lo == -1.0
-    assert hist.width == 0.25
-    assert len(hist.counts) == 8  # [-1, 1] in 0.25 steps
-    assert sum(hist.counts) == 4
-    assert hist.counts[-1] == 1  # the value at the top edge lands in the last bin
+    hist = dist["histogram"]
+    assert hist["lo"] == -1.0
+    assert hist["width"] == 0.25
+    assert len(hist["counts"]) == 8  # [-1, 1] in 0.25 steps
+    assert sum(hist["counts"]) == 4
+    assert hist["counts"][-1] == 1  # the value at the top edge lands in the last bin
 
 
 def test_histogram_degenerate_all_zero():
     dist = polarity_distribution(_scores([0.0, 0.0]))
-    assert dist.histogram.counts == [2]
+    assert dist["histogram"]["counts"] == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +379,7 @@ def test_device_report_matches_recount_property(spec):
     corpus, prepared, categories = spec
     texts = [" ".join(" ".join(s) for s in sentences) for sentences in prepared]
     report = device_group_report(corpus, texts, categories)
-    assert report.groups == device_ratios(corpus.records, texts, categories, DEVICE_CLASSES)
+    assert report == device_ratios(corpus.records, texts, categories, DEVICE_CLASSES)
 
 
 @settings(max_examples=150, deadline=None)
@@ -394,6 +402,6 @@ def test_daily_series_matches_recount_property(rows):
         profiles.append(EmotionProfile(**dict(zip(EMOTION_CLASSES, counts))))
     series = daily_emotion_series(make_corpus(records), profiles)
     want = daily_shares(records, profiles, EMOTION_CLASSES)
-    assert series.days == sorted(want)
-    for i, day in enumerate(series.days):
-        assert {cls: series.values[cls][i] for cls in EMOTION_CLASSES} == want[day]
+    assert series["days"] == [day.isoformat() for day in sorted(want)]
+    for i, day in enumerate(sorted(want)):
+        assert {cls: series["values"][cls][i] for cls in EMOTION_CLASSES} == want[day]

@@ -10,10 +10,9 @@ import pytest
 
 import tweetsent.cli as cli_mod
 import tweetsent.pipeline as pipeline_mod
-from tweetsent.analytics import polarity_distribution
 from tweetsent.cli import main
 from tweetsent.corpus import BotPolicy, load_corpus
-from tweetsent.emotion import ALL_CATEGORIES, aggregate_profiles
+from tweetsent.emotion import ALL_CATEGORIES
 from tweetsent.errors import (
     ConfigError,
     EmptyCorpusError,
@@ -22,7 +21,7 @@ from tweetsent.errors import (
     SchemaError,
 )
 from tweetsent.pipeline import Analysis
-from tweetsent.scenario import classify_scenario, derive_trend
+from tweetsent.scenario import classify_scenario, trend_from_report
 
 DATA = Path(__file__).parent / "data"
 
@@ -241,6 +240,8 @@ def test_scenario_names_an_out_of_range_share_by_its_report_key(workdir, capsys)
         {"counts": {"joy": -1}},
         {"counts": ["joy"]},
         ["counts"],
+        # a falsy value that is no object is not an absent one
+        *[falsy for value in (False, 0, "", []) for falsy in (value, {"counts": value})],
     ],
 )
 def test_scenario_malformed_emotion_counts_are_data_errors(workdir, capsys, totals):
@@ -552,6 +553,9 @@ def test_dates_other_than_yyyy_mm_dd_are_config_errors(workdir, capsys, command,
         (["--start", "2020-05-08", "--end", "2020-04-30"], "after end_date"),
         (["--keyword", ""], "keyword must be non-empty"),
         (["--country", "USA"], "two-letter code"),
+        # letters, but not ASCII ones: "ß" upper-cases to "SS"
+        (["--country", "ÜS"], "two-letter code"),
+        (["--country", "ßa"], "two-letter code"),
     ],
 )
 def test_ingest_filter_values_are_checked_before_loading(workdir, capsys, flags, message):
@@ -700,10 +704,7 @@ def _csv_rows(path) -> list[list[str]]:
 def test_scenario_reads_the_trend_of_the_run_that_wrote_the_report(golden_run, capsys, timing):
     # the run's analysis, rebuilt from its filtered corpus as the projections above do
     analysis = Analysis(load_corpus(golden_run / "filtered_corpus.jsonl", "jsonl"), None)
-    trend = derive_trend(
-        polarity_distribution(analysis.scores),
-        aggregate_profiles(analysis.distinct_profiles, analysis.weights),
-    )
+    trend = trend_from_report(analysis.distribution())
     capsys.readouterr()
     assert main(["scenario", "--input", str(golden_run / "distribution.json"),
                  "--timing", timing]) == 0
@@ -731,6 +732,44 @@ def test_report_devices_csv_flattens_run_devices(golden_run, tmp_path):
     assert len(rows) > 1
     # devices.json sorts its keys; the CSV keeps the report's order
     assert sorted(rows) == sorted(expected)
+
+
+def _json_bytes(value) -> bytes:
+    """`value` in the layout of every JSON report."""
+    return (json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--what", "mentions"], "mentions"),
+        (["--what", "hashtags"], "hashtags"),
+        (["--what", "locations", "--field", "tagged"], "locations_tagged"),
+        (["--what", "locations", "--field", "stated"], "locations_stated"),
+    ],
+    ids=["mentions", "hashtags", "locations_tagged", "locations_stated"],
+)
+def test_report_ranking_json_is_run_ranking_rows(golden_run, tmp_path, argv, name):
+    assert _project(golden_run, ["report", *argv], tmp_path / "r.json") == 0
+    header, *rows = _csv_rows(golden_run / f"{name}.csv")
+    assert header == ["rank", "key", "count"]
+    assert rows
+    expected = {
+        "label": name,
+        "rows": [{"rank": int(rank), "key": key, "count": int(count)} for rank, key, count in rows],
+    }
+    assert (tmp_path / "r.json").read_bytes() == _json_bytes(expected)
+
+
+def test_report_daily_json_is_run_emotion_daily(golden_run, tmp_path):
+    assert _project(golden_run, ["report", "--what", "daily"], tmp_path / "d.json") == 0
+    (_, *classes), *rows = _csv_rows(golden_run / "emotion_daily.csv")
+    assert len(rows) > 1
+    expected = {
+        "days": [day for day, *_ in rows],
+        "values": {cls: [float(row[i]) for row in rows] for i, cls in enumerate(classes, 1)},
+    }
+    assert (tmp_path / "d.json").read_bytes() == _json_bytes(expected)
 
 
 def test_report_distribution_csv_flattens_run_distribution(golden_run, tmp_path):

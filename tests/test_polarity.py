@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -8,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import min_max, score_sentence as oracle_score
+from tweetsent.analytics import polarity_distribution
 from tweetsent.errors import ConfigError, EmptyInputError, SchemaError
 from tweetsent.polarity import (
     PolarityLexicon,
     PolarityScore,
     ScoringParams,
     classify_polarity,
-    extremes,
     load_polarity_lexicon,
     score_sentence,
     score_text,
@@ -294,43 +295,46 @@ def test_classify_polarity():
 
 
 # ---------------------------------------------------------------------------
-# extremes
+# extremes, which the distribution report carries
 
 
-def _scores(values):
-    return [PolarityScore(v, 1) for v in values]
+def _extremes(values):
+    return polarity_distribution([PolarityScore(v, 1) for v in values])["extremes"]
 
 
 def test_extremes_basic():
-    low, high = extremes(_scores([-1.5, 0.2, 1.3]))
-    assert (low.value, high.value) == (-1.5, 1.3)
+    assert _extremes([-1.5, 0.2, 1.3]) == {"min": -1.5, "max": 1.3}
 
 
 def test_extremes_single_element():
-    only = _scores([0.4])
-    low, high = extremes(only)
-    assert low is only[0] and high is only[0]
+    assert _extremes([0.4]) == {"min": 0.4, "max": 0.4}
 
 
 def test_extremes_tie_first_occurrence():
-    scores = _scores([1.0, -2.0, 1.0, -2.0])
-    low, high = extremes(scores)
-    assert low is scores[1]
-    assert high is scores[0]
+    # a text without sentences scores the int 0, a scored text can give 0.0;
+    # the first of the tied values is kept, and JSON writes 0 and 0.0 apart
+    for values, want in (([0, 0.0, -0.0], '{"min": 0, "max": 0}'),
+                         ([0.0, 0, -0.0], '{"min": 0.0, "max": 0.0}'),
+                         ([-0.0, 0, 0.0], '{"min": -0.0, "max": -0.0}')):
+        assert json.dumps(_extremes(values)) == want
 
 
 def test_extremes_empty():
     with pytest.raises(EmptyInputError):
-        extremes([])
+        polarity_distribution([])
 
 
 def test_extremes_matches_linear_scan():
+    # ints and floats of equal value tie, so the scan's first-of-ties rule shows
     rng = random.Random(55)
-    values = [rng.uniform(-3, 3) for _ in range(500)]
-    low, high = extremes(_scores(values))
-    want_lo, want_hi = min_max(values)
-    assert low.value == want_lo
-    assert high.value == want_hi
+    values = [rng.choice([-2, -2.0, 0, 0.0, 1.5, 3, 3.0]) for _ in range(50)]
+    values += [rng.uniform(-3, 3) for _ in range(500)]
+    for sample in (values[:50], values[:20], values):
+        low, high = min_max(sample)
+        got = _extremes(sample)
+        assert (type(got["min"]), got["min"], type(got["max"]), got["max"]) == (
+            type(low), low, type(high), high
+        )
 
 
 def test_score_text_adds_sentences_left_to_right():

@@ -1,47 +1,35 @@
 from __future__ import annotations
 
 import math
-import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tweetsent.analytics import Histogram, PolarityDistribution
-from tweetsent.emotion import ALL_CATEGORIES, EmotionProfile
+from oracles import scenario_trend
+from tweetsent.emotion import ALL_CATEGORIES, EMOTION_CLASSES
 from tweetsent.errors import SchemaError, TiedTrendError
-from tweetsent.exports import distribution_to_dict
-from tweetsent.polarity import PolarityScore
-from tweetsent.scenario import SentimentTrend, classify_scenario, derive_trend, trend_from_report
+from tweetsent.scenario import SentimentTrend, classify_scenario, trend_from_report
 
 
-def _dist(pos, neg):
-    return PolarityDistribution(
-        pos_share=pos,
-        neg_share=neg,
-        neu_share=1.0 - pos - neg,
-        histogram=Histogram(lo=0.0, width=0.25, counts=[]),
-    )
-
-
-def _trust_anticipation_profile():
-    return EmotionProfile(trust=40, anticipation=30, fear=10)
+def _report(pos, neg, **counts):
+    return {"positive_share": pos, "negative_share": neg, "emotion_totals": {"counts": counts}}
 
 
 def test_positive_trend_with_dominant_emotions():
-    trend = derive_trend(_dist(0.4827, 0.3682), _trust_anticipation_profile())
+    trend = trend_from_report(_report(0.4827, 0.3682, trust=40, anticipation=30, fear=10))
     assert trend.direction == "positive"
     assert trend.dominant_emotions == ["trust", "anticipation"]
     assert trend.pos_share == 0.4827
 
 
 def test_negative_trend():
-    assert derive_trend(_dist(0.2, 0.5), EmotionProfile()).direction == "negative"
+    assert trend_from_report(_report(0.2, 0.5)).direction == "negative"
 
 
 def test_tied_trend_raises():
     with pytest.raises(TiedTrendError):
-        derive_trend(_dist(0.4, 0.4), EmotionProfile())
+        trend_from_report(_report(0.4, 0.4))
 
 
 @pytest.mark.parametrize(
@@ -49,29 +37,27 @@ def test_tied_trend_raises():
 )
 def test_share_outside_unit_interval_rejected(pos, neg):
     with pytest.raises(SchemaError):
-        derive_trend(_dist(pos, neg), EmotionProfile())
+        trend_from_report(_report(pos, neg))
 
 
 def test_out_of_range_share_is_named_by_its_field():
-    # derive_trend names the distribution's field, trend_from_report the report's key
-    with pytest.raises(SchemaError, match=r"^pos_share must be a share in \[0, 1\], got 1.5$"):
-        derive_trend(_dist(1.5, 0.3), EmotionProfile())
+    with pytest.raises(SchemaError, match=r"^positive_share must be a share in \[0, 1\], got 1.5$"):
+        trend_from_report({"positive_share": 1.5, "negative_share": 0.3})
     with pytest.raises(SchemaError, match=r"^negative_share must be a share in \[0, 1\], got -0.5$"):
         trend_from_report({"positive_share": 0.3, "negative_share": -0.5})
 
 
 def test_no_dominant_emotions_without_hits():
-    assert derive_trend(_dist(0.5, 0.3), EmotionProfile()).dominant_emotions == []
+    assert trend_from_report(_report(0.5, 0.3)).dominant_emotions == []
 
 
 def test_dominant_emotions_skip_classes_without_hits():
-    p = EmotionProfile(fear=2)
-    assert derive_trend(_dist(0.2, 0.5), p).dominant_emotions == ["fear"]
+    assert trend_from_report(_report(0.2, 0.5, fear=2)).dominant_emotions == ["fear"]
 
 
 def test_direction_depends_only_on_ordering():
-    base = derive_trend(_dist(0.3, 0.2), EmotionProfile())
-    scaled = derive_trend(_dist(0.6, 0.4), EmotionProfile())
+    base = trend_from_report(_report(0.3, 0.2))
+    scaled = trend_from_report(_report(0.6, 0.4))
     assert base.direction == scaled.direction == "positive"
 
 
@@ -116,20 +102,21 @@ def test_invalid_timing_rejected():
 def test_classify_scenario_pure_and_total(pos, neg, timing):
     if pos == neg:
         with pytest.raises(TiedTrendError):
-            derive_trend(_dist(pos, neg), EmotionProfile())
+            trend_from_report(_report(pos, neg))
         return
-    trend = derive_trend(_dist(pos, neg), EmotionProfile())
+    trend = trend_from_report(_report(pos, neg))
     first = classify_scenario(trend, timing)
     second = classify_scenario(trend, timing)
     assert first == second
     assert first.id in {"S1", "S2", "S3", "S4"}
 
 
-def _trend_or_error(derive, *args):
+def _trend_or_error(report):
     try:
-        return derive(*args)
+        trend = trend_from_report(report)
     except (SchemaError, TiedTrendError) as exc:
-        return type(exc), str(exc)
+        return type(exc).__name__, str(exc)
+    return trend.direction, trend.pos_share, trend.neg_share, trend.dominant_emotions
 
 
 # shares on both sides of [0, 1], with NaN, and often equal
@@ -141,23 +128,31 @@ _SHARE = st.floats(min_value=-0.5, max_value=1.5) | st.sampled_from([0.0, 0.25, 
     _SHARE,
     _SHARE,
     st.floats(allow_nan=True),
-    st.lists(st.integers(min_value=0, max_value=50), min_size=10, max_size=10),
+    st.dictionaries(
+        st.sampled_from(ALL_CATEGORIES + ("other",)), st.integers(min_value=0, max_value=50)
+    ),
     st.integers(min_value=0, max_value=10_000),
 )
 def test_trend_from_report_reads_back_the_trend_of_the_report(pos, neg, neu, counts, tokens):
-    dist = PolarityDistribution(pos, neg, neu, Histogram(lo=-1.0, width=0.25, counts=[3, 0, 2]))
-    totals = EmotionProfile(**dict(zip(ALL_CATEGORIES, counts)), token_total=tokens)
-    low, high = PolarityScore(-0.5, 1), PolarityScore(0.75, 2)
-    report = distribution_to_dict(dist, totals, (low, high))
-    want = _trend_or_error(derive_trend, dist, totals)
-    if isinstance(want, tuple):  # the report names a share by its own key
-        kind, message = want
-        keys = {"pos_share": "positive_share", "neg_share": "negative_share"}
-        want = kind, re.sub(r"^(pos|neg)_share", lambda m: keys[m[0]], message)
-    assert _trend_or_error(trend_from_report, report) == want
+    # a report in the layout of distribution.json
+    report = {
+        "positive_share": pos,
+        "negative_share": neg,
+        "neutral_share": neu,
+        "histogram": {"lo": -1.0, "width": 0.25, "counts": [3, 0, 2]},
+        "emotion_totals": {"counts": counts, "token_total": tokens},
+        "extremes": {"min": -0.5, "max": 0.75},
+    }
+    assert _trend_or_error(report) == scenario_trend(pos, neg, counts, EMOTION_CLASSES)
 
 
 @pytest.mark.parametrize("report", [[0.6, 0.3], {"positive_share": 0.6}, "0.6"])
 def test_trend_from_report_needs_an_object_with_both_shares(report):
     with pytest.raises(SchemaError, match="needs positive_share and negative_share"):
         trend_from_report(report)
+
+
+@pytest.mark.parametrize("totals", [None, {"counts": None}, {}])
+def test_null_or_absent_emotion_counts_hold_no_counts(totals):
+    trend = trend_from_report({"positive_share": 0.6, "negative_share": 0.3, "emotion_totals": totals})
+    assert (trend.direction, trend.dominant_emotions) == ("positive", [])
