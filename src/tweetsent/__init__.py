@@ -1,34 +1,46 @@
-"""Lexicon-driven sentiment analytics for tweet corpora."""
+"""Lexicon-driven sentiment analytics for tweet corpora.
 
-from .analytics import (
-    daily_emotion_series,
-    device_group_report,
-    polarity_distribution,
-    rank_hashtags,
-    rank_locations,
-    rank_mentions,
-)
-from .corpus import (
-    BotPolicy,
-    Corpus,
-    TweetRecord,
-    filter_bots_and_duplicates,
-    load_corpus,
-)
-from .emotion import EmotionLexicon, EmotionProfile, aggregate_profiles, classify, dominant_classes, load_emotion_lexicon
-from .ngrams import NgramTable, build_table, word_cloud_weights
-from .pipeline import RunConfig, RunManifest, run_pipeline
-from .polarity import (
-    PolarityLexicon,
-    PolarityScore,
-    ScoringParams,
-    classify_polarity,
-    load_polarity_lexicon,
-    score_sentence,
-    score_text,
-)
-from .scenario import ScenarioOutcome, SentimentTrend, classify_scenario, trend_from_report
-from .synth import generate_synthetic_corpus, write_synthetic_corpus
-from .textprep import MaskLedger, Sentences, prepare, remove_stopwords
+Submodules load on first use: `import tweetsent` imports none of them, and
+`tweetsent.textprep`, `tweetsent.run_pipeline` or `from tweetsent import
+run_pipeline` imports the one submodule that is asked for (with what it
+imports itself), then keeps the name in this module.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# the re-exported names, by the submodule that defines them
+_EXPORTS = {
+    "analytics": ("daily_emotion_series", "device_group_report", "polarity_distribution",
+                  "rank_hashtags", "rank_locations", "rank_mentions"),
+    "corpus": ("BotPolicy", "Corpus", "TweetRecord", "filter_bots_and_duplicates", "load_corpus"),
+    "emotion": ("EmotionLexicon", "EmotionProfile", "aggregate_profiles", "classify",
+                "dominant_classes", "load_emotion_lexicon"),
+    "ngrams": ("NgramTable", "build_table", "word_cloud_weights"),
+    "pipeline": ("RunConfig", "RunManifest", "run_pipeline"),
+    "polarity": ("PolarityLexicon", "PolarityScore", "ScoringParams", "classify_polarity",
+                 "load_polarity_lexicon", "score_sentence", "score_text"),
+    "scenario": ("ScenarioOutcome", "SentimentTrend", "classify_scenario", "trend_from_report"),
+    "synth": ("generate_synthetic_corpus", "write_synthetic_corpus"),
+    "textprep": ("MaskLedger", "Sentences", "prepare", "remove_stopwords"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "errors", "exports"}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys() | _SUBMODULES)

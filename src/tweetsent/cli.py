@@ -37,7 +37,6 @@ from .exports import (
     write_json,
 )
 from .pipeline import Analysis, RunConfig, check_filters, check_output, gc_paused, load_filtered, run_pipeline
-from .synth import write_synthetic_corpus
 
 # a directory given where a file is expected is a configuration error, as a missing file is
 _CONFIG_ERRORS = (ConfigError, FileNotFoundError, IsADirectoryError, InvalidRangeError, InvalidNError)
@@ -119,8 +118,11 @@ def cmd_report(args) -> None:
         elif what == "daily":
             report = analytics.daily_emotion_series(analysis.corpus, analysis.profiles)
             to_csv = daily_series_to_csv
-        else:
+        elif args.export == "json":
             report = analysis.distribution()
+        else:
+            # the CSV writes no emotion totals, so it classifies no text
+            report = analytics.polarity_distribution(analysis.scores)
             to_csv = distribution_to_csv
 
     if args.export == "csv":
@@ -152,6 +154,8 @@ def cmd_run(args) -> None:
 
 
 def cmd_synth(args) -> None:
+    from .synth import write_synthetic_corpus  # no other command needs the generator
+
     ledger = write_synthetic_corpus(
         args.output,
         seed=args.seed,

@@ -20,6 +20,7 @@ from tweetsent.errors import (
     PipelineStageError,
     SchemaError,
 )
+from tweetsent.exports import distribution_to_csv
 from tweetsent.pipeline import Analysis
 from tweetsent.scenario import classify_scenario, trend_from_report
 
@@ -786,6 +787,22 @@ def test_report_distribution_csv_flattens_run_distribution(golden_run, tmp_path)
     ]
     assert len(hist["counts"]) > 1
     assert _csv_rows(tmp_path / "d.csv") == expected
+
+
+def test_report_distribution_csv_classifies_no_text(golden_run, tmp_path, monkeypatch):
+    # the bytes of the CSV form as built from the whole distribution report
+    corpus = load_corpus(golden_run / "filtered_corpus.jsonl", "jsonl")
+    distribution_to_csv(Analysis(corpus, None).distribution(), tmp_path / "full.csv")
+
+    def refuse(*args):
+        raise AssertionError("emotion.classify was called")
+
+    monkeypatch.setattr(pipeline_mod.emotion, "classify", refuse)
+    argv = ["report", "--what", "distribution"]
+    assert _project(golden_run, argv + ["--export", "csv"], tmp_path / "d.csv") == 0
+    assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+    # the JSON form holds the emotion totals, so it does classify
+    assert _project(golden_run, argv, tmp_path / "d.json") == 4
 
 
 def test_sentiment_emotion_columns_are_analysis_profiles(golden_run, tmp_path):
