@@ -26,9 +26,12 @@ _EXPORTS = {
     "textprep": ("MaskLedger", "Sentences", "prepare", "remove_stopwords"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "errors", "exports"}
+# `from tweetsent import *` binds these submodules too, as it did when this
+# module imported them all; cli is reached only by name
+_STAR_SUBMODULES = (*_EXPORTS, "errors", "exports")
+_SUBMODULES = frozenset(_STAR_SUBMODULES) | {"cli"}
 
-__all__ = list(_HOME)
+__all__ = [*_HOME, *_STAR_SUBMODULES]
 
 
 def __getattr__(name: str):

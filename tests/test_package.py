@@ -68,9 +68,13 @@ def test_setup_path_loads_only_what_it_calls():
     assert out == ["emotion", "errors", "polarity", "textprep"]
 
 
-def test_all_is_the_exported_names():
+# the submodules that `from tweetsent import *` bound when the package imported them all
+STAR_SUBMODULES = [*EXPORTS, "errors", "exports"]
+
+
+def test_all_is_the_exported_names_and_submodules():
     out = fresh("import tweetsent\nprint(json.dumps([tweetsent.__all__, loaded()]))")
-    assert out == [[name for names in EXPORTS.values() for name in names], []]
+    assert out == [[name for names in EXPORTS.values() for name in names] + STAR_SUBMODULES, []]
 
 
 def test_exported_names_are_their_submodules_objects():
@@ -107,9 +111,10 @@ def test_star_import_binds_exactly_all():
         "ns = {}\n"
         "exec('from tweetsent import *', ns)\n"
         "import tweetsent\n"
-        "print(json.dumps(sorted(set(ns) - {'__builtins__'}) == sorted(tweetsent.__all__)))"
+        "print(json.dumps([sorted(set(ns) - {'__builtins__'}) == sorted(tweetsent.__all__),"
+        " [ns[m] is sys.modules['tweetsent.' + m] for m in %r]]))" % STAR_SUBMODULES
     )
-    assert out is True
+    assert out == [True, [True] * len(STAR_SUBMODULES)]
 
 
 def test_dir_lists_names_before_they_load():
