@@ -65,7 +65,7 @@ def main() -> None:
     print(f"trend: {trend.direction}, dominant emotions: {trend.dominant_emotions}")
     for timing in ("now", "later"):
         outcome = classify_scenario(trend, timing)
-        print(f"scenario ({timing}): {outcome.id} [{outcome.narrative_key}] {outcome.label}")
+        print(f"scenario ({timing}): {outcome['id']} [{outcome['narrative_key']}] {outcome['label']}")
 
 
 if __name__ == "__main__":

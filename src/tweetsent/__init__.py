@@ -17,11 +17,11 @@ _EXPORTS = {
     "corpus": ("BotPolicy", "Corpus", "TweetRecord", "filter_bots_and_duplicates", "load_corpus"),
     "emotion": ("EmotionLexicon", "EmotionProfile", "aggregate_profiles", "classify",
                 "dominant_classes", "load_emotion_lexicon"),
-    "ngrams": ("NgramTable", "build_table", "word_cloud_weights"),
+    "ngrams": ("build_table", "word_cloud_weights"),
     "pipeline": ("RunConfig", "RunManifest", "run_pipeline"),
     "polarity": ("PolarityLexicon", "PolarityScore", "ScoringParams", "classify_polarity",
                  "load_polarity_lexicon", "score_sentence", "score_text"),
-    "scenario": ("ScenarioOutcome", "SentimentTrend", "classify_scenario", "trend_from_report"),
+    "scenario": ("SentimentTrend", "classify_scenario", "trend_from_report"),
     "synth": ("generate_synthetic_corpus", "write_synthetic_corpus"),
     "textprep": ("MaskLedger", "Sentences", "prepare", "remove_stopwords"),
 }

@@ -30,9 +30,7 @@ from .exports import (
     device_report_to_csv,
     distribution_to_csv,
     ngram_table_to_csv,
-    ngram_table_to_rows,
     ranked_table_to_csv,
-    scenario_to_dict,
     scores_to_csv,
     write_json,
 )
@@ -75,13 +73,14 @@ def cmd_ngrams(args) -> None:
     table = Analysis(load_corpus(args.input, args.format), args).ngram_table(args.n, args.top)
     if args.output:
         if args.export == "csv":
-            ngram_table_to_csv(table, args.output, args.top)
+            ngram_table_to_csv(table, args.output)
         else:
-            write_json(ngram_table_to_rows(table, args.top), args.output)
+            rows = [{"rank": r, "gram": gram, "count": c} for r, (gram, c) in enumerate(table, 1)]
+            write_json(rows, args.output)
         print(f"wrote {args.output}")
     else:
-        for rank, (gram, count) in enumerate(table.entries, start=1):
-            print(f"{rank}\t{' '.join(gram)}\t{count}")
+        for rank, (gram, count) in enumerate(table, 1):
+            print(f"{rank}\t{gram}\t{count}")
 
 
 def cmd_sentiment(args) -> None:
@@ -134,7 +133,7 @@ def cmd_report(args) -> None:
 
 def cmd_scenario(args) -> None:
     trend = scenario.load_trend(args.input)
-    payload = scenario_to_dict(scenario.classify_scenario(trend, args.timing), trend, args.timing)
+    payload = scenario.classify_scenario(trend, args.timing)
     if args.output:
         write_json(payload, args.output)
         print(f"wrote {args.output}")

@@ -142,9 +142,11 @@ def parse_timestamp(value: str) -> datetime:
 
 
 def _split_tags(value) -> list[str]:
-    if isinstance(value, list):
-        return list(filter(None, map(str, value)))
-    return [] if value is None else list(filter(None, str(value).split("|")))
+    """The non-empty tags of None, a "|"-joined string or a list of strings,
+    the values `_build_record` lets through."""
+    if type(value) is list:
+        return list(filter(None, value))
+    return [] if value is None else list(filter(None, value.split("|")))
 
 
 def _parse_bool(value) -> bool:
@@ -160,20 +162,27 @@ def _parse_bool(value) -> bool:
 
 def _build_record(values, check: bool, seen_ids: set[str], chain) -> TweetRecord | str:
     """A record from the ten values in CSV_COLUMNS order, None where absent, or
-    the name of the first `chain` test it fails. An invalid row raises
-    SchemaError; `check` also refuses one with a lone surrogate, filtered or not."""
+    the name of the first `chain` test it fails. An invalid row raises SchemaError
+    before any test runs; `check` also refuses one with a lone surrogate, filtered or not."""
     rid, created_at, text, source, location, country, hashtags, mentions, user_id, is_retweet = values
     rid = str(rid or "").strip()
     if not rid:
         raise SchemaError("missing status_id")
     if rid in seen_ids:
         raise SchemaError(f"duplicate status_id {rid!r}")
-    text = str(text or "")
-    if not text.strip():
-        raise SchemaError("missing text")
+    if type(text) is not str or not text.strip():  # a JSON row's text may be any value
+        raise SchemaError("missing text, or text that is not a string")
     created_at = parse_timestamp(str(created_at or ""))
     country = str(country or "").strip() or None
     is_retweet = _parse_bool(is_retweet)
+    try:  # a JSON row may hold any value: tags are None, a string or a list of strings
+        for tags in (hashtags, mentions):
+            if type(tags) is list:
+                "".join(tags)  # tests in C that every item is a string
+            elif tags is not None and type(tags) is not str:
+                raise TypeError
+    except TypeError:
+        raise SchemaError("hashtags and mentions must be strings or lists of strings") from None
     for failed, keep in chain:
         if not keep(created_at, text, country):
             break

@@ -1,16 +1,16 @@
 """Ranked word-frequency and n-gram (n = 1..4) tables over prepared texts.
 
 Grams never cross sentence boundaries. Each table is counted in one C-level
-pass over the texts' chained token stream. Tables order entries by count
-descending, ties broken lexicographically on the space-joined gram, which
-makes every table a total order and re-runs byte-identical.
+pass over the texts' chained token stream. A table is its ranked rows
+(gram, count), each gram space-joined: by count descending, ties broken
+lexicographically on the gram, which makes every table a total order and
+re-runs byte-identical.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat, tee
 from operator import eq, lt
 
@@ -18,13 +18,6 @@ from .errors import InvalidNError
 from .textprep import Sentences
 
 MAX_N = 4
-
-
-@dataclass
-class NgramTable:
-    n: int
-    entries: list[tuple[tuple[str, ...], int]]
-    total_grams: int
 
 
 def _rank_key(item: tuple[tuple[str, ...], int]) -> tuple[int, tuple[str, ...]]:
@@ -47,14 +40,14 @@ def _windows(texts: list[Sentences], n: int):
 
 def build_table(
     texts: list[Sentences], n: int, top: int | None = None, weights: list[int] | None = None
-) -> NgramTable:
-    """Exact counts over all texts with deterministic ordering.
+) -> list[tuple[str, int]]:
+    """The first `top` rows (all of them when `top` is None) of the exact
+    counts over all texts, in the table order.
 
     Width-n sliding windows per sentence; a sentence shorter than n yields
     none. Text i counts `weights[i]` >= 1 times (once if None): one `Counter`
     counts every text's windows, then a text of weight w adds them w - 1
-    more times. Only the first `top` entries of the order are kept (all of
-    them when `top` is None); `total_grams` always counts every gram.
+    more times. Grams are counted as tuples and joined only once ranked.
 
     Precondition: no token holds a character at or below U+0020, as every
     token of `textprep.prepare` matches [a-z0-9']+. Ties then compare gram
@@ -67,10 +60,8 @@ def build_table(
     for sentences, weight in compress(zip(texts, weights, strict=True), map(lt, repeat(1), weights)):
         for gram in _windows([sentences], n):
             counts[gram] += weight - 1
-    entries = _top_entries(counts, len(counts) if top is None else top)
-    if n == 1:
-        entries = [((token,), count) for token, count in entries]
-    return NgramTable(n=n, entries=entries, total_grams=sum(counts.values()))
+    rows = _top_entries(counts, len(counts) if top is None else top)
+    return rows if n == 1 else [(" ".join(gram), count) for gram, count in rows]
 
 
 def _top_entries(counts: Counter, k: int) -> list:
@@ -93,14 +84,13 @@ def _top_entries(counts: Counter, k: int) -> list:
     return entries
 
 
-def word_cloud_weights(table: NgramTable, k: int) -> list[tuple[str, float]]:
-    """Top-k unigrams weighted by count / max count, heaviest first."""
-    if table.n != 1:
-        raise InvalidNError(f"word cloud needs a unigram table, got n={table.n}")
+def word_cloud_weights(table: list[tuple[str, int]], k: int) -> list[dict]:
+    """The top-k words of a unigram table, each weighted by count / max
+    count, heaviest first. A gram holding a space gives away a higher order;
+    an empty table shows no order and has no words."""
+    if table and " " in table[0][0]:
+        raise InvalidNError(f"word cloud needs a unigram table, got the gram {table[0][0]!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not table.entries:
-        return []
-    top = table.entries[:k]
-    max_count = top[0][1]
-    return [(gram[0], count / max_count) for gram, count in top]
+    top = table[:k]
+    return [{"word": word, "weight": count / top[0][1]} for word, count in top]

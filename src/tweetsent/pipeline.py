@@ -43,15 +43,7 @@ from .corpus import (
     write_corpus_jsonl,
 )
 from .errors import ConfigError, EmptyCorpusError, InvalidRangeError, PipelineStageError
-from .exports import (
-    daily_series_to_csv,
-    emotion_totals_to_dict,
-    ngram_table_to_csv,
-    ranked_table_to_csv,
-    scores_to_csv,
-    word_cloud_to_dict,
-    write_json,
-)
+from .exports import daily_series_to_csv, ngram_table_to_csv, ranked_table_to_csv, scores_to_csv, write_json
 from .polarity import ScoringParams
 
 VERSION = "0.1.0"
@@ -331,10 +323,12 @@ class Analysis:
         return self._expand(self.distinct_profiles)
 
     @cached_property
-    def totals(self) -> emotion.EmotionProfile:
-        return emotion.aggregate_profiles(self.distinct_profiles, self.weights)
+    def totals(self) -> dict:
+        """The summed emotion profiles as `emotion_totals.json` holds them."""
+        *counts, token_total = emotion.aggregate_profiles(self.distinct_profiles, self.weights)
+        return {"counts": dict(zip(emotion.ALL_CATEGORIES, counts)), "token_total": token_total}
 
-    def ngram_table(self, n: int, top: int) -> ngrams.NgramTable:
+    def ngram_table(self, n: int, top: int) -> list[tuple[str, int]]:
         """The first `top` >= 1 rows of the n-gram table: over the
         stopword-filtered texts for n <= 2, over the full texts for n >= 3."""
         if top < 1:
@@ -355,7 +349,7 @@ class Analysis:
         """The scenario-ready summary that `distribution.json` holds: the
         scores' distribution report with the emotion totals."""
         report = analytics.polarity_distribution(self.scores)
-        report["emotion_totals"] = emotion_totals_to_dict(self.totals)
+        report["emotion_totals"] = self.totals
         return report
 
 
@@ -414,7 +408,7 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
                 "provenance": corpus.provenance.to_dict(),
                 "records_final": len(corpus.records),
                 "mask": {
-                    "distinct_terms": analysis.ledger.counter,
+                    "distinct_terms": len(analysis.ledger.masks),
                     "occurrences": analysis.ledger.occurrences,
                 },
             },
@@ -429,17 +423,18 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
             writers = [
                 ("provenance.json", partial(write_json, corpus.provenance.to_dict())),
                 ("filtered_corpus.jsonl", partial(write_corpus_jsonl, corpus)),
+                # the unigram table holds the word cloud's rows too
                 *[
-                    (f"ngrams_{n}.csv", partial(ngram_table_to_csv, tables[n], top=cfg.ngram_top))
+                    (f"ngrams_{n}.csv", partial(ngram_table_to_csv, tables[n][: cfg.ngram_top]))
                     for n in (1, 2, 3, 4)
                 ],
-                ("wordcloud.json", partial(write_json, word_cloud_to_dict(cloud))),
+                ("wordcloud.json", partial(write_json, cloud)),
                 ("mentions.csv", partial(ranked_table_to_csv, mentions)),
                 ("hashtags.csv", partial(ranked_table_to_csv, hashtags)),
                 ("locations_tagged.csv", partial(ranked_table_to_csv, loc_tagged)),
                 ("locations_stated.csv", partial(ranked_table_to_csv, loc_stated)),
                 ("devices.json", partial(write_json, devices)),
-                ("emotion_totals.json", partial(write_json, emotion_totals_to_dict(totals))),
+                ("emotion_totals.json", partial(write_json, totals)),
                 ("emotion_daily.csv", partial(daily_series_to_csv, daily)),
                 ("polarity_scores.csv", partial(scores_to_csv, corpus, scores)),
                 ("distribution.json", partial(write_json, dist)),

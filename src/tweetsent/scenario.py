@@ -26,13 +26,6 @@ class SentimentTrend:
     dominant_emotions: list[str]
 
 
-@dataclass
-class ScenarioOutcome:
-    id: str
-    label: str
-    narrative_key: str
-
-
 _SCENARIOS = {
     ("positive", "now"): ("S1", "positive sentiment trend, reopen now", "a"),
     ("positive", "later"): ("S2", "positive sentiment trend, reopen later", "b"),
@@ -90,8 +83,12 @@ def load_trend(path) -> SentimentTrend:
     return trend_from_report(report)
 
 
-def classify_scenario(trend: SentimentTrend, timing: str) -> ScenarioOutcome:
+def classify_scenario(trend: SentimentTrend, timing: str) -> dict:
+    """The scenario of `trend` and `timing`, with the inputs it came from, as
+    the `scenario` command prints it."""
     if timing not in TIMINGS:
         raise ValueError(f"timing must be one of {TIMINGS}, got {timing!r}")
     sid, label, key = _SCENARIOS[(trend.direction, timing)]
-    return ScenarioOutcome(id=sid, label=label, narrative_key=key)
+    inputs = {"pos_share": trend.pos_share, "neg_share": trend.neg_share, "timing": timing}
+    inputs["dominant_emotions"] = trend.dominant_emotions
+    return {"id": sid, "label": label, "narrative_key": key, "inputs": inputs}

@@ -92,24 +92,19 @@ def load_abusive_lexicon(path=None) -> set[str]:
 class MaskLedger:
     """Stable mapping from distinct abusive words to mask tokens.
 
-    Masks are "abuvs" plus a counter that numbers distinct words by first
-    appearance, starting at 1; the same word always maps to the same mask
-    within one run.
+    `masks` maps each distinct word, in order of first appearance, to
+    "abuvs" plus its place in that order, starting at 1; the same word always
+    maps to the same mask within one run. `occurrences` counts every hit.
     """
 
-    replacements: list[tuple[str, str]] = field(default_factory=list)
-    counter: int = 0
+    masks: dict[str, str] = field(default_factory=dict)
     occurrences: int = 0
-    _by_word: dict[str, str] = field(default_factory=dict, repr=False)
 
     def mask_for(self, word: str) -> str:
         self.occurrences += 1
-        mask = self._by_word.get(word)
+        mask = self.masks.get(word)
         if mask is None:
-            self.counter += 1
-            mask = f"abuvs{self.counter}"
-            self._by_word[word] = mask
-            self.replacements.append((word, mask))
+            mask = self.masks[word] = f"abuvs{len(self.masks) + 1}"
         return mask
 
 

@@ -47,22 +47,23 @@ def prepare(raw):
 
 
 def ngram_counts(texts, n):
-    """Plain-dict n-gram counting over each text's sentences."""
+    """Plain-dict n-gram counting over each text's sentences, keyed by the
+    space-joined gram."""
     counts = {}
     for sentences in texts:
         for sentence in sentences:
             if len(sentence) < n:
                 continue
             for i in range(len(sentence) - n + 1):
-                gram = tuple(sentence[i : i + n])
+                gram = " ".join(sentence[i : i + n])
                 counts[gram] = counts.get(gram, 0) + 1
     return counts
 
 
 def ranked_ngrams(counts, top=None):
     """The (gram, count) items of `counts` by count descending, ties by the
-    space-joined gram; the first `top` of them (all when `top` is None)."""
-    return sorted(counts.items(), key=lambda item: (-item[1], " ".join(item[0])))[:top]
+    gram; the first `top` of them (all when `top` is None)."""
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:top]
 
 
 def score_sentence(tokens, entries, shifters, window_before=4, window_after=2,
@@ -325,18 +326,23 @@ def dictreader_load(path, parse_timestamp):
 def jsonl_load(path, parse_timestamp):
     """The JSONL loader as its contract reads it: every line that holds more
     than whitespace is one row, decoded with json.loads, which must give an
-    object. Returns (records as field tuples, parsed, skipped), or the name of
-    the error the loader raises. `parse_timestamp` turns a created_at string
-    into a datetime or raises."""
+    object. A text that is no JSON string, or hashtags or mentions that are not
+    null, a string or a list of strings, make a row bad. Returns (records as
+    field tuples, parsed, skipped), or the name of the error the loader
+    raises. `parse_timestamp` turns a created_at string into a datetime or
+    raises."""
     true_strings = {"true", "t", "1", "yes"}
     false_strings = {"false", "f", "0", "no", ""}
 
     def split_tags(value):
+        # null, a "|"-separated string or a list of strings; else the row is bad
         if value is None:
             return []
-        if isinstance(value, list):
-            return [str(v) for v in value if str(v)]
-        return [part for part in str(value).split("|") if part]
+        if isinstance(value, list) and all(isinstance(v, str) for v in value):
+            return [v for v in value if v]
+        if not isinstance(value, str):
+            raise ValueError("bad tags")
+        return [part for part in value.split("|") if part]
 
     # an undecodable byte becomes a lone surrogate, which skips its row
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -354,8 +360,8 @@ def jsonl_load(path, parse_timestamp):
             if not isinstance(row, dict):
                 raise ValueError("not an object")
             rid = str(row.get("status_id") or "").strip()
-            text = str(row.get("text") or "")
-            if not rid or rid in seen or not text.strip():
+            text = row.get("text")
+            if not rid or rid in seen or not isinstance(text, str) or not text.strip():
                 raise ValueError("bad row")
             created = parse_timestamp(str(row.get("created_at") or ""))
             flag = row.get("is_retweet")
@@ -467,11 +473,10 @@ def per_record_run(cfg, out_dir):
     tables = {}
     for n in (1, 2, 3, 4):
         top = max(cfg.ngram_top, cfg.wordcloud_top) if n == 1 else cfg.ngram_top
-        counts = ngram_counts(stopped if n <= 2 else full, n)
-        tables[n] = ngrams.NgramTable(n, ranked_ngrams(counts, top), sum(counts.values()))
-        exports.ngram_table_to_csv(tables[n], out / f"ngrams_{n}.csv", cfg.ngram_top)
+        tables[n] = ranked_ngrams(ngram_counts(stopped if n <= 2 else full, n), top)
+        exports.ngram_table_to_csv(tables[n][: cfg.ngram_top], out / f"ngrams_{n}.csv")
     cloud = ngrams.word_cloud_weights(tables[1], cfg.wordcloud_top)
-    exports.write_json(exports.word_cloud_to_dict(cloud), out / "wordcloud.json")
+    exports.write_json(cloud, out / "wordcloud.json")
     rankings = {
         "mentions": analytics.rank_mentions(c, cfg.rank_top),
         "hashtags": analytics.rank_hashtags(c, cfg.rank_top),
@@ -483,8 +488,11 @@ def per_record_run(cfg, out_dir):
     cleaned = [" ".join(token for sentence in ts for token in sentence) for ts in full]
     devices = analytics.device_group_report(c, cleaned, cfg.device_categories)
     exports.write_json(devices, out / "devices.json")
-    totals = emotion.aggregate_profiles(profiles)
-    exports.write_json(exports.emotion_totals_to_dict(totals), out / "emotion_totals.json")
+    totals = {
+        "counts": {c: sum(getattr(p, c) for p in profiles) for c in emotion.ALL_CATEGORIES},
+        "token_total": sum(p.token_total for p in profiles),
+    }
+    exports.write_json(totals, out / "emotion_totals.json")
     exports.daily_series_to_csv(analytics.daily_emotion_series(c, profiles), out / "emotion_daily.csv")
     with open(out / "polarity_scores.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -496,6 +504,6 @@ def per_record_run(cfg, out_dir):
     payload = analytics.polarity_distribution(scores)
     low, high = min_max([score.value for score in scores])
     payload["extremes"] = {"min": low, "max": high}
-    payload["emotion_totals"] = exports.emotion_totals_to_dict(totals)
+    payload["emotion_totals"] = totals
     exports.write_json(payload, out / "distribution.json")
     return ledger.occurrences

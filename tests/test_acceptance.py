@@ -40,8 +40,7 @@ def test_criterion_01_ngram_oracle(synth_corpus, stoplist):
     stopped = [remove_stopwords(sentences, stoplist) for sentences in full]
     for n in (1, 2, 3, 4):
         streams = stopped if n <= 2 else full
-        table = build_table(streams, n)
-        assert dict(table.entries) == ngram_counts(streams, n)
+        assert dict(build_table(streams, n)) == ngram_counts(streams, n)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _ok(1, f"n-gram tables n=1..4 equal brute-force counts on 1,000 records ({elapsed:.2f}s)")
@@ -129,7 +128,7 @@ def test_criterion_06_scenario_mapping():
     for (direction, timing), (sid, key) in expected.items():
         trend = SentimentTrend(direction, 0.6, 0.2, [])
         outcome = classify_scenario(trend, timing)
-        assert (outcome.id, outcome.narrative_key) == (sid, key)
+        assert (outcome["id"], outcome["narrative_key"]) == (sid, key)
     with pytest.raises(TiedTrendError):
         trend_from_report({"positive_share": 0.4, "negative_share": 0.4, "neutral_share": 0.2})
     _ok(6, "all four trend/timing pairs map to S1..S4; exact tie raises TiedTrend")

@@ -253,6 +253,35 @@ def test_scenario_malformed_emotion_counts_are_data_errors(workdir, capsys, tota
     assert "emotion_totals.counts must map emotions to non-negative integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "pos, neg, timing, sid, label, key",
+    [
+        (0.55, 0.25, "now", "S1", "positive sentiment trend, reopen now", "a"),
+        (0.55, 0.25, "later", "S2", "positive sentiment trend, reopen later", "b"),
+        (0.25, 0.55, "now", "S3", "negative sentiment trend, reopen now", "c"),
+        (0.25, 0.55, "later", "S4", "negative sentiment trend, reopen later", "d"),
+    ],
+)
+def test_scenario_prints_each_quadrant(workdir, capsys, pos, neg, timing, sid, label, key):
+    # fear leads; joy and trust tie, and joy comes first in the class order
+    counts = {"fear": 5, "joy": 3, "trust": 3, "positive": 9}
+    report = {"positive_share": pos, "negative_share": neg, "neutral_share": 0.2,
+              "emotion_totals": {"counts": counts, "token_total": 40}}
+    (workdir / "d.json").write_text(json.dumps(report))
+    expected = {
+        "id": sid,
+        "label": label,
+        "narrative_key": key,
+        "inputs": {"pos_share": pos, "neg_share": neg, "timing": timing,
+                   "dominant_emotions": ["fear", "joy"]},
+    }
+    capsys.readouterr()
+    assert main(["scenario", "--input", "d.json", "--timing", timing]) == 0
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert main(["scenario", "--input", "d.json", "--timing", timing, "--output", "s.json"]) == 0
+    assert json.loads((workdir / "s.json").read_text()) == expected
+
+
 def test_scenario_without_emotion_hits_has_no_dominant_emotions(workdir, capsys):
     (workdir / "flat.json").write_text(
         json.dumps({"positive_share": 0.5, "negative_share": 0.3, "neutral_share": 0.2})
@@ -710,7 +739,7 @@ def test_scenario_reads_the_trend_of_the_run_that_wrote_the_report(golden_run, c
     assert main(["scenario", "--input", str(golden_run / "distribution.json"),
                  "--timing", timing]) == 0
     printed = json.loads(capsys.readouterr().out)
-    assert printed["id"] == classify_scenario(trend, timing).id
+    assert printed["id"] == classify_scenario(trend, timing)["id"]
     assert printed["inputs"] == {
         "pos_share": trend.pos_share,
         "neg_share": trend.neg_share,
@@ -760,6 +789,20 @@ def test_report_ranking_json_is_run_ranking_rows(golden_run, tmp_path, argv, nam
         "rows": [{"rank": int(rank), "key": key, "count": int(count)} for rank, key, count in rows],
     }
     assert (tmp_path / "r.json").read_bytes() == _json_bytes(expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ngrams_json_and_stdout_carry_the_run_csv_rows(golden_run, tmp_path, capsys, n):
+    header, *rows = _csv_rows(golden_run / f"ngrams_{n}.csv")
+    assert header == ["rank", "gram", "count"]
+    assert len(rows) > 1
+    argv = ["ngrams", "--n", str(n), "--top", "100"]
+    assert _project(golden_run, argv + ["--export", "json"], tmp_path / "g.json") == 0
+    expected = [{"rank": int(rank), "gram": gram, "count": int(count)} for rank, gram, count in rows]
+    assert (tmp_path / "g.json").read_bytes() == _json_bytes(expected)
+    capsys.readouterr()
+    assert main(argv + ["--input", str(golden_run / "filtered_corpus.jsonl"), "--format", "jsonl"]) == 0
+    assert capsys.readouterr().out == "".join(f"{rank}\t{gram}\t{count}\n" for rank, gram, count in rows)
 
 
 def test_report_daily_json_is_run_emotion_daily(golden_run, tmp_path):

@@ -409,8 +409,9 @@ _MISSING = object()
 _JSONL_VALUES = {
     "status_id": ["j0", "j1", " j2 ", "", 7, float("inf"), None, _MISSING],
     "created_at": ["2020-05-02T10:00:00Z", "2020-05-02T10:00:00+02:00", "2020-05-02", 5, _MISSING],
-    "text": ["reopen now", "", " ", float("nan"), ["a"], "a \ud800 b"],
-    "hashtags": [[], ["a", ""], "a|b", None, [1, True], ["\ud83d"], _MISSING],
+    "text": ["reopen now", "", " ", float("nan"), ["a"], {"a": 1}, 5, "a \ud800 b"],
+    "hashtags": [[], ["a", ""], "a|b", None, [1, True], ["a", None], 5, {"a": 1}, ["\ud83d"], _MISSING],
+    "mentions": [["m"], [None], [["x"]], "m|n", False, _MISSING],
     "country_code": ["US", " us ", "", None],
     "is_retweet": [False, True, "yes", " T ", "maybe", 0, None, _MISSING],
 }
@@ -735,6 +736,33 @@ def test_jsonl_surrogate_escapes_skipped_in_valid_utf8(tmp_path):
     assert [r.id for r in c.records] == ["j0", "j3", "j4"]
     assert c.records[2].text.startswith("\U0001F600")
     assert (c.provenance.parsed, c.provenance.skipped) == (7, 4)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("hashtags", ["reopen", None, 5, ["x"]]),
+        ("hashtags", 5),
+        ("mentions", [None]),
+        ("mentions", {"m": "n"}),
+        ("text", {"a": 1}),
+        ("text", 5),
+    ],
+)
+def test_jsonl_value_of_the_wrong_type_is_a_skipped_row_before_any_filter(tmp_path, field, value):
+    # rows the date filter removes, so a bad row counts as skipped, not filtered
+    lines = [
+        _jsonl_line(0),
+        _jsonl_line(1, created_at="2020-04-01T10:00:00Z", **{field: value}),
+        _jsonl_line(2, **{field: value}),
+        _jsonl_line(3, created_at="2020-04-01T10:00:00Z"),
+    ]
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    c = load_filtered(path, "jsonl", check_filters("2020-05-02", "2020-05-02", None, None))
+    assert [r.id for r in c.records] == ["j0"]
+    assert (c.provenance.parsed, c.provenance.skipped) == (4, 2)
+    assert c.provenance.filtered == {"date_range": 1}
 
 
 def test_jsonl_invalid_utf8_line_skipped(tmp_path):

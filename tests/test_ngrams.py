@@ -17,21 +17,24 @@ def _text(*sentences):
 
 
 def _grams(sentences, n):
-    return dict(build_table([sentences], n).entries)
+    return dict(build_table([sentences], n))
+
+
+def _total(table):
+    """The number of grams an untruncated table counts."""
+    return sum(count for _, count in table)
 
 
 def test_extract_bigrams_single_sentence():
-    assert _grams(_text(["a", "b", "c"]), 2) == {("a", "b"): 1, ("b", "c"): 1}
+    assert _grams(_text(["a", "b", "c"]), 2) == {"a b": 1, "b c": 1}
 
 
 def test_extract_does_not_cross_boundaries():
-    assert _grams(_text(["a", "b"], ["c", "d"]), 2) == {("a", "b"): 1, ("c", "d"): 1}
+    assert _grams(_text(["a", "b"], ["c", "d"]), 2) == {"a b": 1, "c d": 1}
 
 
 def test_extract_short_sentence_empty():
-    table = build_table([_text(["a"])], 3)
-    assert table.entries == []
-    assert table.total_grams == 0
+    assert build_table([_text(["a"])], 3) == []
 
 
 @pytest.mark.parametrize("n", [0, 5, -1])
@@ -52,18 +55,18 @@ def test_extract_invalid_n(n):
 def test_extract_count_law(sentences, n):
     sentences = [s for s in sentences if s]
     expected = sum(len(s) - n + 1 for s in sentences if len(s) >= n)
-    assert build_table([_text(*sentences)], n).total_grams == expected
+    assert _total(build_table([_text(*sentences)], n)) == expected
 
 
 def test_build_table_counts_and_total():
     table = build_table([_text(["a", "b"]), _text(["a", "b"])], 2)
-    assert table.entries == [(("a", "b"), 2)]
-    assert table.total_grams == 2
+    assert table == [("a b", 2)]
+    assert _total(table) == 2
 
 
 def test_build_table_lexicographic_tiebreak():
     table = build_table([_text(["a", "b"]), _text(["a", "a"])], 2)
-    assert table.entries == [(("a", "a"), 1), (("a", "b"), 1)]
+    assert table == [("a a", 1), ("a b", 1)]
 
 
 def test_build_table_matches_oracle_on_synth(synth_corpus, stoplist):
@@ -73,29 +76,29 @@ def test_build_table_matches_oracle_on_synth(synth_corpus, stoplist):
         streams = stopped if n <= 2 else full
         table = build_table(streams, n)
         expected = ngram_counts(streams, n)
-        assert dict(table.entries) == expected
-        assert table.total_grams == sum(expected.values())
+        assert dict(table) == expected
+        assert _total(table) == sum(expected.values())
 
 
 def test_build_table_deterministic(synth_corpus):
     streams = [prepare(r.text) for r in synth_corpus.records]
     t1 = build_table(streams, 2)
     t2 = build_table(streams, 2)
-    assert t1.entries == t2.entries
+    assert t1 == t2
 
 
 def test_unigram_total_equals_token_count(synth_corpus):
     streams = [prepare(r.text) for r in synth_corpus.records]
     table = build_table(streams, 1)
-    assert table.total_grams == sum(len(s) for sentences in streams for s in sentences)
+    assert _total(table) == sum(len(s) for sentences in streams for s in sentences)
 
 
 def test_table_ordering_invariant(synth_corpus):
     streams = [prepare(r.text) for r in synth_corpus.records]
     table = build_table(streams, 2)
-    keys = [(-count, " ".join(gram)) for gram, count in table.entries]
+    keys = [(-count, gram) for gram, count in table]
     assert keys == sorted(keys)
-    assert all(len(gram) == 2 for gram, _ in table.entries)
+    assert all(len(gram.split(" ")) == 2 for gram, _ in table)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +115,8 @@ _CORPORA = st.lists(_TEXT, max_size=12)
 def test_top_k_is_prefix_of_full_order(corpus, n, k):
     texts = [_text(*(s for s in text if s)) for text in corpus]
     full = ngram_counts(texts, n)
-    table = build_table(texts, n, top=k)
-    assert table.entries == ranked_ngrams(full, k)
-    assert table.total_grams == sum(full.values())
+    assert build_table(texts, n, top=k) == ranked_ngrams(full, k)
+    assert _total(build_table(texts, n)) == sum(full.values())
 
 
 # distinct texts with record counts; a record count above 1 stands for a
@@ -137,8 +139,8 @@ def test_weighted_table_equals_the_expanded_corpus(weighted, n, top, rng):
     table = build_table(distinct, n, top, weights)
     assert table == build_table(records, n, top)
     full = ngram_counts(records, n)
-    assert table.entries == ranked_ngrams(full, top)
-    assert table.total_grams == sum(full.values())
+    assert table == ranked_ngrams(full, top)
+    assert _total(build_table(distinct, n, None, weights)) == sum(full.values())
 
 
 @settings(max_examples=400, deadline=None)
@@ -157,9 +159,10 @@ def test_one_pass_count_equals_the_oracle(n, data):
     cuts = st.sampled_from(ties) if ties else st.integers(1, len(full) + 1)
     top = data.draw(st.one_of(st.none(), st.just(0), cuts))
     table = build_table(texts, n, top, weights)
-    assert table.entries == full[:top]
-    assert table.total_grams == sum(counts.values())
-    assert all(type(gram) is tuple and len(gram) == n for gram, _ in table.entries)
+    assert table == full[:top]
+    assert _total(build_table(texts, n, None, weights)) == sum(counts.values())
+    # joined once ranked: n tokens, also for n = 1
+    assert all(type(gram) is str and len(gram.split(" ")) == n for gram, _ in table)
 
 
 @settings(max_examples=500, deadline=None)
@@ -178,7 +181,7 @@ def test_weights_must_align_with_texts():
 
 def test_top_k_cut_inside_a_tie():
     texts = [_text(["b"], ["a"], ["c"], ["c"])]
-    assert build_table(texts, 1, top=2).entries == [(("c",), 2), (("a",), 1)]
+    assert build_table(texts, 1, top=2) == [("c", 2), ("a", 1)]
 
 
 def test_top_none_keeps_every_entry(synth_corpus):
@@ -186,8 +189,8 @@ def test_top_none_keeps_every_entry(synth_corpus):
     for n in (1, 4):
         table = build_table(texts, n, top=None)
         full = ngram_counts(texts, n)
-        assert dict(table.entries) == full
-        assert table.entries == ranked_ngrams(full)
+        assert dict(table) == full
+        assert table == ranked_ngrams(full)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +199,10 @@ def test_top_none_keeps_every_entry(synth_corpus):
 
 def test_word_cloud_normalization():
     table = build_table([_text(["reopen"] * 10 + ["economy"] * 5)], 1)
-    assert word_cloud_weights(table, 2) == [("reopen", 1.0), ("economy", 0.5)]
+    assert word_cloud_weights(table, 2) == [
+        {"word": "reopen", "weight": 1.0},
+        {"word": "economy", "weight": 0.5},
+    ]
 
 
 def test_word_cloud_k_exceeds_vocabulary():
@@ -206,7 +212,7 @@ def test_word_cloud_k_exceeds_vocabulary():
 
 def test_word_cloud_single_word():
     table = build_table([_text(["reopen"])], 1)
-    assert word_cloud_weights(table, 3) == [("reopen", 1.0)]
+    assert word_cloud_weights(table, 3) == [{"word": "reopen", "weight": 1.0}]
 
 
 def test_word_cloud_rejects_non_unigram():
@@ -215,8 +221,19 @@ def test_word_cloud_rejects_non_unigram():
         word_cloud_weights(table, 5)
 
 
+def test_word_cloud_of_an_empty_table_is_empty():
+    # an empty table shows no order, so an empty bigram table passes too
+    assert word_cloud_weights(build_table([], 1), 5) == []
+    assert word_cloud_weights(build_table([_text(["a"])], 2), 5) == []
+
+
+def test_word_cloud_rejects_k_below_one():
+    with pytest.raises(ValueError):
+        word_cloud_weights(build_table([_text(["a"])], 1), 0)
+
+
 def test_word_cloud_weights_in_unit_interval(synth_corpus, stoplist):
     streams = [remove_stopwords(prepare(r.text), stoplist) for r in synth_corpus.records]
-    weights = word_cloud_weights(build_table(streams, 1), 100)
-    assert all(0 < w <= 1.0 for _, w in weights)
-    assert [w for _, w in weights] == sorted((w for _, w in weights), reverse=True)
+    weights = [entry["weight"] for entry in word_cloud_weights(build_table(streams, 1), 100)]
+    assert all(0 < w <= 1.0 for w in weights)
+    assert weights == sorted(weights, reverse=True)

@@ -73,9 +73,9 @@ def test_direction_depends_only_on_ordering():
 def test_scenario_quadrants(direction, timing, sid, key):
     trend = SentimentTrend(direction=direction, pos_share=0.5, neg_share=0.3, dominant_emotions=[])
     outcome = classify_scenario(trend, timing)
-    assert outcome.id == sid
-    assert outcome.narrative_key == key
-    assert direction in outcome.label and timing in outcome.label
+    assert outcome["id"] == sid
+    assert outcome["narrative_key"] == key
+    assert direction in outcome["label"] and timing in outcome["label"]
 
 
 def test_mapping_is_bijective():
@@ -83,7 +83,7 @@ def test_mapping_is_bijective():
     for direction in ("positive", "negative"):
         for timing in ("now", "later"):
             trend = SentimentTrend(direction, 0.5, 0.3, [])
-            seen.add(classify_scenario(trend, timing).id)
+            seen.add(classify_scenario(trend, timing)["id"])
     assert seen == {"S1", "S2", "S3", "S4"}
 
 
@@ -108,7 +108,7 @@ def test_classify_scenario_pure_and_total(pos, neg, timing):
     first = classify_scenario(trend, timing)
     second = classify_scenario(trend, timing)
     assert first == second
-    assert first.id in {"S1", "S2", "S3", "S4"}
+    assert first["id"] in {"S1", "S2", "S3", "S4"}
 
 
 def _trend_or_error(report):
