@@ -62,7 +62,7 @@ def cmd_ingest(args) -> None:
     write_corpus_jsonl(corpus, args.output)
     if args.provenance:
         prov_path = Path(args.output).with_suffix(".provenance.json")
-        write_json(corpus.provenance.to_dict(), prov_path)
+        write_json(corpus.provenance._asdict(), prov_path)
         print(f"wrote {args.output} and {prov_path}")
     else:
         print(f"wrote {args.output}")

@@ -13,9 +13,10 @@ import bisect
 import csv
 import json
 import re
-from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from collections import Counter, namedtuple
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import product
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -54,30 +55,10 @@ class TweetRecord:
     is_retweet: bool
 
 
-@dataclass
-class Provenance:
-    """Stage-by-stage record accounting for one corpus."""
-
-    source: str
-    format: str
-    parsed: int = 0
-    skipped: int = 0
-    filtered: dict[str, int] = field(default_factory=dict)
-
-    def record_filter(self, stage: str, removed: int) -> None:
-        self.filtered[stage] = self.filtered.get(stage, 0) + removed
-
-    def copy(self) -> Provenance:
-        return replace(self, filtered=dict(self.filtered))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
-class Corpus:
-    records: list[TweetRecord]
-    provenance: Provenance
+# stage-by-stage record accounting for one corpus: `filtered` maps each
+# stage to the records it removed; no stage changes a provenance once built
+Provenance = namedtuple("Provenance", "source format parsed skipped filtered")
+Corpus = namedtuple("Corpus", "records provenance")
 
 
 @dataclass
@@ -165,15 +146,15 @@ def _build_record(values, check: bool, seen_ids: set[str], chain) -> TweetRecord
     the name of the first `chain` test it fails. An invalid row raises SchemaError
     before any test runs; `check` also refuses one with a lone surrogate, filtered or not."""
     rid, created_at, text, source, location, country, hashtags, mentions, user_id, is_retweet = values
-    rid = str(rid or "").strip()
+    rid = "" if rid is None else str(rid).strip()  # a JSON id may be an integer
     if not rid:
         raise SchemaError("missing status_id")
     if rid in seen_ids:
         raise SchemaError(f"duplicate status_id {rid!r}")
     if type(text) is not str or not text.strip():  # a JSON row's text may be any value
         raise SchemaError("missing text, or text that is not a string")
-    created_at = parse_timestamp(str(created_at or ""))
-    country = str(country or "").strip() or None
+    created_at = parse_timestamp(created_at or "")
+    country = (country or "").strip() or None
     is_retweet = _parse_bool(is_retweet)
     try:  # a JSON row may hold any value: tags are None, a string or a list of strings
         for tags in (hashtags, mentions):
@@ -192,8 +173,9 @@ def _build_record(values, check: bool, seen_ids: set[str], chain) -> TweetRecord
     if failed is None or check:
         # positional: a slots dataclass binds keywords at twice the cost
         record = TweetRecord(
-            rid, created_at, text, str(source or ""), str(location or "").strip() or None, country,
-            _split_tags(hashtags), _split_tags(mentions), str(user_id or ""), is_retweet,
+            rid, created_at, text, source or "", (location or "").strip() or None, country,
+            _split_tags(hashtags), _split_tags(mentions), "" if user_id is None else str(user_id),
+            is_retweet,
         )
         if check:
             _check_encodable(record)
@@ -265,6 +247,13 @@ def _csv_rows(fh, field_limit: int | None):
 # the whitespace JSON allows around a value (RFC 8259), which str.strip() exceeds
 _JSON_SPACE = " \t\n\r"
 _PICK_COLUMNS = itemgetter(*CSV_COLUMNS)
+# status_id, created_at, source, location, country_code, user_id and is_retweet
+# (`_build_record` checks the others), and every JSON type combination they
+# may hold, so that one set lookup checks a row: text fields hold a string or
+# null, the ids also an integer (not a bool), is_retweet a bool or a string
+_PICK_SCALARS = itemgetter(0, 1, 3, 4, 5, 8, 9)
+_TEXT, _ID = (str, type(None)), (str, type(None), int)
+_SCALAR_TYPES = frozenset(product(_ID, _TEXT, _TEXT, _TEXT, _TEXT, _ID, (bool, str)))
 
 
 def _jsonl_rows(fh, field_limit: int | None):
@@ -274,8 +263,9 @@ def _jsonl_rows(fh, field_limit: int | None):
     exactly as json.loads accepts it, by the C scanner json.loads ends in:
     one JSON object, with only JSON whitespace (space, tab, CR, LF) around
     it. A byte-order mark or other Unicode whitespace around the object, or
-    anything after it, makes the row invalid. The lenient read (given a
-    field_limit) checks every row for a lone surrogate.
+    anything after it, makes the row invalid, and so does a field that holds a
+    JSON type its `_SCALAR_TYPES` entry does not allow. The lenient read (given
+    a field_limit) checks every row for a lone surrogate.
     """
     scan = json.decoder.JSONDecoder().scan_once
     for line in fh:
@@ -297,13 +287,16 @@ def _jsonl_rows(fh, field_limit: int | None):
         try:
             values = _PICK_COLUMNS(row)
         except KeyError:  # an absent key reads None
-            values = map(row.get, CSV_COLUMNS)
-        yield values, check
+            values = tuple(map(row.get, CSV_COLUMNS))
+        if tuple(map(type, _PICK_SCALARS(values))) in _SCALAR_TYPES:
+            yield values, check
+        else:
+            yield SchemaError("a JSONL field holds a value of the wrong JSON type"), None
 
 
 def _collect(rows, chain, source: str, format: str) -> Corpus:
     """The corpus of `rows`: the values of each row with its surrogate-check
-    flag, or (SchemaError, None) for a row invalid before any value exists.
+    flag, or (SchemaError, None) for a row its source refuses outright.
     Only a SchemaError skips a row; any other exception propagates."""
     records: list[TweetRecord] = []
     filtered = dict.fromkeys([name for name, _ in chain], 0)
@@ -427,10 +420,10 @@ def filter_bots_and_duplicates(c: Corpus, policy: BotPolicy) -> Corpus:
         else:
             kept.append(record)
 
-    provenance = c.provenance.copy()
-    for stage, removed in counts.items():
-        provenance.record_filter(stage, removed)
-    return Corpus(records=kept, provenance=provenance)
+    # a new dict: the input corpus keeps its counts, and a second pass adds zeros
+    before = c.provenance.filtered
+    filtered = {**before, **{rule: before.get(rule, 0) + n for rule, n in counts.items()}}
+    return Corpus(kept, c.provenance._replace(filtered=filtered))
 
 
 def mask_corpus(c: Corpus, abusive_lexicon: set[str], ledger) -> Corpus:
@@ -443,7 +436,7 @@ def mask_corpus(c: Corpus, abusive_lexicon: set[str], ledger) -> Corpus:
         # as a record-by-record pass would: the text's further records add its hits
         ledger.occurrences += (ledger.occurrences - before) * (n_records - 1)
     records = [r if (t := masked_of[r.text]) == r.text else replace(r, text=t) for r in c.records]
-    return Corpus(records=records, provenance=c.provenance.copy())
+    return c._replace(records=records)
 
 
 def write_corpus_jsonl(c: Corpus, path) -> None:

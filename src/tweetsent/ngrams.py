@@ -1,7 +1,7 @@
 """Ranked word-frequency and n-gram (n = 1..4) tables over prepared texts.
 
 Grams never cross sentence boundaries. Each table is counted in one C-level
-pass over the texts' chained token stream. A table is its ranked rows
+pass over every sentence's windows. A table is its ranked rows
 (gram, count), each gram space-joined: by count descending, ties broken
 lexicographically on the gram, which makes every table a total order and
 re-runs byte-identical.
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from itertools import chain, compress, islice, repeat, tee
-from operator import eq, lt
+from itertools import chain, compress, repeat
+from operator import eq, itemgetter, lt
 
 from .errors import InvalidNError
 from .textprep import Sentences
@@ -26,16 +26,11 @@ def _rank_key(item: tuple[tuple[str, ...], int]) -> tuple[int, tuple[str, ...]]:
 
 def _windows(texts: list[Sentences], n: int):
     """Every sentence's width-n windows, in order; plain tokens for n = 1.
-    Zips n shifted copies of the whole token stream and drops, by flags
-    looked up per sentence length, the windows that cross a sentence end."""
-    tokens = chain.from_iterable(chain.from_iterable(texts))
+    Zips each sentence's n shifted slices, so no window crosses a sentence end."""
     if n == 1:
-        return tokens
-    lengths = set(map(len, chain.from_iterable(texts)))
-    flags_of_len = {size: (True,) * (size - n + 1) + (False,) * min(size, n - 1) for size in lengths}
-    grams = zip(*map(islice, tee(tokens, n), range(n), repeat(None)))
-    flags = map(flags_of_len.__getitem__, map(len, chain.from_iterable(texts)))
-    return compress(grams, chain.from_iterable(flags))
+        return chain.from_iterable(chain.from_iterable(texts))
+    sentences = list(chain.from_iterable(texts))
+    return chain.from_iterable(map(zip, *[map(itemgetter(slice(i, None)), sentences) for i in range(n)]))
 
 
 def build_table(

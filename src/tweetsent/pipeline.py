@@ -26,9 +26,9 @@ import gc
 import hashlib
 import json
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import date
 from functools import cached_property, partial
 from pathlib import Path
@@ -205,12 +205,8 @@ class RunConfig:
         return cls(**{name: getattr(self, name) for name in cls.__dataclass_fields__})
 
 
-@dataclass
-class RunManifest:
-    config: dict
-    stages: dict
-    outputs: dict[str, str] = field(default_factory=dict)
-    version: str = VERSION
+# what manifest.json holds: the config echo, the stage counts, each output's sha256
+RunManifest = namedtuple("RunManifest", "config stages outputs version")
 
 
 @contextmanager
@@ -402,17 +398,15 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
         with stage("distribution"):
             dist = analysis.distribution()
 
-        manifest = RunManifest(
-            config=asdict(cfg),
-            stages={
-                "provenance": corpus.provenance.to_dict(),
-                "records_final": len(corpus.records),
-                "mask": {
-                    "distinct_terms": len(analysis.ledger.masks),
-                    "occurrences": analysis.ledger.occurrences,
-                },
+        provenance = corpus.provenance._asdict()
+        stages = {
+            "provenance": provenance,
+            "records_final": len(corpus.records),
+            "mask": {
+                "distinct_terms": len(analysis.ledger.masks),
+                "occurrences": analysis.ledger.occurrences,
             },
-        )
+        }
 
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -421,7 +415,7 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
         try:
             # each output's file name and the writer that takes its path
             writers = [
-                ("provenance.json", partial(write_json, corpus.provenance.to_dict())),
+                ("provenance.json", partial(write_json, provenance)),
                 ("filtered_corpus.jsonl", partial(write_corpus_jsonl, corpus)),
                 # the unigram table holds the word cloud's rows too
                 *[
@@ -443,10 +437,10 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
                 path = out_dir / name
                 write(path)
                 written.append(path)
-            for path in written:
-                manifest.outputs[path.name] = _sha256(path)
+            outputs = {path.name: _sha256(path) for path in written}
+            manifest = RunManifest(asdict(cfg), stages, outputs, VERSION)
             with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+                json.dump(manifest._asdict(), fh, indent=2, sort_keys=True)
                 fh.write("\n")
         except Exception as exc:
             for path in written:

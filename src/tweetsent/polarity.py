@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
@@ -35,10 +36,8 @@ ADVERSATIVE = "adversative"
 _SHIFTER_CODES = {"1": NEGATOR, "2": AMPLIFIER, "3": DEAMPLIFIER, "4": ADVERSATIVE}
 
 
-@dataclass
-class PolarityLexicon:
-    entries: dict[str, float]
-    shifters: dict[str, str]
+# term -> score, and term -> shifter kind
+PolarityLexicon = namedtuple("PolarityLexicon", "entries shifters")
 
 
 @dataclass
@@ -59,10 +58,7 @@ class ScoringParams:
                 raise ConfigError(f"{name} must be in [0, 2]")
 
 
-@dataclass
-class PolarityScore:
-    value: float
-    n_sentences: int
+PolarityScore = namedtuple("PolarityScore", "value n_sentences")
 
 
 def load_polarity_lexicon(polarity_path=None, shifter_path=None) -> PolarityLexicon:
@@ -100,7 +96,7 @@ def load_polarity_lexicon(polarity_path=None, shifter_path=None) -> PolarityLexi
             raise SchemaError(f"{term!r} appears in both polarity and shifter lexicons")
         shifters[term] = _SHIFTER_CODES[kind_code]
 
-    return PolarityLexicon(entries=entries, shifters=shifters)
+    return PolarityLexicon(entries, shifters)
 
 
 def score_sentence(tokens: Sequence[str], lex: PolarityLexicon, params: ScoringParams | None = None) -> float:
@@ -168,7 +164,7 @@ def score_text(sentences: Sentences, lex: PolarityLexicon, params: ScoringParams
         total += score_sentence(sentence, lex, params)
     if not math.isfinite(total):
         raise SchemaError(f"polarity: a text scores {total}; the lexicon's scores are too large")
-    return PolarityScore(value=total, n_sentences=len(sentences))
+    return PolarityScore(total, len(sentences))
 
 
 def classify_polarity(score: PolarityScore) -> str:

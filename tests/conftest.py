@@ -44,7 +44,7 @@ def make_record(
 def make_corpus(records) -> Corpus:
     return Corpus(
         records=list(records),
-        provenance=Provenance(source="test", format="csv", parsed=len(records)),
+        provenance=Provenance(source="test", format="csv", parsed=len(records), skipped=0, filtered={}),
     )
 
 

@@ -5,8 +5,8 @@ plain dicts) and never calls into the package's own counting or scoring
 paths, so oracle-equality tests actually cross-check two implementations.
 The one exception is `per_record_run`, which checks how the pipeline
 composes the stages, not the stages themselves; its date, keyword and
-country filters are `filter_rows`, its n-gram tables `ranked_ngrams`, and
-its score extremes `min_max`.
+country filters are `filter_rows`, its bot filter `bot_filter`, its n-gram
+tables `ranked_ngrams`, and its score extremes `min_max`.
 """
 
 from __future__ import annotations
@@ -163,51 +163,55 @@ def filter_rows(records, start, end, keyword, country):
     return kept, removed
 
 
+def bot_filter(records, policy):
+    """Record-by-record reference of the bot filter, from the README's three
+    rules, each tested over all of `records`: (a) a record whose text equals,
+    up to case and runs of whitespace, that of an earlier record (in input
+    order) at most `dup_window_seconds` away is a duplicate; (b) every record
+    of a user with more than `burst_per_minute` posts inside some 60 s span
+    goes; (c) so does a record with fewer than `min_distinct_tokens` distinct
+    tokens. Returns the kept records and {rule: records removed}, each removed
+    record counted under the first rule it meets, in the order duplicate,
+    burst, low_token."""
+    words = [r.text.casefold().split() for r in records]
+    times = {}
+    for r in records:
+        times.setdefault(r.user_id, []).append(r.created_at)
+    burst_users = set()
+    for user, stamps in times.items():
+        # the fullest 60 s span starts at one of the user's posts
+        for start in stamps:
+            inside = [t for t in stamps if 0 <= (t - start).total_seconds() <= 60]
+            if len(inside) > policy.burst_per_minute:
+                burst_users.add(user)
+    removed = {"duplicate": 0, "burst": 0, "low_token": 0}
+    kept = []
+    for i, r in enumerate(records):
+        duplicate = False
+        for j in range(i):
+            gap = abs((r.created_at - records[j].created_at).total_seconds())
+            if words[j] == words[i] and gap <= policy.dup_window_seconds:
+                duplicate = True
+        if duplicate:
+            removed["duplicate"] += 1
+        elif r.user_id in burst_users:
+            removed["burst"] += 1
+        elif len(set(words[i])) < policy.min_distinct_tokens:
+            removed["low_token"] += 1
+        else:
+            kept.append(r)
+    return kept, removed
+
+
 def filter_chain_ids(records, start, end, keyword, country, policy):
     """Record-by-record reference of the full filtering chain; returns kept ids.
 
-    Quadratic duplicate scan and per-user sliding burst check, evaluated over
-    the survivors of the date/keyword/country stages like the real chain.
+    `bot_filter` runs over the survivors of the date/keyword/country stages,
+    like the real chain.
     """
     survivors, _ = filter_rows(records, start, end, keyword, country)
-
-    def norm(text):
-        return " ".join(text.casefold().split())
-
-    dup = set()
-    for i in range(len(survivors)):
-        for j in range(i):
-            if norm(survivors[j].text) == norm(survivors[i].text):
-                delta = abs(
-                    survivors[i].created_at.timestamp()
-                    - survivors[j].created_at.timestamp()
-                )
-                if delta <= policy.dup_window_seconds:
-                    dup.add(survivors[i].id)
-                    break
-
-    by_user = {}
-    for r in survivors:
-        by_user.setdefault(r.user_id, []).append(r.created_at.timestamp())
-    burst_users = set()
-    for user, stamps in by_user.items():
-        stamps = sorted(stamps)
-        for i in range(len(stamps)):
-            inside = [t for t in stamps if stamps[i] <= t <= stamps[i] + 60.0]
-            if len(inside) > policy.burst_per_minute:
-                burst_users.add(user)
-                break
-
-    kept = []
-    for r in survivors:
-        if r.id in dup:
-            continue
-        if r.user_id in burst_users:
-            continue
-        if len(set(norm(r.text).split())) < policy.min_distinct_tokens:
-            continue
-        kept.append(r.id)
-    return set(kept)
+    kept, _ = bot_filter(survivors, policy)
+    return {r.id for r in kept}
 
 
 def min_max(values):
@@ -326,13 +330,25 @@ def dictreader_load(path, parse_timestamp):
 def jsonl_load(path, parse_timestamp):
     """The JSONL loader as its contract reads it: every line that holds more
     than whitespace is one row, decoded with json.loads, which must give an
-    object. A text that is no JSON string, or hashtags or mentions that are not
-    null, a string or a list of strings, make a row bad. Returns (records as
-    field tuples, parsed, skipped), or the name of the error the loader
-    raises. `parse_timestamp` turns a created_at string into a datetime or
-    raises."""
+    object. Each text field must be a JSON string or null, except that the ids
+    may also be integers (not bools), read as decimal strings; `is_retweet`
+    must be a bool or a string; hashtags and mentions null, a string or a list
+    of strings; any other value makes a row bad. Returns (records as field
+    tuples, parsed, skipped), or the name of the error the loader raises.
+    `parse_timestamp` turns a created_at string into a datetime or raises."""
     true_strings = {"true", "t", "1", "yes"}
     false_strings = {"false", "f", "0", "no", ""}
+
+    def text_of(row, key, integer=False):
+        # a string, "" for null or absent, and the decimal string of an allowed integer
+        value = row.get(key)
+        if value is None:
+            return ""
+        if isinstance(value, str):
+            return value
+        if integer and isinstance(value, int) and not isinstance(value, bool):
+            return str(value)
+        raise ValueError(f"bad {key}")
 
     def split_tags(value):
         # null, a "|"-separated string or a list of strings; else the row is bad
@@ -359,14 +375,16 @@ def jsonl_load(path, parse_timestamp):
             row = json.loads(line)
             if not isinstance(row, dict):
                 raise ValueError("not an object")
-            rid = str(row.get("status_id") or "").strip()
+            rid = text_of(row, "status_id", integer=True).strip()
             text = row.get("text")
             if not rid or rid in seen or not isinstance(text, str) or not text.strip():
                 raise ValueError("bad row")
-            created = parse_timestamp(str(row.get("created_at") or ""))
+            created = parse_timestamp(text_of(row, "created_at"))
             flag = row.get("is_retweet")
             if not isinstance(flag, bool):
-                flag = str(flag).strip().lower()
+                if not isinstance(flag, str):
+                    raise ValueError("bad bool")
+                flag = flag.strip().lower()
                 if flag not in true_strings and flag not in false_strings:
                     raise ValueError("bad bool")
                 flag = flag in true_strings
@@ -374,12 +392,12 @@ def jsonl_load(path, parse_timestamp):
                 rid,
                 created,
                 text,
-                str(row.get("source") or ""),
-                str(row.get("location") or "").strip() or None,
-                str(row.get("country_code") or "").strip() or None,
+                text_of(row, "source"),
+                text_of(row, "location").strip() or None,
+                text_of(row, "country_code").strip() or None,
                 split_tags(row.get("hashtags")),
                 split_tags(row.get("mentions")),
-                str(row.get("user_id") or ""),
+                text_of(row, "user_id", integer=True),
                 flag,
             )
             for field in record[:1] + record[2:9]:
@@ -436,7 +454,7 @@ def daily_shares(records, profiles, classes):
 
 def per_record_run(cfg, out_dir):
     """Write every report of a run of `cfg` into `out_dir`, composing
-    `filter_rows`, `ranked_ngrams` and the package's other stage functions,
+    `filter_rows`, `bot_filter`, `ranked_ngrams` and the package's other stage functions,
     with each record masked, prepared, stopword-filtered, classified and
     scored on its own, whatever text other records carry. Returns the mask
     ledger's occurrence count."""
@@ -448,11 +466,11 @@ def per_record_run(cfg, out_dir):
     start, end = date.fromisoformat(cfg.start_date), date.fromisoformat(cfg.end_date)
     c = corpus.load_corpus(cfg.input, cfg.format)
     kept, removed = filter_rows(c.records, start, end, cfg.keyword, cfg.country)
-    c = corpus.Corpus(kept, replace(c.provenance, filtered=removed))
-    c = corpus.filter_bots_and_duplicates(c, cfg.group(corpus.BotPolicy))
+    kept, bots = bot_filter(kept, cfg.group(corpus.BotPolicy))
     ledger = textprep.MaskLedger()
     pattern = textprep.mask_pattern(textprep.load_abusive_lexicon(cfg.abusive_lexicon_path))
-    c.records = [replace(r, text=textprep.mask_text(r.text, pattern, ledger)) for r in c.records]
+    masked = [replace(r, text=textprep.mask_text(r.text, pattern, ledger)) for r in kept]
+    c = corpus.Corpus(masked, c.provenance._replace(filtered={**removed, **bots}))
     stoplist = textprep.load_stoplist(cfg.stopwords_path)
     emo_lex = emotion.load_emotion_lexicon(cfg.emotion_lexicon_path)
     pol_lex = polarity.load_polarity_lexicon(cfg.polarity_lexicon_path, cfg.shifter_lexicon_path)
@@ -468,7 +486,7 @@ def per_record_run(cfg, out_dir):
 
     out = Path(out_dir)
     out.mkdir(parents=True)
-    exports.write_json(c.provenance.to_dict(), out / "provenance.json")
+    exports.write_json(c.provenance._asdict(), out / "provenance.json")
     corpus.write_corpus_jsonl(c, out / "filtered_corpus.jsonl")
     tables = {}
     for n in (1, 2, 3, 4):

@@ -3,14 +3,14 @@ from __future__ import annotations
 import csv
 import json
 import re
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_record
-from oracles import dictreader_load, filter_chain_ids, filter_rows, jsonl_line, jsonl_load
+from oracles import bot_filter, dictreader_load, filter_chain_ids, filter_rows, jsonl_line, jsonl_load
 from tweetsent.cli import main
 from tweetsent.corpus import (
     CSV_COLUMNS,
@@ -238,6 +238,25 @@ def test_unique_low_rate_records_retained():
     assert out.provenance.filtered == {"duplicate": 0, "burst": 0, "low_token": 0}
 
 
+def test_bot_pass_leaves_its_input_provenance_and_a_second_pass_adds_zeros():
+    c = make_corpus(
+        [
+            make_record(rid="a", created="2020-05-02T10:00:00+00:00", text="open it up now", user="u1"),
+            make_record(rid="b", created="2020-05-02T10:00:10+00:00", text="Open  it up NOW", user="u2"),
+            make_record(rid="c", created="2020-05-02T10:05:00+00:00", text="a different post here", user="u3"),
+        ]
+    )
+    c = c._replace(provenance=c.provenance._replace(filtered={"date_range": 2}))
+    once = filter_bots_and_duplicates(c, BotPolicy())
+    assert c.provenance.filtered == {"date_range": 2}
+    assert [r.id for r in c.records] == ["a", "b", "c"]
+    assert once.provenance.filtered == {"date_range": 2, "duplicate": 1, "burst": 0, "low_token": 0}
+    twice = filter_bots_and_duplicates(once, BotPolicy())
+    assert once.provenance.filtered == {"date_range": 2, "duplicate": 1, "burst": 0, "low_token": 0}
+    assert twice.provenance == once.provenance
+    assert [r.id for r in twice.records] == ["a", "c"]
+
+
 # ---------------------------------------------------------------------------
 # chain properties
 
@@ -312,6 +331,48 @@ def test_bot_filter_idempotent_property(c):
     twice = filter_bots_and_duplicates(once, policy)
     assert [r.id for r in twice.records] == [r.id for r in once.records]
     assert _conserved(once)
+
+
+_BOT_WORDS = ["reopen", "Reopen", "the", "economy", "now"]
+
+
+@st.composite
+def _bot_corpora(draw):
+    """A policy and records whose times, users and texts sit on the rules'
+    edges: gaps of exactly the duplicate window (and a second either side),
+    a user with exactly burst_per_minute posts inside 60 s and one with one
+    more, and texts that differ only in case or whitespace."""
+    policy = BotPolicy(
+        dup_window_seconds=draw(st.sampled_from([0.0, 1.0, 60.0, 600.0])),
+        burst_per_minute=draw(st.integers(min_value=1, max_value=3)),
+        min_distinct_tokens=draw(st.integers(min_value=0, max_value=4)),
+    )
+    window, k = int(policy.dup_window_seconds), policy.burst_per_minute
+    start = datetime(2020, 5, 2, 10, tzinfo=timezone.utc)
+    spans = [(start + timedelta(seconds=60 * i / k), "at_limit") for i in range(k)]
+    spans += [(start + timedelta(seconds=60 * i / k), "over_limit") for i in range(k + 1)]
+    offsets = st.sampled_from([0, window, 2 * window, max(window - 1, 0), window + 1, 30, 60, 61])
+    drawn = []
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        at = start + timedelta(seconds=draw(offsets))
+        drawn.append((at, draw(st.sampled_from(["u1", "u2", "at_limit", "over_limit"]))))
+    records = []
+    for i, (at, user) in enumerate(draw(st.permutations(spans + drawn))):
+        words = draw(st.lists(st.sampled_from(_BOT_WORDS), min_size=1, max_size=4))
+        text = draw(st.sampled_from([" ", "  ", "\t", " \n "])).join(words)
+        text = draw(st.sampled_from([str, str.upper, str.strip, " {} ".format]))(text)
+        records.append(make_record(rid=f"r{i}", created=at.isoformat(), text=text, user=user))
+    return records, policy
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bot_corpora())
+def test_bot_filter_matches_the_record_by_record_oracle(drawn):
+    records, policy = drawn
+    out = filter_bots_and_duplicates(make_corpus(records), policy)
+    kept, removed = bot_filter(records, policy)
+    assert [r.id for r in out.records] == [r.id for r in kept]
+    assert list(out.provenance.filtered.items()) == list(removed.items())
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +467,19 @@ def test_load_arbitrary_jsonl_bytes(tmp_path_factory, body):
 
 
 _MISSING = object()
+# numbers, bools, objects and lists, which every field may be drawn to hold
+_ODD = [0, 7, -1.5, float("inf"), float("nan"), True, False, {"a": 1}, ["x"], []]
 _JSONL_VALUES = {
-    "status_id": ["j0", "j1", " j2 ", "", 7, float("inf"), None, _MISSING],
-    "created_at": ["2020-05-02T10:00:00Z", "2020-05-02T10:00:00+02:00", "2020-05-02", 5, _MISSING],
-    "text": ["reopen now", "", " ", float("nan"), ["a"], {"a": 1}, 5, "a \ud800 b"],
-    "hashtags": [[], ["a", ""], "a|b", None, [1, True], ["a", None], 5, {"a": 1}, ["\ud83d"], _MISSING],
-    "mentions": [["m"], [None], [["x"]], "m|n", False, _MISSING],
-    "country_code": ["US", " us ", "", None],
-    "is_retweet": [False, True, "yes", " T ", "maybe", 0, None, _MISSING],
+    "status_id": ["j0", "j1", " j2 ", "", "7", 12, None, _MISSING, *_ODD],
+    "created_at": ["2020-05-02T10:00:00Z", "2020-05-02T10:00:00+02:00", "2020-05-02", None, _MISSING, *_ODD],
+    "text": ["reopen now", "", " ", "a \ud800 b", None, _MISSING, *_ODD],
+    "source": ["web", "", None, _MISSING, *_ODD],
+    "location": ["Ohio", " ", None, _MISSING, *_ODD],
+    "country_code": ["US", " us ", "", None, _MISSING, *_ODD],
+    "hashtags": [[], ["a", ""], "a|b", None, [1, True], ["a", None], ["\ud83d"], _MISSING, *_ODD],
+    "mentions": [["m"], [None], [["x"]], "m|n", _MISSING, *_ODD],
+    "user_id": ["u1", "", 12, None, _MISSING, *_ODD],
+    "is_retweet": [False, True, "yes", " T ", "maybe", None, _MISSING, *_ODD],
 }
 # each edge line is a template; ROW stands for a valid row's JSON
 _JSONL_EDGES = [
@@ -519,9 +585,7 @@ def _chained(path, fmt, window, keyword, country):
     for stage, n in removed.items():
         left -= n
         emptied = emptied or (None if left else stage)
-    provenance = c.provenance.copy()
-    provenance.filtered = removed
-    return Corpus(kept, provenance), emptied
+    return Corpus(kept, c.provenance._replace(filtered=removed)), emptied
 
 
 def _fused(path, fmt, window, keyword, country):
@@ -542,7 +606,7 @@ def _outcome(load, *args):
         c, stage = load(*args)
     except (SchemaError, EmptyCorpusError) as exc:
         return type(exc).__name__
-    provenance = c.provenance.to_dict()
+    provenance = c.provenance._asdict()
     return c.records, provenance, list(provenance["filtered"]), stage
 
 
@@ -747,6 +811,14 @@ def test_jsonl_surrogate_escapes_skipped_in_valid_utf8(tmp_path):
         ("mentions", {"m": "n"}),
         ("text", {"a": 1}),
         ("text", 5),
+        ("status_id", True),
+        ("status_id", 7.0),
+        ("status_id", ["j9"]),
+        ("source", 5),
+        ("location", ["x"]),
+        ("country_code", False),
+        ("user_id", {"a": 1}),
+        ("is_retweet", 0),
     ],
 )
 def test_jsonl_value_of_the_wrong_type_is_a_skipped_row_before_any_filter(tmp_path, field, value):
@@ -763,6 +835,30 @@ def test_jsonl_value_of_the_wrong_type_is_a_skipped_row_before_any_filter(tmp_pa
     assert [r.id for r in c.records] == ["j0"]
     assert (c.provenance.parsed, c.provenance.skipped) == (4, 2)
     assert c.provenance.filtered == {"date_range": 1}
+
+
+def test_jsonl_integer_ids_and_null_text_fields_are_read_and_written_back_as_strings(tmp_path):
+    lines = [
+        _jsonl_line(0, status_id=7, user_id=0, source=None, country_code=None),
+        _jsonl_line(1, status_id="7"),  # the id 7 again
+        _jsonl_line(2, status_id=-12, user_id=10**20, location=None, is_retweet="yes"),
+        _jsonl_line(3, status_id=0),
+    ]
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    c = load_corpus(path, "jsonl")
+    assert [(r.id, r.user_id, r.source_device, r.country_code) for r in c.records] == [
+        ("7", "0", "", None),
+        ("-12", "100000000000000000000", "Twitter for iPhone", "US"),
+        ("0", "user3", "Twitter for iPhone", "US"),
+    ]
+    assert (c.provenance.parsed, c.provenance.skipped) == (4, 1)
+    out = tmp_path / "out.jsonl"
+    write_corpus_jsonl(c, out)
+    written = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(row["status_id"], row["user_id"], row["is_retweet"]) for row in written] == [
+        ("7", "0", False), ("-12", "100000000000000000000", True), ("0", "user3", False),
+    ]
 
 
 def test_jsonl_invalid_utf8_line_skipped(tmp_path):
