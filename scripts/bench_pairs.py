@@ -7,7 +7,13 @@
 Each pair runs `perfbench/run.py` once in each checkout, one after the
 other: odd pairs run the parent first, even pairs the change. Every run
 uses the benchmark code of its own checkout and the same settings. The last
-JSON line that a run prints is kept as its `result`.
+JSON line that a run prints is kept as its `result`. Before each run, every
+`__pycache__` under the checkout's `src/` is deleted, so each run's
+`setup_s` includes compiling the program, whatever earlier runs left behind
+(bytecode left by one can make another read about 2.4 times lower). The
+standard library keeps its own bytecode: an empty `PYTHONPYCACHEPREFIX`
+would redirect that too, and where `PYTHONDONTWRITEBYTECODE` is set, every
+run would then time compiling standard-library modules.
 
 The results go into --out (default BENCH_pairs.json), merged with what the
 file already holds: --trace 0 runs replace the workload's earlier entries in
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -41,6 +48,8 @@ REFERENCE = "reference digests"
 def run_side(checkout: Path, argv: list[str]) -> tuple[dict | None, str, str]:
     """(result, what the outputs were checked against, machine) of one
     perfbench run in `checkout`; the result is None when the run printed none."""
+    for cache in list((checkout / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", *argv], cwd=checkout, capture_output=True, text=True
     )

@@ -18,6 +18,7 @@ from operator import contains
 from .corpus import Corpus
 from .emotion import EMOTION_CLASSES, EmotionProfile
 from .errors import EmptyInputError, InvalidRangeError, SchemaError
+from .ngrams import top_entries
 from .polarity import PolarityScore, classify_polarity
 
 DEVICE_CLASSES = ("Twitter for iPhone", "Twitter for Android")
@@ -41,26 +42,20 @@ MAX_HISTOGRAM_BINS = 2**20
 
 def _ranked(label: str, counter: Counter, k: int) -> dict:
     """`{"label", "rows": [{"rank", "key", "count"}]}`: the `k` >= 1 largest
-    counts, count-descending, ties by key."""
+    counts, in `ngrams.top_entries` order."""
     if k < 1:
         raise InvalidRangeError("k must be >= 1")
-    ordered = sorted(counter.items(), key=lambda item: (-item[1], item[0]))[:k]
+    ordered = top_entries(counter, k)
     rows = [{"rank": rank, "key": key, "count": count} for rank, (key, count) in enumerate(ordered, start=1)]
     return {"label": label, "rows": rows}
 
 
 def rank_mentions(c: Corpus, k: int) -> dict:
-    counter: Counter[str] = Counter()
-    for record in c.records:
-        counter.update(record.mentions)
-    return _ranked("mentions", counter, k)
+    return _ranked("mentions", Counter(chain.from_iterable(r.mentions for r in c.records)), k)
 
 
 def rank_hashtags(c: Corpus, k: int) -> dict:
-    counter: Counter[str] = Counter()
-    for record in c.records:
-        counter.update(record.hashtags)
-    return _ranked("hashtags", counter, k)
+    return _ranked("hashtags", Counter(chain.from_iterable(r.hashtags for r in c.records)), k)
 
 
 def rank_locations(c: Corpus, k: int, field: str = "stated") -> dict:
@@ -71,13 +66,10 @@ def rank_locations(c: Corpus, k: int, field: str = "stated") -> dict:
     """
     if field not in ("tagged", "stated"):
         raise ValueError(f"field must be 'tagged' or 'stated', got {field!r}")
-    counter: Counter[str] = Counter()
-    for record in c.records:
-        if record.user_location is None:
-            continue
-        if field == "tagged" and record.country_code is None:
-            continue
-        counter[record.user_location] += 1
+    counter = Counter(
+        r.user_location for r in c.records
+        if r.user_location is not None and (field == "stated" or r.country_code is not None)
+    )
     return _ranked(f"locations_{field}", counter, k)
 
 

@@ -169,28 +169,26 @@ def _build_record(values, check: bool, seen_ids: set[str], chain) -> TweetRecord
             break
     else:
         failed = None
-    # a filtered row becomes a record only to be checked
-    if failed is None or check:
-        # positional: a slots dataclass binds keywords at twice the cost
-        record = TweetRecord(
-            rid, created_at, text, source or "", (location or "").strip() or None, country,
-            _split_tags(hashtags), _split_tags(mentions), "" if user_id is None else str(user_id),
-            is_retweet,
-        )
-        if check:
-            _check_encodable(record)
+    if check:
+        _check_encodable(values)
     seen_ids.add(rid)
-    return failed or record
+    if failed:
+        return failed
+    # positional: a slots dataclass binds keywords at twice the cost
+    return TweetRecord(
+        rid, created_at, text, source or "", (location or "").strip() or None, country,
+        _split_tags(hashtags), _split_tags(mentions), "" if user_id is None else str(user_id), is_retweet,
+    )
 
 
-def _check_encodable(record: TweetRecord) -> None:
-    """Reject a record holding a lone surrogate: an undecodable input byte
-    (kept by surrogateescape) or a JSON \\ud800-style escape. Writing it as
-    UTF-8 would fail."""
-    strings = [record.id, record.text, record.source_device, record.user_id]
-    strings += [record.user_location or "", record.country_code or ""]
+def _check_encodable(values) -> None:
+    """Reject a row whose strings and list tags hold a lone surrogate: an
+    undecodable input byte (kept by surrogateescape) or a JSON \\ud800-style
+    escape. Its record's strings, these stripped or split, would fail as UTF-8."""
+    strings = [value for value in values if type(value) is str]
+    strings += [tag for value in values if type(value) is list for tag in value]
     try:
-        "".join(strings + record.hashtags + record.mentions).encode("utf-8")
+        "".join(strings).encode("utf-8")
     except UnicodeEncodeError as exc:
         raise SchemaError("text is not valid Unicode") from exc
 
@@ -356,39 +354,34 @@ def load_corpus(path, format: str = "csv", filters=()) -> Corpus:
             csv.field_size_limit(field_limit)
 
 
-def normalize_for_dedup(text: str) -> str:
-    return " ".join(text.casefold().split())
-
-
-def _duplicate_flags(records: list[TweetRecord], keys: list[str], window: float) -> list[bool]:
+def _duplicate_flags(stamps: list[float], keys: list[str], window: float) -> list[bool]:
     # nearest earlier occurrence of the same normalized text decides; earlier
     # means earlier in input order, distance measured on timestamps
     seen: dict[str, list[float]] = {}
-    flags = [False] * len(records)
-    for i, (record, key) in enumerate(zip(records, keys)):
-        ts = record.created_at.timestamp()
-        stamps = seen.setdefault(key, [])
-        if stamps:
-            pos = bisect.bisect_left(stamps, ts)
-            for neighbor in stamps[max(0, pos - 1) : pos + 1]:
+    flags = [False] * len(keys)
+    for i, (ts, key) in enumerate(zip(stamps, keys)):
+        earlier = seen.setdefault(key, [])
+        if earlier:
+            pos = bisect.bisect_left(earlier, ts)
+            for neighbor in earlier[max(0, pos - 1) : pos + 1]:
                 if abs(ts - neighbor) <= window:
                     flags[i] = True
                     break
-        bisect.insort(stamps, ts)
+        bisect.insort(earlier, ts)
     return flags
 
 
-def _burst_users(records: list[TweetRecord], per_minute: int) -> set[str]:
+def _burst_users(stamps: list[float], users: list[str], per_minute: int) -> set[str]:
     times: dict[str, list[float]] = {}
-    for record in records:
-        times.setdefault(record.user_id, []).append(record.created_at.timestamp())
+    for user, ts in zip(users, stamps):
+        times.setdefault(user, []).append(ts)
     burst = set()
-    for user, stamps in times.items():
-        if len(stamps) <= per_minute:
+    for user, user_stamps in times.items():
+        if len(user_stamps) <= per_minute:
             continue
-        stamps.sort()
-        for j in range(len(stamps) - per_minute):
-            if stamps[j + per_minute] - stamps[j] <= 60.0:
+        user_stamps.sort()
+        for j in range(len(user_stamps) - per_minute):
+            if user_stamps[j + per_minute] - user_stamps[j] <= 60.0:
                 burst.add(user)
                 break
     return burst
@@ -399,23 +392,28 @@ def filter_bots_and_duplicates(c: Corpus, policy: BotPolicy) -> Corpus:
 
     The three rules are evaluated independently over the input corpus; a
     record removed by several rules is counted once, under the first matching
-    rule in the order duplicate, burst, low_token.
+    rule in the order duplicate, burst, low_token. Each distinct text is
+    case-folded and split once, for both its dedup key and its token count.
     """
-    distinct = dict.fromkeys(r.text for r in c.records)
-    key_of = dict(zip(distinct, map(normalize_for_dedup, distinct)))
+    key_of, low_token = {}, set()
+    for text in dict.fromkeys(r.text for r in c.records):
+        words = text.casefold().split()
+        key_of[text] = " ".join(words)
+        if len(set(words)) < policy.min_distinct_tokens:
+            low_token.add(text)
     keys = [key_of[r.text] for r in c.records]
-    low_token = {k for k in key_of.values() if len(set(k.split())) < policy.min_distinct_tokens}
-    dup_flags = _duplicate_flags(c.records, keys, policy.dup_window_seconds)
-    burst = _burst_users(c.records, policy.burst_per_minute)
+    stamps = [r.created_at.timestamp() for r in c.records]
+    dup_flags = _duplicate_flags(stamps, keys, policy.dup_window_seconds)
+    burst = _burst_users(stamps, [r.user_id for r in c.records], policy.burst_per_minute)
 
     kept: list[TweetRecord] = []
     counts = {"duplicate": 0, "burst": 0, "low_token": 0}
-    for record, key, is_dup in zip(c.records, keys, dup_flags):
+    for record, is_dup in zip(c.records, dup_flags):
         if is_dup:
             counts["duplicate"] += 1
         elif record.user_id in burst:
             counts["burst"] += 1
-        elif key in low_token:
+        elif record.text in low_token:
             counts["low_token"] += 1
         else:
             kept.append(record)

@@ -55,12 +55,13 @@ def build_table(
     for sentences, weight in compress(zip(texts, weights, strict=True), map(lt, repeat(1), weights)):
         for gram in _windows([sentences], n):
             counts[gram] += weight - 1
-    rows = _top_entries(counts, len(counts) if top is None else top)
+    rows = top_entries(counts, len(counts) if top is None else top)
     return rows if n == 1 else [(" ".join(gram), count) for gram, count in rows]
 
 
-def _top_entries(counts: Counter, k: int) -> list:
-    """The first k entries in _rank_key order.
+def top_entries(counts: Counter, k: int) -> list:
+    """The first k entries in _rank_key order: count descending, ties by key.
+    This one rule ranks every table, the n-gram tables and `analytics`'s rankings.
 
     Every entry counting above the k-th highest count (the floor) is kept;
     the places left go to the lowest grams at the floor. For n = 4 the floor

@@ -33,7 +33,7 @@ from datetime import date
 from functools import cached_property, partial
 from pathlib import Path
 
-from . import analytics, emotion, ngrams, polarity, textprep
+from . import __version__, analytics, emotion, ngrams, polarity, textprep
 from .corpus import (
     BotPolicy,
     Corpus,
@@ -46,9 +46,8 @@ from .errors import ConfigError, EmptyCorpusError, InvalidRangeError, PipelineSt
 from .exports import daily_series_to_csv, ngram_table_to_csv, ranked_table_to_csv, scores_to_csv, write_json
 from .polarity import ScoringParams
 
-VERSION = "0.1.0"
-
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_KEYWORD_RE = re.compile(r"[a-z0-9' ]+")
 
 
 def parse_date(value: str) -> date:
@@ -177,13 +176,14 @@ class RunConfig:
             if kinds and (isinstance(value, bool) or not isinstance(value, kinds[0])):
                 raise ConfigError(f"{f.name} must be {kinds[1]}, got {value!r}")
         categories = self.device_categories
-        if categories is not None and not (isinstance(categories, dict) and categories and all(
-            isinstance(words, list) and all(isinstance(word, str) and word for word in words)
-            for words in categories.values()
-        )):
-            raise ConfigError(
-                "device_categories must be an object that maps names to lists of non-empty strings"
-            )
+        if categories is not None and not (isinstance(categories, dict) and categories):
+            raise ConfigError(f"device_categories must be a non-empty object, got {categories!r}")
+        for name, words in (categories or {}).items():
+            # a cleaned text holds only these characters, single-spaced: no other keyword matches
+            if not (isinstance(words, list) and words
+                    and all(isinstance(w, str) and _KEYWORD_RE.fullmatch(w) and "  " not in w for w in words)):
+                raise ConfigError(f"device_categories must be non-empty lists of keywords of a-z, 0-9, ' "
+                                  f"and single spaces; {name!r} maps to {words!r}")
         if self.format not in ("csv", "jsonl"):
             raise ConfigError(f"format must be csv or jsonl, got {self.format!r}")
         if not Path(self.input).exists():
@@ -438,7 +438,7 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
                 write(path)
                 written.append(path)
             outputs = {path.name: _sha256(path) for path in written}
-            manifest = RunManifest(asdict(cfg), stages, outputs, VERSION)
+            manifest = RunManifest(asdict(cfg), stages, outputs, __version__)
             with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
                 json.dump(manifest._asdict(), fh, indent=2, sort_keys=True)
                 fh.write("\n")

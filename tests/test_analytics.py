@@ -148,6 +148,34 @@ def test_rankings_match_count_oracle(synth_corpus):
     assert {key: count for key, count, _ in _rows(table)} == location_counts
 
 
+# pools of four keys, so that ties across the k-th row are frequent; "B" sorts
+# before "a", and "a" before "ab"
+_TAGS = st.lists(st.sampled_from(["a", "ab", "B", "b"]), max_size=4)
+_LOCATIONS = st.none() | st.sampled_from(["Austin, TX", "austin", "Boston", "NYC"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_TAGS, _TAGS, _LOCATIONS, st.sampled_from([None, "US"])), max_size=12), st.data())
+def test_rankings_cut_at_k_as_the_sorted_count_oracle(rows, data):
+    records = [
+        make_record(rid=str(i), hashtags=tags, mentions=mentions, location=location, country=country)
+        for i, (tags, mentions, location, country) in enumerate(rows)
+    ]
+    c = make_corpus(records)
+    located = [r for r in records if r.user_location is not None]
+    cases = [
+        (rank_mentions, [r.mentions for r in records]),
+        (rank_hashtags, [r.hashtags for r in records]),
+        (lambda c, k: rank_locations(c, k, "stated"), [[r.user_location] for r in located]),
+        (lambda c, k: rank_locations(c, k, "tagged"), [[r.user_location] for r in located if r.country_code]),
+    ]
+    for rank, lists in cases:
+        counts = count_items(lists)
+        k = data.draw(st.integers(1, len(counts) + 1))
+        expected = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
+        assert [(key, count) for key, count, _ in _rows(rank(c, k))] == expected
+
+
 # ---------------------------------------------------------------------------
 # device grouping
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -82,3 +83,20 @@ def test_exit_1_unless_every_run_checked_against_reference_digests(tmp_path, mon
         basis = change_basis or "(none printed)"
         assert f"change: outputs checked against {basis}, not reference digests" in err
     assert "parent: outputs checked" not in err
+
+
+def test_run_side_deletes_the_checkouts_bytecode_first(tmp_path, monkeypatch):
+    # bytecode an earlier run left would let this run skip compiling the program
+    module = _module()
+    cache = tmp_path / "src" / "tweetsent" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "corpus.cpython-311.pyc").write_bytes(b"")
+    seen = []
+
+    def run(argv, cwd, **kwargs):
+        seen.append((cwd, cache.exists(), (tmp_path / "src" / "tweetsent").is_dir()))
+        return subprocess.CompletedProcess(argv, 0, stdout='{"correct": true}\n', stderr="")
+
+    monkeypatch.setattr(module.subprocess, "run", run)
+    assert module.run_side(tmp_path, ["--workload", "w"])[0] == {"correct": True}
+    assert seen == [(tmp_path, False, True)]

@@ -513,6 +513,12 @@ _WRONG_TYPES = [
     ("device_categories", {"reopen": [5]}, "device_categories-number_keyword"),
     ("device_categories", {}, "device_categories-empty"),
     ("device_categories", ["reopen"], "device_categories-list"),
+    # a cleaned text holds only a-z, 0-9, ' and single spaces: these keywords never match
+    ("device_categories", {"reopen": []}, "device_categories-no_keywords"),
+    ("device_categories", {"Reopen": ["Reopen"]}, "device_categories-upper_case"),
+    ("device_categories", {"re-open": ["re-open"]}, "device_categories-hyphen"),
+    ("device_categories", {"reopen": ["réouvrir"]}, "device_categories-non_ascii"),
+    ("device_categories", {"covid": ["covid  19"]}, "device_categories-double_space"),
 ]
 
 
@@ -525,6 +531,23 @@ def test_run_config_number_of_the_wrong_type_is_config_error(workdir, capsys, fi
     assert main(["run", "--config", "cfg.json", "--output-dir", "o"]) == 2
     assert f"error: {field} must be" in capsys.readouterr().err
     assert not (workdir / "o").exists()
+
+
+def test_device_category_refused_by_name(workdir, capsys):
+    source = str(DATA / "corpus_1000.csv")
+    categories = {"reopen": ["reopen"], "Re-open": ["re-open"]}
+    (workdir / "cfg.json").write_text(json.dumps({"input": source, "device_categories": categories}))
+    assert main(["run", "--config", "cfg.json", "--output-dir", "o"]) == 2
+    assert "'Re-open' maps to ['re-open']" in capsys.readouterr().err
+
+
+def test_device_keywords_with_apostrophe_and_space_accepted(workdir):
+    source = str(DATA / "corpus_1000.csv")
+    categories = {"cant": ["can't"], "covid": ["covid 19", "covid"]}
+    (workdir / "cfg.json").write_text(json.dumps({"input": source, "device_categories": categories}))
+    assert main(["run", "--config", "cfg.json", "--output-dir", "o"]) == 0
+    devices = json.loads((workdir / "o" / "devices.json").read_text())
+    assert set(devices["Twitter for iPhone"]["category_ratios"]) == {"cant", "covid"}
 
 
 @pytest.mark.parametrize("command", ["run", "ingest"])

@@ -5,10 +5,12 @@ import gc
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 
+import tweetsent
 import tweetsent.pipeline as pipeline_mod
 from oracles import per_record_run
 from tweetsent.corpus import CSV_COLUMNS, load_corpus
@@ -76,6 +78,15 @@ def test_golden_manifest_hash(golden_workdir):
     digest = hashlib.sha256((golden_workdir / "out" / "manifest.json").read_bytes()).hexdigest()
     want = (DATA / "golden_manifest.sha256").read_text().strip()
     assert digest == want
+
+
+def test_manifest_version_is_the_package_and_project_version(golden_workdir):
+    run_pipeline(_golden_config())
+    written = json.loads((golden_workdir / "out" / "manifest.json").read_text())["version"]
+    # a regex, not tomllib: Python 3.10 has none
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    project = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)[1]
+    assert written == tweetsent.__version__ == project
 
 
 def test_pipeline_outputs_complete_and_hashed(golden_workdir):
