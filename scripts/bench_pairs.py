@@ -27,8 +27,10 @@ survives a later run.
 
 The exit code is 0 when every run finished, passed its checks and
 checked its outputs against the reference digests, 1 otherwise; the file is
-written either way. A seed without recorded digests is checked only against
-an earlier run of itself, which is not enough.
+written either way. A seed without recorded digests would be checked only
+against an earlier run of itself, which is not enough: when either
+checkout's `perfbench/reference_digests.json` records no digests for
+--workload at --seed, the script exits 1 before the first run.
 """
 
 from __future__ import annotations
@@ -114,6 +116,12 @@ def main(argv=None) -> int:
     for checkout in (args.parent, args.change):
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"{checkout} holds no perfbench/run.py")
+        reference = checkout / "perfbench" / "reference_digests.json"
+        recorded = json.loads(reference.read_text("utf-8"))["digests"] if reference.is_file() else {}
+        if str(args.seed) not in recorded.get(args.workload, {}):
+            print(f"{checkout}: perfbench/reference_digests.json records no {args.workload} digests "
+                  f"at seed {args.seed}, so no run could be checked against them", file=sys.stderr)
+            return 1
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text("utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}

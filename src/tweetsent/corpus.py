@@ -1,5 +1,4 @@
-"""Tweet record schema, CSV/JSONL ingestion, the bot filter, masking and the
-JSONL writer.
+"""Tweet record schema, CSV/JSONL ingestion, the bot filter and the JSONL writer.
 
 Two row sources, `_csv_rows` and `_jsonl_rows`, feed one loop, `_collect`,
 which runs each valid row through the filters `pipeline.check_filters`
@@ -13,8 +12,8 @@ import bisect
 import csv
 import json
 import re
-from collections import Counter, namedtuple
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import product
 from json.encoder import encode_basestring
@@ -22,7 +21,6 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import ConfigError, EmptyCorpusError, SchemaError
-from .textprep import mask_pattern, mask_text
 
 CSV_COLUMNS = [
     "status_id",
@@ -340,15 +338,16 @@ def load_corpus(path, format: str = "csv", filters=()) -> Corpus:
         raise SchemaError(f"unknown corpus format {format!r}")
 
     rows = _csv_rows if format == "csv" else _jsonl_rows
-    newline = "" if format == "csv" else None
+    # a CSV file may start with a byte-order mark, as some editors save one
+    encoding, newline = ("utf-8-sig", "") if format == "csv" else ("utf-8", None)
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding=encoding, newline=newline) as fh:
             return _collect(rows(fh, None), filters, str(path), format)
     except (UnicodeDecodeError, csv.Error):
         # restored here: a row source's finally would wait until it is closed
         field_limit = csv.field_size_limit(_ANY_FIELD)
         try:
-            with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+            with open(path, encoding=encoding, errors="surrogateescape", newline=newline) as fh:
                 return _collect(rows(fh, field_limit), filters, str(path), format)
         finally:
             csv.field_size_limit(field_limit)
@@ -422,19 +421,6 @@ def filter_bots_and_duplicates(c: Corpus, policy: BotPolicy) -> Corpus:
     before = c.provenance.filtered
     filtered = {**before, **{rule: before.get(rule, 0) + n for rule, n in counts.items()}}
     return Corpus(kept, c.provenance._replace(filtered=filtered))
-
-
-def mask_corpus(c: Corpus, abusive_lexicon: set[str], ledger) -> Corpus:
-    """Mask every record's text (non-filtering stage), each distinct text once."""
-    pattern = mask_pattern(abusive_lexicon)
-    masked_of = {}
-    for raw, n_records in Counter(r.text for r in c.records).items():
-        before = ledger.occurrences
-        masked_of[raw] = mask_text(raw, pattern, ledger)
-        # as a record-by-record pass would: the text's further records add its hits
-        ledger.occurrences += (ledger.occurrences - before) * (n_records - 1)
-    records = [r if (t := masked_of[r.text]) == r.text else replace(r, text=t) for r in c.records]
-    return c._replace(records=records)
 
 
 def write_corpus_jsonl(c: Corpus, path) -> None:

@@ -28,7 +28,7 @@ import json
 import re
 from collections import Counter, namedtuple
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
 from functools import cached_property, partial
 from pathlib import Path
@@ -39,7 +39,6 @@ from .corpus import (
     Corpus,
     filter_bots_and_duplicates,
     load_corpus,
-    mask_corpus,
     write_corpus_jsonl,
 )
 from .errors import ConfigError, EmptyCorpusError, InvalidRangeError, PipelineStageError
@@ -167,7 +166,9 @@ class RunConfig:
         )
         return cls.from_dict(values)
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[list, ScoringParams, BotPolicy]:
+        """Check every field; return the filter chain and the two parameter
+        groups that the checks build."""
         # a JSON config can give any field any type; each is checked before a
         # comparison or a file open could meet the wrong one
         for f in fields(self):
@@ -186,19 +187,19 @@ class RunConfig:
                                   f"and single spaces; {name!r} maps to {words!r}")
         if self.format not in ("csv", "jsonl"):
             raise ConfigError(f"format must be csv or jsonl, got {self.format!r}")
-        if not Path(self.input).exists():
-            raise ConfigError(f"input file not found: {self.input}")
-        for label in [name for name in self.__dataclass_fields__ if name.endswith("_path")]:
+        for label in ["input", *[name for name in self.__dataclass_fields__ if name.endswith("_path")]]:
             value = getattr(self, label)
             if value is not None and not Path(value).exists():
-                raise ConfigError(f"{label} not found: {value}")
-        check_filters(self.start_date, self.end_date, self.keyword, self.country)
+                raise ConfigError(f"{'input file' if label == 'input' else label} not found: {value}")
+            # a directory would fail only at its own stage; a device such as /dev/null is read
+            if value is not None and Path(value).is_dir():
+                raise ConfigError(f"{label}: Is a directory: {value}")
+        chain = check_filters(self.start_date, self.end_date, self.keyword, self.country)
         check_output(self.output_dir, "output_dir", directory=True)
-        # each parameter group checks its own fields
-        self.group(ScoringParams)
-        self.group(BotPolicy)
         if min(self.ngram_top, self.wordcloud_top, self.rank_top) < 1:
             raise ConfigError("top-k values must be >= 1")
+        # each parameter group checks its own fields
+        return chain, self.group(ScoringParams), self.group(BotPolicy)
 
     def group(self, cls):
         """The parameter group `cls`, copied from the fields of the same names."""
@@ -260,12 +261,14 @@ def gc_paused():
 
 
 class Analysis:
-    """The text analysis of a corpus: masking, then per distinct masked text
-    its prepared text (`distinct_full`), stopword-filtered text
-    (`distinct_stopped`), emotion profile (`distinct_profiles`) and record
-    count (`weights`); per record its cleaned text (`cleaned`), emotion
-    profile (`profiles`) and polarity score (`scores`); over all records the
-    emotion totals (`totals`) and the distribution report (`distribution`).
+    """The text analysis of a corpus: per distinct input text its record
+    count (`weights`), then, from its masked text, its prepared text
+    (`distinct_full`), stopword-filtered text (`distinct_stopped`) and
+    emotion profile (`distinct_profiles`); per record its masked record
+    (`corpus`), cleaned text (`cleaned`), emotion profile (`profiles`) and
+    polarity score (`scores`); over all records the emotion totals (`totals`)
+    and the distribution report (`distribution`). Two input texts that mask
+    alike keep two slots with equal results, so the reports count the same.
 
     Lexicon paths are read from `paths`, a `RunConfig` or the CLI's parsed
     arguments; an absent or `None` path means the bundled file. `params`
@@ -280,14 +283,22 @@ class Analysis:
     def __init__(self, corpus: Corpus, paths, params: ScoringParams | None = None) -> None:
         self._paths = paths
         self._params = params or ScoringParams()
-        self.ledger = textprep.MaskLedger()
-        abusive = textprep.load_abusive_lexicon(self._path("abusive_lexicon_path"))
-        self.corpus = mask_corpus(corpus, abusive, self.ledger)
-        n_records = Counter(r.text for r in self.corpus.records)
-        self._texts, self.weights = list(n_records), list(n_records.values())
-        slot_of = dict(zip(self._texts, range(len(self._texts))))
-        # each record's place in `_texts`
-        self._slots = [slot_of[r.text] for r in self.corpus.records]
+        self.ledger = ledger = textprep.MaskLedger()
+        pattern = textprep.mask_pattern(textprep.load_abusive_lexicon(self._path("abusive_lexicon_path")))
+        records = corpus.records
+        n_records = Counter(r.text for r in records)
+        self.weights = list(n_records.values())
+        slot_of = dict(zip(n_records, range(len(n_records))))
+        # each record's place in `_texts`, the masked input texts
+        self._slots = [slot_of[r.text] for r in records]
+        texts = self._texts = []
+        for raw, n in n_records.items():
+            before = ledger.occurrences
+            texts.append(textprep.mask_text(raw, pattern, ledger))
+            # as a record-by-record pass would: the text's further records add its hits
+            ledger.occurrences += (ledger.occurrences - before) * (n - 1)
+        masked = [r if (t := texts[s]) == r.text else replace(r, text=t) for r, s in zip(records, self._slots)]
+        self.corpus = corpus._replace(records=masked)
 
     def _path(self, name: str) -> str | None:
         return getattr(self._paths, name, None)
@@ -359,12 +370,11 @@ def _sha256(path: Path) -> str:
 
 def run_pipeline(cfg: RunConfig) -> RunManifest:
     with gc_paused():
-        cfg.validate()
-        chain = check_filters(cfg.start_date, cfg.end_date, cfg.keyword, cfg.country)
-        corpus = load_filtered(cfg.input, cfg.format, chain, cfg.group(BotPolicy))
+        chain, params, policy = cfg.validate()
+        corpus = load_filtered(cfg.input, cfg.format, chain, policy)
 
         with stage("mask"):
-            analysis = Analysis(corpus, cfg, cfg.group(ScoringParams))
+            analysis = Analysis(corpus, cfg, params)
         corpus = analysis.corpus
         # each text stage computes the analysis field that it is named after
         with stage("tokenize"):

@@ -50,6 +50,18 @@ def test_summary_counts_pairs_by_direction_and_ties_for_neither():
     assert summary["records_per_s"]["parent_iqr"] == 105.0 - 95.0
 
 
+def _checkouts(tmp_path, recorded=("37",)):
+    """A parent and a change checkout with a benchmark spec and reference
+    digests of workload "w" at the seeds `recorded`."""
+    digests = {"digests": {"w": {seed: {"out.csv": "0" * 64} for seed in recorded}}, "generator": "g"}
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+        (tmp_path / side / "perfbench" / "reference_digests.json").write_text(json.dumps(digests))
+    spec = {"end_to_end": [{"name": "run_s", "better": "lower"}], "per_layer": []}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+
+
 @pytest.mark.parametrize(
     "change_basis, code",
     [("reference digests", 0), ("an earlier run of this seed", 1), (None, 1)],
@@ -58,11 +70,7 @@ def test_summary_counts_pairs_by_direction_and_ties_for_neither():
 def test_exit_1_unless_every_run_checked_against_reference_digests(tmp_path, monkeypatch, capsys,
                                                                    change_basis, code):
     module = _module()
-    for side in ("parent", "change"):
-        (tmp_path / side / "perfbench").mkdir(parents=True)
-        (tmp_path / side / "perfbench" / "run.py").write_text("")
-    spec = {"end_to_end": [{"name": "run_s", "better": "lower"}], "per_layer": []}
-    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    _checkouts(tmp_path)
 
     def run_side(checkout, argv):
         basis = "reference digests" if checkout.name == "parent" else change_basis
@@ -100,3 +108,21 @@ def test_run_side_deletes_the_checkouts_bytecode_first(tmp_path, monkeypatch):
     monkeypatch.setattr(module.subprocess, "run", run)
     assert module.run_side(tmp_path, ["--workload", "w"])[0] == {"correct": True}
     assert seen == [(tmp_path, False, True)]
+
+
+@pytest.mark.parametrize("seed, workload", [("53", "w"), ("37", "other")], ids=["seed", "workload"])
+def test_exit_1_before_any_run_without_recorded_digests(tmp_path, monkeypatch, capsys, seed, workload):
+    # such runs could be checked only against each other, so none is started
+    module = _module()
+    _checkouts(tmp_path)
+
+    def run_side(checkout, argv):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(module, "run_side", run_side)
+    out = tmp_path / "bench.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", workload, "--pairs", "2",
+            "--seed", seed, "--seconds", "1", "--out", str(out)]
+    assert module.main(argv) == 1
+    assert f"records no {workload} digests at seed {seed}" in capsys.readouterr().err
+    assert not out.exists()

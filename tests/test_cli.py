@@ -4,6 +4,7 @@ import argparse
 import csv
 import gc
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -454,6 +455,37 @@ def test_directory_given_for_a_file_is_config_error(workdir, capsys, argv):
     assert main(argv) == 2
     assert "Is a directory" in capsys.readouterr().err
     assert [p.name for p in workdir.iterdir()] == ["adir"]
+
+
+_RUN_FILE_FIELDS = {
+    "input": "--input",
+    "stopwords_path": "--stopwords",
+    "abusive_lexicon_path": "--abusive-lexicon",
+    "emotion_lexicon_path": "--emotion-lexicon",
+    "polarity_lexicon_path": "--polarity-lexicon",
+    "shifter_lexicon_path": "--shifter-lexicon",
+}
+
+
+@pytest.mark.parametrize("field, flag", _RUN_FILE_FIELDS.items(), ids=_RUN_FILE_FIELDS)
+def test_run_refuses_a_directory_for_a_file_before_loading(workdir, capsys, monkeypatch, field, flag):
+    # refused by the config check, before the load and the stages before the file's own
+    (workdir / "adir").mkdir()
+
+    def load(*args):
+        raise AssertionError("the corpus was loaded")
+
+    for module in (cli_mod, pipeline_mod):
+        monkeypatch.setattr(module, "load_corpus", load)
+    argv = ["run", "--input", str(DATA / "corpus_1000.csv"), "--output-dir", "o", flag, "adir"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {field}: Is a directory: adir\n"
+    assert [p.name for p in workdir.iterdir()] == ["adir"]
+
+
+def test_run_takes_a_device_as_a_lexicon_file():
+    # only a directory is refused: an empty device reads as an empty stopword list
+    pipeline_mod.RunConfig(input=str(DATA / "corpus_1000.csv"), stopwords_path=os.devnull).validate()
 
 
 _OUTPUT_THROUGH_A_FILE = [

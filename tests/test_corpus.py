@@ -4,6 +4,7 @@ import csv
 import json
 import re
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -442,6 +443,26 @@ def test_csv_loader_matches_dictreader_oracle(tmp_path_factory, spec):
     ]
     assert got == records
     assert (c.provenance.parsed, c.provenance.skipped) == (parsed, skipped)
+
+
+def test_csv_with_a_byte_order_mark_loads_as_without(tmp_path):
+    # some editors save CSV with a UTF-8 byte-order mark; read as text, it
+    # would make the header's first name "\ufeffstatus_id"
+    plain = (Path(__file__).parent / "data" / "corpus_1000.csv").read_bytes()
+    # one row with a byte that is not UTF-8 sends the file to the lenient read
+    broken = plain + b"t9999999,2020-05-01T00:00:00Z,reopen \xff now please,web,,US,,,u1,false\n"
+    chain = check_filters("2020-04-30", "2020-05-08", "reopen", "US")
+    loaded = {}
+    for name, body in {"strict": plain, "lenient": broken}.items():
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / f"{name}{len(bom)}.csv"
+            path.write_bytes(bom + body)
+            c = load_corpus(path, "csv", chain)
+            loaded[name, bool(bom)] = c.records, c.provenance._replace(source=None)
+        assert loaded[name, True] == loaded[name, False]
+    strict, lenient = loaded["strict", False][1], loaded["lenient", False][1]
+    assert (lenient.parsed, lenient.skipped) == (strict.parsed + 1, strict.skipped + 1)
+    assert lenient.filtered == strict.filtered and sum(strict.filtered.values()) > 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,9 +6,13 @@ import hashlib
 import json
 import random
 import re
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tweetsent
 import tweetsent.pipeline as pipeline_mod
@@ -274,13 +278,77 @@ def test_shared_texts_give_the_per_record_reports(golden_workdir):
     assert manifest.stages["mask"]["occurrences"] == occurrences > 0
 
 
+def _regular_rows() -> tuple[list[str], list[list[str]]]:
+    """The header and the rows of the golden corpus that the default filters
+    keep and that the generator did not plant as bots."""
+    ledger = json.loads((DATA / "ledger_1000.json").read_text())
+    planted = set(ledger["duplicate_ids"]) | set(ledger["burst_ids"]) | set(ledger["low_token_ids"])
+    kept = {r.id for r in load_corpus(DATA / "corpus_1000.csv", "csv", pipeline_mod.check_filters(
+        "2020-04-30", "2020-05-08", "reopen", "US")).records}
+    with open(DATA / "corpus_1000.csv", encoding="utf-8", newline="") as fh:
+        header, *body = csv.reader(fh)
+    return header, [row for row in body if row[CSV_COLUMNS.index("status_id")] in kept - planted]
+
+
+_HEADER, _REGULAR = _regular_rows()
+# texts that pass the keyword and token filters, several of them shared by
+# drawn records, with case variants of abusive words, so that raw texts that
+# differ mask alike; a word hits twice in one, and two glued words hit none
+_SHARED_TEXTS = [
+    "reopen the park badword01 now",
+    "reopen the park BadWord01 now",
+    "reopen the park BADWORD01 now",
+    "Reopen BadWord02 badword02 and badword03! Now.",
+    "reopen badWord02 BADWORD02 and Badword03! now.",
+    "we reopen schools soon badword01badword02",
+    "reopen it all today please",
+]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, len(_REGULAR) - 1), st.none() | st.sampled_from(_SHARED_TEXTS)),
+        min_size=1, max_size=40, unique_by=lambda pick: pick[0],
+    )
+)
+def test_shared_and_alike_masking_texts_give_the_per_record_run(picks):
+    with tempfile.TemporaryDirectory() as folder:
+        folder = Path(folder)
+        rows = []
+        for i, text in picks:
+            row = list(_REGULAR[i])
+            row[CSV_COLUMNS.index("text")] = text or row[CSV_COLUMNS.index("text")]
+            rows.append(row)
+        with open(folder / "drawn.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([_HEADER, *rows])
+        cfg = _golden_config(input=str(folder / "drawn.csv"), output_dir=str(folder / "out"),
+                             abusive_lexicon_path=str(DATA / "abusive_fixture.txt"))
+        manifest = run_pipeline(cfg)
+        occurrences = per_record_run(cfg, folder / "want")
+        assert set(manifest.outputs) == {path.name for path in (folder / "want").iterdir()}
+        for name in manifest.outputs:
+            assert (folder / "out" / name).read_bytes() == (folder / "want" / name).read_bytes(), name
+        assert manifest.stages["mask"]["occurrences"] == occurrences
+
+
 def test_analysis_keeps_one_result_per_distinct_text_with_its_record_count(golden_workdir):
     _share_texts(golden_workdir / "corpus_1000.csv", golden_workdir / "shared.csv")
-    analysis = pipeline_mod.Analysis(load_corpus("shared.csv"), _golden_config())
-    texts = [r.text for r in analysis.corpus.records]
+    corpus = load_corpus("shared.csv")
+    # two input texts that differ only in the case of a masked word mask alike
+    alike = [replace(corpus.records[i], id=f"alike{i}", text=text)
+             for i, text in enumerate(["BadWord01 reopen it now", "badword01 reopen it now"])]
+    corpus = corpus._replace(records=corpus.records + alike)
+    analysis = pipeline_mod.Analysis(corpus, _golden_config())
+    texts = [r.text for r in corpus.records]
     distinct = list(dict.fromkeys(texts))
     assert analysis.weights == [texts.count(t) for t in distinct]
     assert len(distinct) < sum(analysis.weights) == len(texts)
+    # ... and keep a slot each, with the same results
+    assert analysis.weights[-2:] == [1, 1]
+    first, second = (r.text for r in analysis.corpus.records[-2:])
+    assert first == second and re.fullmatch(r"abuvs[0-9]+ reopen it now", first)
+    assert analysis.distinct_full[-2] == analysis.distinct_full[-1]
     per_text = (analysis.distinct_full, analysis.distinct_stopped, analysis.distinct_profiles)
     assert [len(values) for values in per_text] == [len(distinct)] * 3
     per_record = (analysis.cleaned, analysis.profiles, analysis.scores)

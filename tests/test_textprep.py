@@ -3,6 +3,8 @@ from __future__ import annotations
 import re
 from functools import partial
 from importlib import resources
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_corpus, make_record
-from tweetsent.corpus import mask_corpus
 from tweetsent.emotion import load_emotion_lexicon
+from tweetsent.pipeline import Analysis
 from tweetsent.polarity import load_polarity_lexicon
 from tweetsent.synth import ABUSIVE_POOL
 from tweetsent.textprep import (
@@ -251,25 +253,6 @@ def test_masking_completeness_on_synthetic_corpus(synth_corpus):
     assert ledger.occurrences > 0  # the generator did plant some
 
 
-def test_mask_corpus_matches_per_record_masking(synth_corpus):
-    lexicon = set(ABUSIVE_POOL)
-    per_record = MaskLedger()
-    expected = [mask(r.text, lexicon, per_record)[0] for r in synth_corpus.records]
-    ledger = MaskLedger()
-    masked = mask_corpus(synth_corpus, lexicon, ledger)
-    assert [r.text for r in masked.records] == expected
-    assert list(ledger.masks.items()) == list(per_record.masks.items())
-    assert ledger.occurrences == per_record.occurrences
-
-
-def test_mask_corpus_empty_lexicon_is_identity():
-    corpus = make_corpus([make_record(rid="1", text="badword01 here")])
-    ledger = MaskLedger()
-    masked = mask_corpus(corpus, set(), ledger)
-    assert [r.text for r in masked.records] == ["badword01 here"]
-    assert ledger.masks == {}
-
-
 # raw texts that several words of the lexicon hit, also more than once, and
 # that differ only in the case of a hit, so two raw texts mask alike
 _MASK_LEXICON = {"badword01", "badword02", "bad"}
@@ -279,24 +262,57 @@ _MASK_TEXTS = st.lists(
 ).map(" ".join)
 
 
+@pytest.fixture(scope="module")
+def abusive_files(tmp_path_factory) -> dict[str, str]:
+    """An abusive-lexicon file per name, written once for the module."""
+    folder = tmp_path_factory.mktemp("abusive")
+    files = {}
+    for name, words in {"pool": ABUSIVE_POOL, "mask": _MASK_LEXICON, "empty": ()}.items():
+        files[name] = str(folder / f"{name}.txt")
+        Path(files[name]).write_text("".join(f"{word}\n" for word in sorted(words)), encoding="utf-8")
+    return files
+
+
+def analysis_masked(corpus, lexicon_path: str):
+    """The masked corpus and the ledger of an `Analysis` of `corpus`."""
+    analysis = Analysis(corpus, SimpleNamespace(abusive_lexicon_path=lexicon_path))
+    return analysis.corpus, analysis.ledger
+
+
+def test_analysis_masking_matches_per_record_masking(synth_corpus, abusive_files):
+    lexicon = set(ABUSIVE_POOL)
+    per_record = MaskLedger()
+    expected = [mask(r.text, lexicon, per_record)[0] for r in synth_corpus.records]
+    masked, ledger = analysis_masked(synth_corpus, abusive_files["pool"])
+    assert [r.text for r in masked.records] == expected
+    assert list(ledger.masks.items()) == list(per_record.masks.items())
+    assert ledger.occurrences == per_record.occurrences
+
+
+def test_analysis_masking_with_an_empty_lexicon_is_identity(abusive_files):
+    corpus = make_corpus([make_record(rid="1", text="badword01 here")])
+    masked, ledger = analysis_masked(corpus, abusive_files["empty"])
+    assert [r.text for r in masked.records] == ["badword01 here"]
+    assert ledger.masks == {}
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(_MASK_TEXTS, min_size=1, max_size=6),
     st.lists(st.integers(min_value=0, max_value=5), max_size=30),
-    st.sampled_from([_MASK_LEXICON, set()]),
+    st.sampled_from(["mask", "empty"]),
 )
-def test_mask_corpus_masks_each_text_as_a_record_by_record_pass_would(pool, picks, lexicon):
+def test_analysis_masks_each_text_as_a_record_by_record_pass_would(abusive_files, pool, picks, lexicon):
     # the records after them repeat texts of a small pool, in any order
     # the first two mask alike; each hits three words, one of them twice
     texts = ["badword01 badword02 BadWord01 bad", "BadWord01 badword02 badword01 BAD"]
     texts += [pool[i % len(pool)] for i in picks]
     corpus = make_corpus([make_record(rid=str(i), text=t) for i, t in enumerate(texts)])
-    pattern = mask_pattern(lexicon)
+    pattern = mask_pattern(_MASK_LEXICON if lexicon == "mask" else set())
     per_record = MaskLedger()
     expected = [mask_text(t, pattern, per_record) for t in texts]
 
-    ledger = MaskLedger()
-    masked = mask_corpus(corpus, lexicon, ledger)
+    masked, ledger = analysis_masked(corpus, abusive_files[lexicon])
     assert [r.text for r in masked.records] == expected
     assert [r.id for r in masked.records] == [r.id for r in corpus.records]
     assert list(ledger.masks.items()) == list(per_record.masks.items())
