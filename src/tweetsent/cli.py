@@ -34,7 +34,9 @@ from .exports import (
     scores_to_csv,
     write_json,
 )
-from .pipeline import Analysis, RunConfig, check_filters, check_output, gc_paused, load_filtered, run_pipeline
+from .pipeline import (
+    Analysis, RunConfig, check_files, check_filters, check_output, gc_paused, load_filtered, run_pipeline,
+)
 
 # a directory given where a file is expected is a configuration error, as a missing file is
 _CONFIG_ERRORS = (ConfigError, FileNotFoundError, IsADirectoryError, InvalidRangeError, InvalidNError)
@@ -69,8 +71,15 @@ def cmd_ingest(args) -> None:
     print(f"records: {len(corpus.records)}")
 
 
+def _analysis(args) -> Analysis:
+    """The text analysis of the whole input, once its input and lexicon
+    files pass `run`'s check."""
+    check_files(vars(args))
+    return Analysis(load_corpus(args.input, args.format), args)
+
+
 def cmd_ngrams(args) -> None:
-    table = Analysis(load_corpus(args.input, args.format), args).ngram_table(args.n, args.top)
+    table = _analysis(args).ngram_table(args.n, args.top)
     if args.output:
         if args.export == "csv":
             ngram_table_to_csv(table, args.output)
@@ -84,7 +93,7 @@ def cmd_ngrams(args) -> None:
 
 
 def cmd_sentiment(args) -> None:
-    analysis = Analysis(load_corpus(args.input, args.format), args)
+    analysis = _analysis(args)
     scores = analysis.scores
     dist = analytics.polarity_distribution(scores)
     scores_to_csv(analysis.corpus, scores, args.output, analysis.profiles)
@@ -96,38 +105,25 @@ def cmd_sentiment(args) -> None:
 
 
 def cmd_report(args) -> None:
-    corpus = load_corpus(args.input, args.format)
-    what = args.what
-
-    # a report is the JSON value it is written as; `to_csv` flattens it
-    if what in ("mentions", "hashtags", "locations"):
-        # the rankings read no lexicon, so they build no Analysis
-        if what == "mentions":
-            report = analytics.rank_mentions(corpus, args.top)
-        elif what == "hashtags":
-            report = analytics.rank_hashtags(corpus, args.top)
-        else:
-            report = analytics.rank_locations(corpus, args.top, args.field)
-        to_csv = ranked_table_to_csv
+    analysis = _analysis(args)
+    corpus, what = analysis.corpus, args.what
+    # a report is the JSON value it is written as, and `to_csv` flattens it;
+    # masking changes only the text, so the rankings read the masked corpus
+    if what == "mentions":
+        report, to_csv = analytics.rank_mentions(corpus, args.top), ranked_table_to_csv
+    elif what == "hashtags":
+        report, to_csv = analytics.rank_hashtags(corpus, args.top), ranked_table_to_csv
+    elif what == "locations":
+        report, to_csv = analytics.rank_locations(corpus, args.top, args.field), ranked_table_to_csv
+    elif what == "devices":
+        report, to_csv = analytics.device_group_report(corpus, analysis.cleaned), device_report_to_csv
+    elif what == "daily":
+        report, to_csv = analytics.daily_emotion_series(corpus, analysis.profiles), daily_series_to_csv
+    elif args.export == "csv":  # the CSV writes no emotion totals, so it classifies no text
+        report, to_csv = analytics.polarity_distribution(analysis.scores), distribution_to_csv
     else:
-        analysis = Analysis(corpus, args)
-        if what == "devices":
-            report = analytics.device_group_report(analysis.corpus, analysis.cleaned)
-            to_csv = device_report_to_csv
-        elif what == "daily":
-            report = analytics.daily_emotion_series(analysis.corpus, analysis.profiles)
-            to_csv = daily_series_to_csv
-        elif args.export == "json":
-            report = analysis.distribution()
-        else:
-            # the CSV writes no emotion totals, so it classifies no text
-            report = analytics.polarity_distribution(analysis.scores)
-            to_csv = distribution_to_csv
-
-    if args.export == "csv":
-        to_csv(report, args.output)
-    else:
-        write_json(report, args.output)
+        report = analysis.distribution()
+    (to_csv if args.export == "csv" else write_json)(report, args.output)
     print(f"wrote {args.output}")
 
 
@@ -153,6 +149,10 @@ def cmd_run(args) -> None:
 
 
 def cmd_synth(args) -> None:
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    if args.ledger is not None:
+        check_output(args.ledger, "--ledger")
     from .synth import write_synthetic_corpus  # no other command needs the generator
 
     ledger = write_synthetic_corpus(

@@ -12,7 +12,8 @@ and the valence shifters.
 
 `load_filtered` loads through the filters for `run` and for the CLI's `ingest`;
 `Analysis` composes the text stages, masking to polarity, for `run` and for
-the CLI's `ngrams`, `sentiment` and `report`, which read its fields.
+the CLI's `ngrams`, `sentiment` and `report`, which read its fields after
+`check_files` has checked their input and lexicon files as `run`'s do.
 
 A run writes every report plus a manifest (stage counts, config echo,
 sha256 per output). Outputs are computed before anything is written and any
@@ -91,12 +92,28 @@ def check_filters(
     return chain
 
 
+def check_files(values: dict) -> None:
+    """Refuse a missing file or a directory given for `input` or any lexicon
+    path (a key ending in `_path`) of `values`; None means the bundled file."""
+    for label, value in values.items():
+        if value is None or not (label == "input" or label.endswith("_path")):
+            continue
+        if not Path(value).exists():
+            raise ConfigError(f"{'input file' if label == 'input' else label} not found: {value}")
+        # a directory would fail only at its own stage; a device such as /dev/null is read
+        if Path(value).is_dir():
+            raise ConfigError(f"{label}: Is a directory: {value}")
+
+
 def check_output(path: str, label: str, directory: bool = False) -> None:
-    """Refuse an output path that runs through a regular file; a `directory` may not be one."""
+    """Refuse an output path that runs through a regular file; a `directory`
+    may not be one, and a file output may not be an existing directory."""
     path = Path(path)
     for part in [path, *path.parents] if directory else path.parents:
         if part.is_file():
             raise ConfigError(f"{label} {path} needs a directory where the file {part} is")
+    if not directory and path.is_dir():
+        raise ConfigError(f"{label}: Is a directory: {path}")
 
 
 # the accepted Python types and the description of each scalar annotation of
@@ -187,13 +204,7 @@ class RunConfig:
                                   f"and single spaces; {name!r} maps to {words!r}")
         if self.format not in ("csv", "jsonl"):
             raise ConfigError(f"format must be csv or jsonl, got {self.format!r}")
-        for label in ["input", *[name for name in self.__dataclass_fields__ if name.endswith("_path")]]:
-            value = getattr(self, label)
-            if value is not None and not Path(value).exists():
-                raise ConfigError(f"{'input file' if label == 'input' else label} not found: {value}")
-            # a directory would fail only at its own stage; a device such as /dev/null is read
-            if value is not None and Path(value).is_dir():
-                raise ConfigError(f"{label}: Is a directory: {value}")
+        check_files(vars(self))
         chain = check_filters(self.start_date, self.end_date, self.keyword, self.country)
         check_output(self.output_dir, "output_dir", directory=True)
         if min(self.ngram_top, self.wordcloud_top, self.rank_top) < 1:

@@ -69,7 +69,8 @@ def test_ingest_filter_chain_and_provenance(workdir):
     assert code == 0
     assert (workdir / "filtered.jsonl").exists()
     prov = json.loads((workdir / "filtered.provenance.json").read_text())
-    kept = sum(1 for _ in open(workdir / "filtered.jsonl"))
+    with open(workdir / "filtered.jsonl") as fh:
+        kept = sum(1 for _ in fh)
     assert prov["parsed"] == kept + prov["skipped"] + sum(prov["filtered"].values())
     for stage in ("date_range", "keyword", "country", "duplicate", "burst", "low_token"):
         assert stage in prov["filtered"]
@@ -96,7 +97,8 @@ def test_ngrams_csv_export(workdir):
     assert main(
         ["ngrams", "--input", "corpus.csv", "--n", "1", "--top", "10", "--output", "t.csv"]
     ) == 0
-    rows = list(csv.DictReader(open(workdir / "t.csv")))
+    with open(workdir / "t.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 10
     assert list(rows[0]) == ["rank", "gram", "count"]
 
@@ -133,7 +135,8 @@ def test_report_top_below_one_is_config_error(workdir, top):
 def test_sentiment_scores_csv(workdir, capsys):
     _synth(workdir)
     assert main(["sentiment", "--input", "corpus.csv", "--output", "scores.csv"]) == 0
-    rows = list(csv.DictReader(open(workdir / "scores.csv")))
+    with open(workdir / "scores.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 200
     assert {"status_id", "value", "label", "trust", "positive"} <= set(rows[0])
     out = capsys.readouterr().out
@@ -166,7 +169,8 @@ def test_report_csv_export(workdir):
         ["report", "--input", "corpus.csv", "--what", "distribution",
          "--export", "csv", "--output", "dist.csv"]
     ) == 0
-    rows = list(csv.reader(open(workdir / "dist.csv")))
+    with open(workdir / "dist.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["key", "value"]
     assert rows[1][0] == "positive_share"
 
@@ -510,6 +514,78 @@ def test_output_path_through_a_file_is_config_error(workdir, capsys, monkeypatch
     )
     assert loads == []  # refused before any input is read
     assert [p.name for p in workdir.iterdir()] == ["afile"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sentiment", "--output", "adir"],
+        ["report", "--what", "distribution", "--output", "adir"],
+        ["ngrams", "--n", "2", "--output", "adir"],
+        ["ingest", "--output", "adir"],
+    ],
+    ids=["sentiment", "report", "ngrams", "ingest"],
+)
+def test_directory_given_as_output_is_config_error_before_loading(workdir, capsys, monkeypatch, argv):
+    (workdir / "adir").mkdir()
+    loads = []
+    for module in (cli_mod, pipeline_mod):
+        monkeypatch.setattr(module, "load_corpus", lambda *args: loads.append(args))
+    assert main([argv[0], "--input", str(DATA / "corpus_1000.csv"), *argv[1:]]) == 2
+    assert capsys.readouterr().err == "error: --output: Is a directory: adir\n"
+    assert loads == []  # refused before any input is read
+    assert [p.name for p in workdir.iterdir()] == ["adir"]
+
+
+def test_synth_refuses_a_directory_as_ledger_before_writing_the_corpus(workdir, capsys):
+    (workdir / "adir").mkdir()
+    assert main(["synth", "--n", "3", "--output", "s.csv", "--ledger", "adir"]) == 2
+    assert capsys.readouterr().err == "error: --ledger: Is a directory: adir\n"
+    assert [p.name for p in workdir.iterdir()] == ["adir"]
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_synth_n_below_one_is_config_error(workdir, capsys, n):
+    assert main(["synth", "--n", n, "--output", "s.csv"]) == 2
+    assert capsys.readouterr().err == f"error: --n must be >= 1, got {n}\n"
+    assert list(workdir.iterdir()) == []
+
+
+# each analysis command with its file flags, by the field name that `run` gives each
+_ANALYSIS_FILE_FLAGS = {
+    "ngrams": ["--n", "4"],
+    "sentiment": ["--output", "s.csv"],
+    "report": ["--what", "devices", "--output", "r.json"],
+}
+_ANALYSIS_FILE_CASES = [
+    (command, field, flag)
+    for command in _ANALYSIS_FILE_FLAGS
+    for field, flag in _RUN_FILE_FIELDS.items()
+    if command != "ngrams" or field in ("input", "stopwords_path", "abusive_lexicon_path")
+]
+
+
+@pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing"])
+@pytest.mark.parametrize(
+    "command, field, flag", _ANALYSIS_FILE_CASES, ids=[f"{c}-{f}" for c, f, _ in _ANALYSIS_FILE_CASES]
+)
+def test_analysis_commands_check_their_files_as_run_before_loading(
+    workdir, capsys, monkeypatch, command, field, flag, missing
+):
+    # refused with `run`'s message, also for a lexicon that the report never reads
+    (workdir / "adir").mkdir()
+
+    def load(*args):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(cli_mod, "load_corpus", load)
+    files = {"--input": str(DATA / "corpus_1000.csv"), flag: "absent" if missing else "adir"}
+    argv = [command, *_ANALYSIS_FILE_FLAGS[command], *[a for pair in files.items() for a in pair]]
+    assert main(argv) == 2
+    label = "input file" if field == "input" else field
+    want = f"{label} not found: absent" if missing else f"{field}: Is a directory: adir"
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert [p.name for p in workdir.iterdir()] == ["adir"]
 
 
 def test_exit_code_2_for_bad_country_flag(workdir):

@@ -14,21 +14,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# every name re-exported at the package, by the submodule that defines it
-EXPORTS = {
-    "analytics": ["daily_emotion_series", "device_group_report", "polarity_distribution",
-                  "rank_hashtags", "rank_locations", "rank_mentions"],
-    "corpus": ["BotPolicy", "Corpus", "TweetRecord", "filter_bots_and_duplicates", "load_corpus"],
-    "emotion": ["EmotionLexicon", "EmotionProfile", "aggregate_profiles", "classify",
-                "dominant_classes", "load_emotion_lexicon"],
-    "ngrams": ["build_table", "word_cloud_weights"],
-    "pipeline": ["RunConfig", "RunManifest", "run_pipeline"],
-    "polarity": ["PolarityLexicon", "PolarityScore", "ScoringParams", "classify_polarity",
-                 "load_polarity_lexicon", "score_sentence", "score_text"],
-    "scenario": ["SentimentTrend", "classify_scenario", "trend_from_report"],
-    "synth": ["generate_synthetic_corpus", "write_synthetic_corpus"],
-    "textprep": ["MaskLedger", "Sentences", "prepare", "remove_stopwords"],
-}
+# the names re-exported at the package: `run`'s entry points, from `pipeline`
+ENTRY_POINTS = ["RunConfig", "run_pipeline"]
 
 # `loaded()` in a fresh interpreter: the tweetsent submodules imported so far
 PRELUDE = """
@@ -69,32 +56,49 @@ def test_setup_path_loads_only_what_it_calls():
 
 
 # the submodules that `from tweetsent import *` bound when the package imported them all
-STAR_SUBMODULES = [*EXPORTS, "errors", "exports"]
+STAR_SUBMODULES = ["analytics", "corpus", "emotion", "errors", "exports", "ngrams", "pipeline",
+                   "polarity", "scenario", "synth", "textprep"]
 
 
 def test_all_is_the_exported_names_and_submodules():
     out = fresh("import tweetsent\nprint(json.dumps([tweetsent.__all__, loaded()]))")
-    assert out == [[name for names in EXPORTS.values() for name in names] + STAR_SUBMODULES, []]
+    assert out == [ENTRY_POINTS + STAR_SUBMODULES, []]
 
 
 def test_exported_names_are_their_submodules_objects():
-    # each name is asked for first through one of the two forms, in its own order
+    # each name is asked for first through one of the two forms, before `pipeline` loads
     check = """
 import importlib
 import tweetsent
-exports = {exports!r}
 same = {{}}
-for module, names in exports.items():
-    for name in names:
-        {first}
-        home = getattr(importlib.import_module("tweetsent." + module), name)
-        same[name] = got is home and tweetsent.__dict__[name] is home
+for name in {names!r}:
+    {first}
+    home = getattr(importlib.import_module("tweetsent.pipeline"), name)
+    same[name] = got is home and tweetsent.__dict__[name] is home
 print(json.dumps(same))
 """
-    names = [name for names in EXPORTS.values() for name in names]
     for first in ("got = getattr(tweetsent, name)", 'exec(f"from tweetsent import {name} as got")'):
-        out = fresh(check.format(exports=EXPORTS, first=first))
-        assert out == dict.fromkeys(names, True), first
+        out = fresh(check.format(names=ENTRY_POINTS, first=first))
+        assert out == dict.fromkeys(ENTRY_POINTS, True), first
+
+
+def test_a_dropped_alias_is_reached_only_through_its_submodule():
+    # the package re-exported `load_corpus` once; its submodule still holds it
+    out = fresh(
+        "import tweetsent\n"
+        "import tweetsent.corpus\n"
+        "try:\n"
+        "    tweetsent.load_corpus\n"
+        "except AttributeError as exc:\n"
+        "    caught = str(exc)\n"
+        "try:\n"
+        "    from tweetsent import load_corpus\n"
+        "except ImportError:\n"
+        "    refused = True\n"
+        "from tweetsent.corpus import load_corpus\n"
+        "print(json.dumps([caught, refused, load_corpus.__module__, 'load_corpus' in dir(tweetsent)]))"
+    )
+    assert out == ["module 'tweetsent' has no attribute 'load_corpus'", True, "tweetsent.corpus", False]
 
 
 def test_submodules_resolve_as_attributes():

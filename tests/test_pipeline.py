@@ -8,6 +8,7 @@ import random
 import re
 import tempfile
 from dataclasses import replace
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 import tweetsent
 import tweetsent.pipeline as pipeline_mod
-from oracles import per_record_run
-from tweetsent.corpus import CSV_COLUMNS, load_corpus
+from oracles import bot_filter, filter_rows, per_record_run
+from tweetsent.corpus import CSV_COLUMNS, BotPolicy, load_corpus
 from tweetsent.errors import ConfigError, EmptyCorpusError, PipelineStageError
 from tweetsent.pipeline import RunConfig, run_pipeline
 from tweetsent.synth import ABUSIVE_POOL, generate_synthetic_corpus, write_synthetic_corpus
@@ -305,6 +306,31 @@ _SHARED_TEXTS = [
 ]
 
 
+def _run_matches_the_per_record_run(rows: list[list[str]], **config) -> None:
+    """Run the golden config with `config` over a corpus of `rows`; every
+    output byte and the mask occurrence count equal `per_record_run`'s."""
+    with tempfile.TemporaryDirectory() as folder:
+        folder = Path(folder)
+        with open(folder / "drawn.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([_HEADER, *rows])
+        cfg = _golden_config(input=str(folder / "drawn.csv"), output_dir=str(folder / "out"),
+                             abusive_lexicon_path=str(DATA / "abusive_fixture.txt"), **config)
+        try:
+            manifest = run_pipeline(cfg)
+        except PipelineStageError as exc:
+            # only the bot filter may leave no record, and then the oracle's leaves none either
+            assert exc.stage == "bots"
+            kept, _ = filter_rows(load_corpus(cfg.input).records, date.fromisoformat(cfg.start_date),
+                                  date.fromisoformat(cfg.end_date), cfg.keyword, cfg.country)
+            assert bot_filter(kept, cfg.group(BotPolicy))[0] == []
+            return
+        occurrences = per_record_run(cfg, folder / "want")
+        assert set(manifest.outputs) == {path.name for path in (folder / "want").iterdir()}
+        for name in manifest.outputs:
+            assert (folder / "out" / name).read_bytes() == (folder / "want" / name).read_bytes(), name
+        assert manifest.stages["mask"]["occurrences"] == occurrences
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(
@@ -313,23 +339,61 @@ _SHARED_TEXTS = [
     )
 )
 def test_shared_and_alike_masking_texts_give_the_per_record_run(picks):
-    with tempfile.TemporaryDirectory() as folder:
-        folder = Path(folder)
-        rows = []
-        for i, text in picks:
-            row = list(_REGULAR[i])
-            row[CSV_COLUMNS.index("text")] = text or row[CSV_COLUMNS.index("text")]
-            rows.append(row)
-        with open(folder / "drawn.csv", "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows([_HEADER, *rows])
-        cfg = _golden_config(input=str(folder / "drawn.csv"), output_dir=str(folder / "out"),
-                             abusive_lexicon_path=str(DATA / "abusive_fixture.txt"))
-        manifest = run_pipeline(cfg)
-        occurrences = per_record_run(cfg, folder / "want")
-        assert set(manifest.outputs) == {path.name for path in (folder / "want").iterdir()}
-        for name in manifest.outputs:
-            assert (folder / "out" / name).read_bytes() == (folder / "want" / name).read_bytes(), name
-        assert manifest.stages["mask"]["occurrences"] == occurrences
+    rows = []
+    for i, text in picks:
+        row = list(_REGULAR[i])
+        row[CSV_COLUMNS.index("text")] = text or row[CSV_COLUMNS.index("text")]
+        rows.append(row)
+    _run_matches_the_per_record_run(rows)
+
+
+# device categories of several keywords each, some of several words, one
+# keyword inside another category's keyword
+_CATEGORY_POOL = [
+    None,
+    {"reopen": ["reopen", "reopening"], "park": ["the park", "park"]},
+    {"when": ["now", "today", "soon"], "schools": ["schools", "reopen schools"], "fear": ["fear"]},
+]
+_DRAWN_AT = datetime(2020, 5, 3, 12, 0, tzinfo=timezone.utc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    picks=st.lists(
+        st.tuples(
+            st.integers(0, len(_REGULAR) - 1),
+            st.none() | st.sampled_from(_SHARED_TEXTS),
+            # a user that several picks share, and a time seconds after _DRAWN_AT,
+            # so that gaps fall at, under and over the bot windows
+            st.sampled_from([None, "drawn_a", "drawn_b"]),
+            st.sampled_from([None, 0, 1, 60, 61]),
+        ),
+        min_size=1, max_size=40, unique_by=lambda pick: pick[0],
+    ),
+    # small cut-offs fall on ties, also with wordcloud_top > ngram_top
+    tops=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    categories=st.sampled_from(_CATEGORY_POOL),
+    windows=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    weights=st.tuples(*[st.sampled_from([0.0, 0.5, 0.8, 0.85, 1.0, 2.0])] * 2),
+    bots=st.tuples(st.sampled_from([0.0, 1.0, 60.0, 3600.0]), st.integers(1, 4), st.integers(0, 6)),
+)
+def test_drawn_configs_give_the_per_record_run(picks, tops, categories, windows, weights, bots):
+    col = {name: CSV_COLUMNS.index(name) for name in ("text", "user_id", "created_at")}
+    rows = []
+    for i, text, user, seconds in picks:
+        row = list(_REGULAR[i])
+        row[col["text"]] = text or row[col["text"]]
+        row[col["user_id"]] = user or row[col["user_id"]]
+        if seconds is not None:
+            row[col["created_at"]] = (_DRAWN_AT + timedelta(seconds=seconds)).strftime("%Y-%m-%dT%H:%M:%SZ")
+        rows.append(row)
+    _run_matches_the_per_record_run(
+        rows,
+        rank_top=tops[0], ngram_top=tops[1], wordcloud_top=tops[2], device_categories=categories,
+        window_before=windows[0], window_after=windows[1],
+        amplifier_weight=weights[0], adversative_weight=weights[1],
+        dup_window_seconds=bots[0], burst_per_minute=bots[1], min_distinct_tokens=bots[2],
+    )
 
 
 def test_analysis_keeps_one_result_per_distinct_text_with_its_record_count(golden_workdir):
