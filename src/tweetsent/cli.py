@@ -38,8 +38,8 @@ from .pipeline import (
     Analysis, RunConfig, check_files, check_filters, check_output, gc_paused, load_filtered, run_pipeline,
 )
 
-# a directory given where a file is expected is a configuration error, as a missing file is
-_CONFIG_ERRORS = (ConfigError, FileNotFoundError, IsADirectoryError, InvalidRangeError, InvalidNError)
+# an OS error on a path given (missing, a directory, through a file, not permitted) is bad config
+_CONFIG_ERRORS = (ConfigError, OSError, InvalidRangeError, InvalidNError)
 _DATA_ERRORS = (SchemaError, EmptyCorpusError, EmptyInputError, TiedTrendError)
 
 
@@ -57,17 +57,18 @@ def _add_filter_args(p: argparse.ArgumentParser) -> None:
 
 def cmd_ingest(args) -> None:
     chain = check_filters(args.start_date, args.end_date, args.keyword, args.country)
+    check_files({"input": args.input})
+    prov_path = Path(args.output).with_suffix(".provenance.json")
+    if args.provenance:
+        check_output(prov_path, "--provenance")
     # the bot flags' dests are BotPolicy field names; an unset flag keeps its default
     knobs = {name: getattr(args, name) for name in BotPolicy.__dataclass_fields__}
     policy = BotPolicy(**{name: value for name, value in knobs.items() if value is not None})
     corpus = load_filtered(args.input, args.format, chain, policy if args.bots else None)
     write_corpus_jsonl(corpus, args.output)
     if args.provenance:
-        prov_path = Path(args.output).with_suffix(".provenance.json")
         write_json(corpus.provenance._asdict(), prov_path)
-        print(f"wrote {args.output} and {prov_path}")
-    else:
-        print(f"wrote {args.output}")
+    print(f"wrote {args.output}" + (f" and {prov_path}" if args.provenance else ""))
     print(f"records: {len(corpus.records)}")
 
 

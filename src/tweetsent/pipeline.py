@@ -107,13 +107,16 @@ def check_files(values: dict) -> None:
 
 def check_output(path: str, label: str, directory: bool = False) -> None:
     """Refuse an output path that runs through a regular file; a `directory`
-    may not be one, and a file output may not be an existing directory."""
+    may not be one, and a file output may not be an existing directory nor
+    lie in a missing one (a `directory` is created with its parents)."""
     path = Path(path)
     for part in [path, *path.parents] if directory else path.parents:
         if part.is_file():
             raise ConfigError(f"{label} {path} needs a directory where the file {part} is")
     if not directory and path.is_dir():
         raise ConfigError(f"{label}: Is a directory: {path}")
+    if not (directory or path.parent.is_dir()):
+        raise ConfigError(f"{label} directory not found: {path.parent}")
 
 
 # the accepted Python types and the description of each scalar annotation of
@@ -294,7 +297,8 @@ class Analysis:
     def __init__(self, corpus: Corpus, paths, params: ScoringParams | None = None) -> None:
         self._paths = paths
         self._params = params or ScoringParams()
-        self.ledger = ledger = textprep.MaskLedger()
+        self.masks: dict[str, str] = {}  # each masked word's mask, in order of first hit
+        self.occurrences = 0  # the masked hits over all records
         pattern = textprep.mask_pattern(textprep.load_abusive_lexicon(self._path("abusive_lexicon_path")))
         records = corpus.records
         n_records = Counter(r.text for r in records)
@@ -304,10 +308,9 @@ class Analysis:
         self._slots = [slot_of[r.text] for r in records]
         texts = self._texts = []
         for raw, n in n_records.items():
-            before = ledger.occurrences
-            texts.append(textprep.mask_text(raw, pattern, ledger))
-            # as a record-by-record pass would: the text's further records add its hits
-            ledger.occurrences += (ledger.occurrences - before) * (n - 1)
+            text, hits = textprep.mask_text(raw, pattern, self.masks)
+            texts.append(text)
+            self.occurrences += hits * n
         masked = [r if (t := texts[s]) == r.text else replace(r, text=t) for r, s in zip(records, self._slots)]
         self.corpus = corpus._replace(records=masked)
 
@@ -424,8 +427,8 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
             "provenance": provenance,
             "records_final": len(corpus.records),
             "mask": {
-                "distinct_terms": len(analysis.ledger.masks),
-                "occurrences": analysis.ledger.occurrences,
+                "distinct_terms": len(analysis.masks),
+                "occurrences": analysis.occurrences,
             },
         }
 

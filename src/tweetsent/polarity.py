@@ -61,6 +61,14 @@ class ScoringParams:
 PolarityScore = namedtuple("PolarityScore", "value n_sentences")
 
 
+def _rows(text: str, name: str):
+    """The rows of a lexicon CSV; an unreadable row is a `SchemaError` of the `name` lexicon."""
+    try:
+        yield from csv.DictReader(text.splitlines())
+    except csv.Error as exc:
+        raise SchemaError(f"{name} lexicon: {exc}") from exc
+
+
 def load_polarity_lexicon(polarity_path=None, shifter_path=None) -> PolarityLexicon:
     """Load term scores and shifter kinds from the two CSV files.
 
@@ -72,7 +80,7 @@ def load_polarity_lexicon(polarity_path=None, shifter_path=None) -> PolarityLexi
     shift_text = read_lexicon(shifter_path, "shifters.csv")
 
     entries: dict[str, float] = {}
-    for row in csv.DictReader(pol_text.splitlines()):
+    for row in _rows(pol_text, "polarity"):
         term = (row.get("term") or "").strip().lower()
         if not term:
             raise SchemaError("polarity lexicon: empty term")
@@ -85,7 +93,7 @@ def load_polarity_lexicon(polarity_path=None, shifter_path=None) -> PolarityLexi
         entries[term] = score
 
     shifters: dict[str, str] = {}
-    for row in csv.DictReader(shift_text.splitlines()):
+    for row in _rows(shift_text, "shifter"):
         term = (row.get("term") or "").strip().lower()
         if not term:
             raise SchemaError("shifter lexicon: empty term")

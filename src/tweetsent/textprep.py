@@ -10,7 +10,6 @@ prepared with one vocabulary share one string object per distinct token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import SchemaError
@@ -88,26 +87,6 @@ def load_abusive_lexicon(path=None) -> set[str]:
     return {line.strip() for line in text.splitlines() if line.strip()}
 
 
-@dataclass
-class MaskLedger:
-    """Stable mapping from distinct abusive words to mask tokens.
-
-    `masks` maps each distinct word, in order of first appearance, to
-    "abuvs" plus its place in that order, starting at 1; the same word always
-    maps to the same mask within one run. `occurrences` counts every hit.
-    """
-
-    masks: dict[str, str] = field(default_factory=dict)
-    occurrences: int = 0
-
-    def mask_for(self, word: str) -> str:
-        self.occurrences += 1
-        mask = self.masks.get(word)
-        if mask is None:
-            mask = self.masks[word] = f"abuvs{len(self.masks) + 1}"
-        return mask
-
-
 def mask_pattern(abusive_lexicon) -> re.Pattern | None:
     """Whole-word, case-insensitive alternation of the lexicon; None if empty."""
     if not abusive_lexicon:
@@ -117,8 +96,15 @@ def mask_pattern(abusive_lexicon) -> re.Pattern | None:
     return re.compile(r"\b(?:" + "|".join(re.escape(w) for w in words) + r")\b", re.IGNORECASE)
 
 
-def mask_text(raw: str, pattern: re.Pattern | None, ledger: MaskLedger) -> str:
-    """Replace each `mask_pattern` hit with its mask token from the ledger."""
+def mask_text(raw: str, pattern: re.Pattern | None, masks: dict[str, str]) -> tuple[str, int]:
+    """`raw` with each `mask_pattern` hit replaced by its mask, and the number
+    of hits. `masks` maps each distinct word, in order of first appearance, to
+    "abuvs" plus its place in that order, starting at 1; a new word is added."""
     if pattern is None:
-        return raw
-    return pattern.sub(lambda m: ledger.mask_for(m.group(0).lower()), raw)
+        return raw, 0
+
+    def repl(match: re.Match) -> str:
+        word = match.group(0).lower()
+        return masks.get(word) or masks.setdefault(word, f"abuvs{len(masks) + 1}")
+
+    return pattern.subn(repl, raw)

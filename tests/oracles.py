@@ -456,8 +456,9 @@ def per_record_run(cfg, out_dir):
     """Write every report of a run of `cfg` into `out_dir`, composing
     `filter_rows`, `bot_filter`, `ranked_ngrams` and the package's other stage functions,
     with each record masked, prepared, stopword-filtered, classified and
-    scored on its own, whatever text other records carry. Returns the mask
-    ledger's occurrence count."""
+    scored on its own, whatever text other records carry. Returns the number
+    of lexicon words masked, counted with the pattern's `findall` apart from
+    the masking."""
     from dataclasses import replace
     from datetime import date
 
@@ -467,9 +468,10 @@ def per_record_run(cfg, out_dir):
     c = corpus.load_corpus(cfg.input, cfg.format)
     kept, removed = filter_rows(c.records, start, end, cfg.keyword, cfg.country)
     kept, bots = bot_filter(kept, cfg.group(corpus.BotPolicy))
-    ledger = textprep.MaskLedger()
+    masks: dict[str, str] = {}
     pattern = textprep.mask_pattern(textprep.load_abusive_lexicon(cfg.abusive_lexicon_path))
-    masked = [replace(r, text=textprep.mask_text(r.text, pattern, ledger)) for r in kept]
+    occurrences = sum(len(pattern.findall(r.text)) for r in kept) if pattern else 0
+    masked = [replace(r, text=textprep.mask_text(r.text, pattern, masks)[0]) for r in kept]
     c = corpus.Corpus(masked, c.provenance._replace(filtered={**removed, **bots}))
     stoplist = textprep.load_stoplist(cfg.stopwords_path)
     emo_lex = emotion.load_emotion_lexicon(cfg.emotion_lexicon_path)
@@ -524,4 +526,4 @@ def per_record_run(cfg, out_dir):
     payload["extremes"] = {"min": low, "max": high}
     payload["emotion_totals"] = totals
     exports.write_json(payload, out / "distribution.json")
-    return ledger.occurrences
+    return occurrences

@@ -386,6 +386,8 @@ def test_polarity_scores_too_large_to_report_exit_3_and_write_nothing(
     [
         (ConfigError("bad"), 2, "error: bad"),
         (FileNotFoundError("gone"), 2, "error: gone"),
+        (NotADirectoryError("through"), 2, "error: through"),
+        (PermissionError("denied"), 2, "error: denied"),
         (SchemaError("bad row"), 3, "error: bad row"),
         (PipelineStageError("load", InvalidRangeError("late")), 2, "error: stage 'load' failed: late"),
         (PipelineStageError("bots", EmptyCorpusError("none")), 3, "error: stage 'bots' failed: none"),
@@ -400,6 +402,38 @@ def test_main_maps_each_error_to_its_exit_code(workdir, capsys, monkeypatch, exc
     monkeypatch.setattr(cli_mod, "run_pipeline", fail)
     assert main(["run", "--input", "c.csv"]) == code
     assert capsys.readouterr().err == text + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scenario", "--input", "c.csv/x", "--timing", "now"], ["run", "--config", "c.csv/x", "--input", "c.csv"]],
+    ids=["scenario", "run"],
+)
+def test_a_path_through_a_file_is_config_error(workdir, capsys, argv):
+    (workdir / "c.csv").write_bytes((DATA / "corpus_1000.csv").read_bytes())
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err
+    assert [p.name for p in workdir.iterdir()] == ["c.csv"]
+
+
+@pytest.mark.parametrize(
+    "flag, name, header",
+    [("--polarity-lexicon", "polarity", "term,score"), ("--shifter-lexicon", "shifter", "term,kind")],
+    ids=["polarity", "shifter"],
+)
+@pytest.mark.parametrize(
+    "argv, staged",
+    [(["sentiment", "--output", "s.csv"], ""), (["run", "--output-dir", "o"], "stage 'polarity' failed: ")],
+    ids=["sentiment", "run"],
+)
+def test_an_oversized_field_in_a_polarity_or_shifter_lexicon_is_data_error(
+    workdir, capsys, flag, name, header, argv, staged
+):
+    (workdir / "lex.csv").write_text(f"{header}\n{'a' * 200_000},1\n", encoding="utf-8")
+    assert main([*argv, "--input", str(DATA / "corpus_1000.csv"), flag, "lex.csv"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {staged}{name} lexicon: field larger than field limit")
+    assert [p.name for p in workdir.iterdir()] == ["lex.csv"]
 
 
 def test_run_config_out_of_range_scoring_params_keep_their_messages(workdir, capsys):
@@ -516,25 +550,43 @@ def test_output_path_through_a_file_is_config_error(workdir, capsys, monkeypatch
     assert [p.name for p in workdir.iterdir()] == ["afile"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sentiment", "--output", "adir"],
-        ["report", "--what", "distribution", "--output", "adir"],
-        ["ngrams", "--n", "2", "--output", "adir"],
-        ["ingest", "--output", "adir"],
-    ],
-    ids=["sentiment", "report", "ngrams", "ingest"],
-)
-def test_directory_given_as_output_is_config_error_before_loading(workdir, capsys, monkeypatch, argv):
+_IS_A_DIRECTORY = "--output: Is a directory: adir"
+_NO_DIRECTORY = "--output directory not found: nodir"
+# each file output that is refused before any input is read: a directory, a
+# file in a missing directory, and `ingest`'s provenance path as a directory
+_REFUSED_OUTPUTS = {
+    "sentiment": (["sentiment", "--output", "adir"], _IS_A_DIRECTORY),
+    "report": (["report", "--what", "distribution", "--output", "adir"], _IS_A_DIRECTORY),
+    "ngrams": (["ngrams", "--n", "2", "--output", "adir"], _IS_A_DIRECTORY),
+    "ingest": (["ingest", "--output", "adir"], _IS_A_DIRECTORY),
+    "sentiment-nodir": (["sentiment", "--output", "nodir/s.csv"], _NO_DIRECTORY),
+    "report-nodir": (["report", "--what", "devices", "--output", "nodir/d.json"], _NO_DIRECTORY),
+    "ngrams-nodir": (["ngrams", "--n", "2", "--output", "nodir/n.csv"], _NO_DIRECTORY),
+    "ingest-nodir": (["ingest", "--output", "nodir/x.jsonl"], _NO_DIRECTORY),
+    "synth-ledger-nodir": (
+        ["synth", "--n", "3", "--output", "s.csv", "--ledger", "nodir/l.json"],
+        "--ledger directory not found: nodir",
+    ),
+    "ingest-provenance": (
+        ["ingest", "--output", "o.jsonl", "--provenance"],
+        "--provenance: Is a directory: o.provenance.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", _REFUSED_OUTPUTS.values(), ids=_REFUSED_OUTPUTS)
+def test_directory_given_as_output_is_config_error_before_loading(workdir, capsys, monkeypatch, argv, message):
+    # a directory to give as a file, and the one where `ingest --output o.jsonl` puts its provenance
     (workdir / "adir").mkdir()
+    (workdir / "o.provenance.json").mkdir()
     loads = []
     for module in (cli_mod, pipeline_mod):
         monkeypatch.setattr(module, "load_corpus", lambda *args: loads.append(args))
-    assert main([argv[0], "--input", str(DATA / "corpus_1000.csv"), *argv[1:]]) == 2
-    assert capsys.readouterr().err == "error: --output: Is a directory: adir\n"
+    inputs = [] if argv[0] == "synth" else ["--input", str(DATA / "corpus_1000.csv")]
+    assert main([argv[0], *inputs, *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert loads == []  # refused before any input is read
-    assert [p.name for p in workdir.iterdir()] == ["adir"]
+    assert sorted(p.name for p in workdir.iterdir()) == ["adir", "o.provenance.json"]
 
 
 def test_synth_refuses_a_directory_as_ledger_before_writing_the_corpus(workdir, capsys):
@@ -551,17 +603,20 @@ def test_synth_n_below_one_is_config_error(workdir, capsys, n):
     assert list(workdir.iterdir()) == []
 
 
-# each analysis command with its file flags, by the field name that `run` gives each
+# each command that checks its files as `run` does, with its other flags
 _ANALYSIS_FILE_FLAGS = {
     "ngrams": ["--n", "4"],
     "sentiment": ["--output", "s.csv"],
     "report": ["--what", "devices", "--output", "r.json"],
+    "ingest": ["--output", "i.jsonl"],
 }
+# the file fields of the commands that read fewer than all of them
+_FEWER_FILE_FIELDS = {"ngrams": ("input", "stopwords_path", "abusive_lexicon_path"), "ingest": ("input",)}
 _ANALYSIS_FILE_CASES = [
     (command, field, flag)
     for command in _ANALYSIS_FILE_FLAGS
     for field, flag in _RUN_FILE_FIELDS.items()
-    if command != "ngrams" or field in ("input", "stopwords_path", "abusive_lexicon_path")
+    if field in _FEWER_FILE_FIELDS.get(command, _RUN_FILE_FIELDS)
 ]
 
 
@@ -578,7 +633,8 @@ def test_analysis_commands_check_their_files_as_run_before_loading(
     def load(*args):
         raise AssertionError("the corpus was loaded")
 
-    monkeypatch.setattr(cli_mod, "load_corpus", load)
+    for module in (cli_mod, pipeline_mod):
+        monkeypatch.setattr(module, "load_corpus", load)
     files = {"--input": str(DATA / "corpus_1000.csv"), flag: "absent" if missing else "adir"}
     argv = [command, *_ANALYSIS_FILE_FLAGS[command], *[a for pair in files.items() for a in pair]]
     assert main(argv) == 2

@@ -17,7 +17,6 @@ from tweetsent.pipeline import Analysis
 from tweetsent.polarity import load_polarity_lexicon
 from tweetsent.synth import ABUSIVE_POOL
 from tweetsent.textprep import (
-    MaskLedger,
     load_abusive_lexicon,
     load_stoplist,
     mask_pattern,
@@ -48,9 +47,9 @@ def clean(raw: str) -> str:
     return " ".join(token for sentence in prepare(raw) for token in sentence)
 
 
-def mask(raw: str, lexicon: set[str], ledger: MaskLedger) -> tuple[str, MaskLedger]:
-    """Mask one text with the pattern of `lexicon`; the ledger is updated in place."""
-    return mask_text(raw, mask_pattern(lexicon), ledger), ledger
+def mask(raw: str, lexicon: set[str], masks: dict[str, str]) -> tuple[str, int]:
+    """Mask one text with the pattern of `lexicon`; `masks` is updated in place."""
+    return mask_text(raw, mask_pattern(lexicon), masks)
 
 
 # ---------------------------------------------------------------------------
@@ -205,52 +204,48 @@ def test_stoplist_fixture_size(stoplist):
 
 
 def test_mask_counter_starts_at_one():
-    masked, ledger = mask("you badword01 loser", {"badword01"}, MaskLedger())
+    masks = {}
+    masked, hits = mask("you badword01 loser", {"badword01"}, masks)
     assert masked == "you abuvs1 loser"
-    assert ledger.masks == {"badword01": "abuvs1"}
+    assert masks == {"badword01": "abuvs1"}
+    assert hits == 1
 
 
 def test_mask_same_word_same_token():
     text = "badword01 again Badword01!"
-    masked, ledger = mask(text, {"badword01"}, MaskLedger())
+    masks = {}
+    masked, hits = mask(text, {"badword01"}, masks)
     assert masked == "abuvs1 again abuvs1!"
-    assert ledger.masks == {"badword01": "abuvs1"}
-    assert ledger.occurrences == 2
+    assert masks == {"badword01": "abuvs1"}
+    assert hits == 2
 
 
 def test_mask_distinct_words_distinct_tokens():
-    masked, ledger = mask(
-        "badword02 then badword01 then badword02",
-        {"badword01", "badword02"},
-        MaskLedger(),
-    )
+    masks = {}
+    masked, hits = mask("badword02 then badword01 then badword02", {"badword01", "badword02"}, masks)
     assert masked == "abuvs1 then abuvs2 then abuvs1"
-    assert list(ledger.masks.items()) == [("badword02", "abuvs1"), ("badword01", "abuvs2")]
+    assert list(masks.items()) == [("badword02", "abuvs1"), ("badword01", "abuvs2")]
+    assert hits == 3
 
 
 def test_mask_no_hits_unchanged():
-    ledger = MaskLedger()
-    masked, ledger = mask("nothing to see", {"badword01"}, ledger)
-    assert masked == "nothing to see"
-    assert ledger.masks == {}
+    masks = {}
+    assert mask("nothing to see", {"badword01"}, masks) == ("nothing to see", 0)
+    assert masks == {}
 
 
 def test_mask_whole_word_only():
-    masked, _ = mask("notbadword01here badword01", {"badword01"}, MaskLedger())
-    assert masked == "notbadword01here abuvs1"
+    assert mask("notbadword01here badword01", {"badword01"}, {}) == ("notbadword01here abuvs1", 1)
 
 
 def test_masking_completeness_on_synthetic_corpus(synth_corpus):
     lexicon = set(ABUSIVE_POOL)
     assert len(lexicon) == 50
-    ledger = MaskLedger()
-    masked_texts = []
-    for record in synth_corpus.records:
-        masked, ledger = mask(record.text, lexicon, ledger)
-        masked_texts.append(masked)
+    masks = {}
+    masked_texts, hits = zip(*(mask(record.text, lexicon, masks) for record in synth_corpus.records))
     scan = re.compile(r"\b(?:" + "|".join(sorted(lexicon)) + r")\b", re.IGNORECASE)
     assert not any(scan.search(t) for t in masked_texts)
-    assert ledger.occurrences > 0  # the generator did plant some
+    assert sum(hits) > 0  # the generator did plant some
 
 
 # raw texts that several words of the lexicon hit, also more than once, and
@@ -273,27 +268,26 @@ def abusive_files(tmp_path_factory) -> dict[str, str]:
     return files
 
 
-def analysis_masked(corpus, lexicon_path: str):
-    """The masked corpus and the ledger of an `Analysis` of `corpus`."""
-    analysis = Analysis(corpus, SimpleNamespace(abusive_lexicon_path=lexicon_path))
-    return analysis.corpus, analysis.ledger
+def analysis_masked(corpus, lexicon_path: str) -> Analysis:
+    """An `Analysis` of `corpus` with the abusive lexicon at `lexicon_path`."""
+    return Analysis(corpus, SimpleNamespace(abusive_lexicon_path=lexicon_path))
 
 
 def test_analysis_masking_matches_per_record_masking(synth_corpus, abusive_files):
     lexicon = set(ABUSIVE_POOL)
-    per_record = MaskLedger()
-    expected = [mask(r.text, lexicon, per_record)[0] for r in synth_corpus.records]
-    masked, ledger = analysis_masked(synth_corpus, abusive_files["pool"])
-    assert [r.text for r in masked.records] == expected
-    assert list(ledger.masks.items()) == list(per_record.masks.items())
-    assert ledger.occurrences == per_record.occurrences
+    masks = {}
+    expected, hits = zip(*(mask(r.text, lexicon, masks) for r in synth_corpus.records))
+    analysis = analysis_masked(synth_corpus, abusive_files["pool"])
+    assert [r.text for r in analysis.corpus.records] == list(expected)
+    assert list(analysis.masks.items()) == list(masks.items())
+    assert analysis.occurrences == sum(hits)
 
 
 def test_analysis_masking_with_an_empty_lexicon_is_identity(abusive_files):
     corpus = make_corpus([make_record(rid="1", text="badword01 here")])
-    masked, ledger = analysis_masked(corpus, abusive_files["empty"])
-    assert [r.text for r in masked.records] == ["badword01 here"]
-    assert ledger.masks == {}
+    analysis = analysis_masked(corpus, abusive_files["empty"])
+    assert [r.text for r in analysis.corpus.records] == ["badword01 here"]
+    assert analysis.masks == {}
 
 
 @settings(max_examples=200, deadline=None)
@@ -309,14 +303,14 @@ def test_analysis_masks_each_text_as_a_record_by_record_pass_would(abusive_files
     texts += [pool[i % len(pool)] for i in picks]
     corpus = make_corpus([make_record(rid=str(i), text=t) for i, t in enumerate(texts)])
     pattern = mask_pattern(_MASK_LEXICON if lexicon == "mask" else set())
-    per_record = MaskLedger()
-    expected = [mask_text(t, pattern, per_record) for t in texts]
+    masks = {}
+    expected, hits = zip(*(mask_text(t, pattern, masks) for t in texts))
 
-    masked, ledger = analysis_masked(corpus, abusive_files[lexicon])
-    assert [r.text for r in masked.records] == expected
-    assert [r.id for r in masked.records] == [r.id for r in corpus.records]
-    assert list(ledger.masks.items()) == list(per_record.masks.items())
-    assert ledger.occurrences == per_record.occurrences
+    analysis = analysis_masked(corpus, abusive_files[lexicon])
+    assert [r.text for r in analysis.corpus.records] == list(expected)
+    assert [r.id for r in analysis.corpus.records] == [r.id for r in corpus.records]
+    assert list(analysis.masks.items()) == list(masks.items())
+    assert analysis.occurrences == sum(hits)
 
 
 # every lexicon loader, with the bundled file it reads by default; the
