@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -135,7 +136,7 @@ def cmd_scenario(args) -> None:
         write_json(payload, args.output)
         print(f"wrote {args.output}")
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def cmd_run(args) -> None:
@@ -262,6 +263,15 @@ def main(argv=None) -> int:
             if getattr(args, "output", None) is not None:
                 check_output(args.output, "--output")
             args.func(args)
+            sys.stdout.flush()  # so a closed stdout raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader has gone (`| head`): end quietly, as Unix filters do, with
+        # stdout on devnull so that the flush at exit has somewhere to go
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout with no file descriptor
+            pass
+        return 0
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         staged = isinstance(exc, PipelineStageError)
         cause = exc.cause if staged else exc

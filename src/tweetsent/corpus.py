@@ -78,8 +78,8 @@ class BotPolicy:
     min_distinct_tokens: int = 3
 
     def __post_init__(self) -> None:
-        if not self.dup_window_seconds >= 0:  # NaN too
-            raise ConfigError("dup_window_seconds must be >= 0")
+        if not 0 <= self.dup_window_seconds < float("inf"):  # NaN too
+            raise ConfigError("dup_window_seconds must be finite and >= 0")
         if self.burst_per_minute < 1:
             raise ConfigError("burst_per_minute must be >= 1")
         if self.min_distinct_tokens < 0:

@@ -14,7 +14,7 @@ from .polarity import PolarityScore, classify_polarity
 
 def write_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        json.dump(obj, fh, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
         fh.write("\n")
 
 

@@ -16,17 +16,20 @@ the CLI's `ngrams`, `sentiment` and `report`, which read its fields after
 `check_files` has checked their input and lexicon files as `run`'s do.
 
 A run writes every report plus a manifest (stage counts, config echo,
-sha256 per output). Outputs are computed before anything is written and any
-write failure removes the files already written, so a failed run leaves no
-partial outputs. Identical config and input produce byte-identical outputs.
+sha256 per output). All are computed, then written to a staging directory in
+output_dir and moved into place, manifest last: a failed run leaves output_dir
+as it was. Identical config and input produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
+import errno
 import gc
 import hashlib
 import json
+import os
 import re
+import tempfile
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
@@ -434,42 +437,39 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
 
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        manifest_path = out_dir / "manifest.json"
-        written: list[Path] = []
-        try:
-            # each output's file name and the writer that takes its path
-            writers = [
-                ("provenance.json", partial(write_json, provenance)),
-                ("filtered_corpus.jsonl", partial(write_corpus_jsonl, corpus)),
-                # the unigram table holds the word cloud's rows too
-                *[
-                    (f"ngrams_{n}.csv", partial(ngram_table_to_csv, tables[n][: cfg.ngram_top]))
-                    for n in (1, 2, 3, 4)
-                ],
-                ("wordcloud.json", partial(write_json, cloud)),
-                ("mentions.csv", partial(ranked_table_to_csv, mentions)),
-                ("hashtags.csv", partial(ranked_table_to_csv, hashtags)),
-                ("locations_tagged.csv", partial(ranked_table_to_csv, loc_tagged)),
-                ("locations_stated.csv", partial(ranked_table_to_csv, loc_stated)),
-                ("devices.json", partial(write_json, devices)),
-                ("emotion_totals.json", partial(write_json, totals)),
-                ("emotion_daily.csv", partial(daily_series_to_csv, daily)),
-                ("polarity_scores.csv", partial(scores_to_csv, corpus, scores)),
-                ("distribution.json", partial(write_json, dist)),
-            ]
+        # each output's file name and the writer that takes its path
+        writers = [
+            ("provenance.json", partial(write_json, provenance)),
+            ("filtered_corpus.jsonl", partial(write_corpus_jsonl, corpus)),
+            # the unigram table holds the word cloud's rows too
+            *[
+                (f"ngrams_{n}.csv", partial(ngram_table_to_csv, tables[n][: cfg.ngram_top]))
+                for n in (1, 2, 3, 4)
+            ],
+            ("wordcloud.json", partial(write_json, cloud)),
+            ("mentions.csv", partial(ranked_table_to_csv, mentions)),
+            ("hashtags.csv", partial(ranked_table_to_csv, hashtags)),
+            ("locations_tagged.csv", partial(ranked_table_to_csv, loc_tagged)),
+            ("locations_stated.csv", partial(ranked_table_to_csv, loc_stated)),
+            ("devices.json", partial(write_json, devices)),
+            ("emotion_totals.json", partial(write_json, totals)),
+            ("emotion_daily.csv", partial(daily_series_to_csv, daily)),
+            ("polarity_scores.csv", partial(scores_to_csv, corpus, scores)),
+            ("distribution.json", partial(write_json, dist)),
+        ]
+        # staged and hashed on output_dir's filesystem, then moved into place, the manifest last
+        with stage("write"), tempfile.TemporaryDirectory(dir=out_dir, prefix=".tweetsent-") as staging:
+            staged = Path(staging)
             for name, write in writers:
-                path = out_dir / name
-                write(path)
-                written.append(path)
-            outputs = {path.name: _sha256(path) for path in written}
+                write(staged / name)
+            outputs = {name: _sha256(staged / name) for name, _ in writers}
             manifest = RunManifest(asdict(cfg), stages, outputs, __version__)
-            with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(manifest._asdict(), fh, indent=2, sort_keys=True)
+            with open(staged / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
+                json.dump(manifest._asdict(), fh, indent=2, sort_keys=True, allow_nan=False)
                 fh.write("\n")
-        except Exception as exc:
-            for path in written:
-                path.unlink(missing_ok=True)
-            manifest_path.unlink(missing_ok=True)
-            raise PipelineStageError("write", exc) from exc
-
+            names = [*outputs, "manifest.json"]
+            if clash := [out_dir / name for name in names if (out_dir / name).is_dir()]:  # before any move
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(clash[0]))
+            for name in names:
+                os.replace(staged / name, out_dir / name)
         return manifest

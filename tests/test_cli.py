@@ -5,6 +5,8 @@ import csv
 import gc
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -720,6 +722,8 @@ def test_device_keywords_with_apostrophe_and_space_accepted(workdir):
     [
         ("dup_window_seconds", "--dup-window", -5),
         ("dup_window_seconds", "--dup-window", float("nan")),
+        # `Infinity` in the config file, `inf` on the command line
+        ("dup_window_seconds", "--dup-window", float("inf")),
         ("burst_per_minute", "--burst-per-minute", 0),
         ("min_distinct_tokens", "--min-distinct-tokens", -1),
     ],
@@ -736,6 +740,33 @@ def test_bot_policy_out_of_range_is_config_error(workdir, capsys, command, field
     assert f"{field} must be" in capsys.readouterr().err
     assert not (workdir / "o").exists()
     assert not (workdir / "x.jsonl").exists()
+
+
+def test_closed_stdout_ends_quietly():
+    # about 95 KB of rows, more than a pipe holds: printing outlasts the reader
+    src = str(Path(cli_mod.__file__).parents[1])
+    argv = ["ngrams", "--n", "2", "--top", "5000", "--input", str(DATA / "corpus_1000.csv")]
+    with subprocess.Popen(
+        [sys.executable, "-m", "tweetsent.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait()
+    assert first.startswith(b"1\t")
+    assert (code, err) == (0, b"")
+
+
+def test_closed_stdout_without_a_file_descriptor_ends_quietly(monkeypatch, capsys):
+    def reader_gone(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli_mod, "cmd_scenario", reader_gone)
+    assert main(["scenario", "--input", "d.json", "--timing", "now"]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("command", ["run", "ingest"])

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import tweetsent
 import tweetsent.pipeline as pipeline_mod
 from oracles import bot_filter, filter_rows, per_record_run
+from tweetsent.cli import main
 from tweetsent.corpus import CSV_COLUMNS, BotPolicy, load_corpus
 from tweetsent.errors import ConfigError, EmptyCorpusError, PipelineStageError
 from tweetsent.pipeline import RunConfig, run_pipeline
@@ -150,6 +151,41 @@ def test_failed_write_leaves_no_partial_outputs(golden_workdir, monkeypatch):
     assert err.value.stage == "write"
     leftovers = list((golden_workdir / "out").iterdir())
     assert leftovers == []
+
+
+@pytest.mark.parametrize("failure", ["writer raises", "devices.json is a directory"])
+def test_failed_rerun_leaves_the_earlier_run_in_place(golden_workdir, monkeypatch, capsys, failure):
+    out = golden_workdir / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("not the run's\n")
+    run_pipeline(_golden_config())
+    names = EXPECTED_OUTPUTS | {"manifest.json", "notes.txt"}
+    assert {p.name for p in out.iterdir()} == names  # no staging directory is left
+    before = {name: (out / name).read_bytes() for name in names}
+    if failure == "writer raises":
+        real_write_json = pipeline_mod.write_json
+
+        def flaky(obj, path):
+            if Path(path).name == "distribution.json":  # the last output
+                raise OSError("disk full")
+            real_write_json(obj, path)
+
+        monkeypatch.setattr(pipeline_mod, "write_json", flaky)
+        message = "stage 'write' failed: disk full"
+    else:
+        (out / "devices.json").unlink()
+        (out / "devices.json").mkdir()
+        del before["devices.json"]
+        message = "stage 'write' failed: [Errno 21] Is a directory: 'out/devices.json'"
+    # smaller tables: a rerun that moved any file into place would change its bytes
+    with pytest.raises(PipelineStageError) as err:
+        run_pipeline(_golden_config(ngram_top=5, rank_top=3))
+    assert err.value.stage == "write"
+    argv = ["run", "--input", "corpus_1000.csv", "--abusive-lexicon", "abusive_fixture.txt", "--output-dir", "out"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert {p.name for p in out.iterdir()} == names
+    assert {name: (out / name).read_bytes() for name in before} == before
 
 
 def test_config_validation_errors(tmp_path):
