@@ -9,9 +9,11 @@ error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
+from contextlib import redirect_stdout, suppress
 from pathlib import Path
 
 from . import analytics, scenario
@@ -36,7 +38,7 @@ from .exports import (
     write_json,
 )
 from .pipeline import (
-    Analysis, RunConfig, check_files, check_filters, check_output, gc_paused, load_filtered, run_pipeline,
+    Analysis, RunConfig, check_files, check_filters, check_output, gc_paused, group, load_filtered, run_pipeline,
 )
 
 # an OS error on a path given (missing, a directory, through a file, not permitted) is bad config
@@ -62,9 +64,7 @@ def cmd_ingest(args) -> None:
     prov_path = Path(args.output).with_suffix(".provenance.json")
     if args.provenance:
         check_output(prov_path, "--provenance")
-    # the bot flags' dests are BotPolicy field names; an unset flag keeps its default
-    knobs = {name: getattr(args, name) for name in BotPolicy.__dataclass_fields__}
-    policy = BotPolicy(**{name: value for name, value in knobs.items() if value is not None})
+    policy = group(BotPolicy, args)  # the bot flags' dests are BotPolicy field names
     corpus = load_filtered(args.input, args.format, chain, policy if args.bots else None)
     write_corpus_jsonl(corpus, args.output)
     if args.provenance:
@@ -258,20 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    printed = io.StringIO()  # the command's stdout, written once it has finished
     try:
-        with gc_paused():
+        with gc_paused(), redirect_stdout(printed):
             if getattr(args, "output", None) is not None:
                 check_output(args.output, "--output")
             args.func(args)
+        try:  # a broken pipe here is stdout's; an output file's is an OSError, exit 2
+            sys.stdout.write(printed.getvalue())
             sys.stdout.flush()  # so a closed stdout raises here, not at interpreter exit
-    except BrokenPipeError:
-        # the reader has gone (`| head`): end quietly, as Unix filters do, with
-        # stdout on devnull so that the flush at exit has somewhere to go
-        try:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        except (OSError, ValueError):  # a stdout with no file descriptor
-            pass
-        return 0
+        except BrokenPipeError:
+            # the reader has gone (`| head`): end quietly, as Unix filters do, with
+            # stdout on devnull so that the flush at exit has somewhere to go
+            with suppress(OSError, ValueError):  # a stdout with no file descriptor
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         staged = isinstance(exc, PipelineStageError)
         cause = exc.cause if staged else exc

@@ -161,15 +161,6 @@ class RunConfig:
     output_dir: str = "out"
 
     @classmethod
-    def from_dict(cls, values: dict) -> "RunConfig":
-        unknown = values.keys() - cls.__dataclass_fields__.keys()
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        if "input" not in values:
-            raise ConfigError("config requires 'input'")
-        return cls(**values)
-
-    @classmethod
     def load(cls, path: str | None, overrides: dict) -> "RunConfig":
         """The config in the JSON file at `path` (none if None) with every
         entry of `overrides` that names a field and is not None put over it."""
@@ -187,11 +178,15 @@ class RunConfig:
         values.update(
             {k: v for k, v in overrides.items() if k in cls.__dataclass_fields__ and v is not None}
         )
-        return cls.from_dict(values)
+        if unknown := values.keys() - cls.__dataclass_fields__.keys():
+            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        if "input" not in values:
+            raise ConfigError("config requires 'input'")
+        return cls(**values)
 
-    def validate(self) -> tuple[list, ScoringParams, BotPolicy]:
-        """Check every field; return the filter chain and the two parameter
-        groups that the checks build."""
+    def validate(self) -> tuple[list, BotPolicy]:
+        """Check every field; return the filter chain and the bot policy that
+        the checks build."""
         # a JSON config can give any field any type; each is checked before a
         # comparison or a file open could meet the wrong one
         for f in fields(self):
@@ -215,12 +210,16 @@ class RunConfig:
         check_output(self.output_dir, "output_dir", directory=True)
         if min(self.ngram_top, self.wordcloud_top, self.rank_top) < 1:
             raise ConfigError("top-k values must be >= 1")
-        # each parameter group checks its own fields
-        return chain, self.group(ScoringParams), self.group(BotPolicy)
+        group(ScoringParams, self)  # each parameter group checks its own fields
+        return chain, group(BotPolicy, self)
 
-    def group(self, cls):
-        """The parameter group `cls`, copied from the fields of the same names."""
-        return cls(**{name: getattr(self, name) for name in cls.__dataclass_fields__})
+
+def group(cls, options):
+    """The parameter group `cls` built from the attributes of `options` (a
+    `RunConfig` or a command's parsed flags) that name its fields; an absent
+    or None attribute keeps the group's default."""
+    values = {name: getattr(options, name, None) for name in cls.__dataclass_fields__}
+    return cls(**{name: value for name, value in values.items() if value is not None})
 
 
 # what manifest.json holds: the config echo, the stage counts, each output's sha256
@@ -287,9 +286,9 @@ class Analysis:
     and the distribution report (`distribution`). Two input texts that mask
     alike keep two slots with equal results, so the reports count the same.
 
-    Lexicon paths are read from `paths`, a `RunConfig` or the CLI's parsed
-    arguments; an absent or `None` path means the bundled file. `params`
-    defaults to `ScoringParams()`.
+    Lexicon paths and the scoring parameters are read from `options`, a
+    `RunConfig` or a command's parsed flags: an absent or `None` path means
+    the bundled file, and the parameters are built by `group`.
 
     Each field is computed once, on first use; a per-record field expands
     the results of the distinct texts, which nothing mutates, to the records.
@@ -297,9 +296,9 @@ class Analysis:
     is one string object, shared by every sentence that holds it.
     """
 
-    def __init__(self, corpus: Corpus, paths, params: ScoringParams | None = None) -> None:
-        self._paths = paths
-        self._params = params or ScoringParams()
+    def __init__(self, corpus: Corpus, options) -> None:
+        self._options = options
+        self._params = group(ScoringParams, options)
         self.masks: dict[str, str] = {}  # each masked word's mask, in order of first hit
         self.occurrences = 0  # the masked hits over all records
         pattern = textprep.mask_pattern(textprep.load_abusive_lexicon(self._path("abusive_lexicon_path")))
@@ -318,7 +317,7 @@ class Analysis:
         self.corpus = corpus._replace(records=masked)
 
     def _path(self, name: str) -> str | None:
-        return getattr(self._paths, name, None)
+        return getattr(self._options, name, None)
 
     def _expand(self, values: list) -> list:
         return list(map(values.__getitem__, self._slots))
@@ -387,11 +386,11 @@ def _sha256(path: Path) -> str:
 
 def run_pipeline(cfg: RunConfig) -> RunManifest:
     with gc_paused():
-        chain, params, policy = cfg.validate()
+        chain, policy = cfg.validate()
         corpus = load_filtered(cfg.input, cfg.format, chain, policy)
 
         with stage("mask"):
-            analysis = Analysis(corpus, cfg, params)
+            analysis = Analysis(corpus, cfg)
         corpus = analysis.corpus
         # each text stage computes the analysis field that it is named after
         with stage("tokenize"):

@@ -462,12 +462,12 @@ def per_record_run(cfg, out_dir):
     from dataclasses import replace
     from datetime import date
 
-    from tweetsent import analytics, corpus, emotion, exports, ngrams, polarity, textprep
+    from tweetsent import analytics, corpus, emotion, exports, ngrams, pipeline, polarity, textprep
 
     start, end = date.fromisoformat(cfg.start_date), date.fromisoformat(cfg.end_date)
     c = corpus.load_corpus(cfg.input, cfg.format)
     kept, removed = filter_rows(c.records, start, end, cfg.keyword, cfg.country)
-    kept, bots = bot_filter(kept, cfg.group(corpus.BotPolicy))
+    kept, bots = bot_filter(kept, pipeline.group(corpus.BotPolicy, cfg))
     masks: dict[str, str] = {}
     pattern = textprep.mask_pattern(textprep.load_abusive_lexicon(cfg.abusive_lexicon_path))
     occurrences = sum(len(pattern.findall(r.text)) for r in kept) if pattern else 0
@@ -476,7 +476,7 @@ def per_record_run(cfg, out_dir):
     stoplist = textprep.load_stoplist(cfg.stopwords_path)
     emo_lex = emotion.load_emotion_lexicon(cfg.emotion_lexicon_path)
     pol_lex = polarity.load_polarity_lexicon(cfg.polarity_lexicon_path, cfg.shifter_lexicon_path)
-    params = cfg.group(polarity.ScoringParams)
+    params = pipeline.group(polarity.ScoringParams, cfg)
     full, stopped, profiles, scores = [], [], [], []
     for record in c.records:
         sentences = textprep.prepare(record.text)

@@ -3,10 +3,12 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -760,13 +762,48 @@ def test_closed_stdout_ends_quietly():
     assert (code, err) == (0, b"")
 
 
-def test_closed_stdout_without_a_file_descriptor_ends_quietly(monkeypatch, capsys):
-    def reader_gone(args):
+class _ReaderGone(io.StringIO):
+    """A stdout with no file descriptor whose reader has gone: `broken`
+    (write or flush) raises."""
+
+    def __init__(self, broken: str) -> None:
+        super().__init__()
+        setattr(self, broken, self._raise)
+
+    def _raise(self, *args):
         raise BrokenPipeError(32, "Broken pipe")
 
-    monkeypatch.setattr(cli_mod, "cmd_scenario", reader_gone)
-    assert main(["scenario", "--input", "d.json", "--timing", "now"]) == 0
-    assert capsys.readouterr() == ("", "")
+
+@pytest.mark.parametrize("broken", ["write", "flush"])
+def test_closed_stdout_without_a_file_descriptor_ends_quietly(monkeypatch, capsys, broken):
+    monkeypatch.setattr(sys, "stdout", _ReaderGone(broken))
+    assert main(["ngrams", "--n", "1", "--top", "5", "--input", str(DATA / "corpus_1000.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_broken_output_file_is_config_error(tmp_path):
+    # about 95 KB of rows, more than a pipe holds: writing outlasts the reader
+    fifo = tmp_path / "table.csv"
+    os.mkfifo(fifo)
+
+    def read_a_little():
+        with open(fifo, "rb", buffering=0) as fh:
+            fh.read(10)
+
+    reader = threading.Thread(target=read_a_little, daemon=True)
+    reader.start()
+    src = str(Path(cli_mod.__file__).parents[1])
+    argv = ["ngrams", "--n", "2", "--top", "5000", "--input", str(DATA / "corpus_1000.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tweetsent.cli", *argv, "--output", str(fifo)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        timeout=60,
+    )
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize("command", ["run", "ingest"])

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 import tweetsent
 import tweetsent.pipeline as pipeline_mod
 from oracles import bot_filter, filter_rows, per_record_run
-from tweetsent.cli import main
+from tweetsent.cli import build_parser, main
 from tweetsent.corpus import CSV_COLUMNS, BotPolicy, load_corpus
 from tweetsent.errors import ConfigError, EmptyCorpusError, PipelineStageError
+from tweetsent.exports import scores_to_csv
 from tweetsent.pipeline import RunConfig, run_pipeline
 from tweetsent.synth import ABUSIVE_POOL, generate_synthetic_corpus, write_synthetic_corpus
 
@@ -220,11 +221,57 @@ def test_synth_csv_header_is_the_corpus_columns(tmp_path):
         assert next(csv.reader(fh)) == CSV_COLUMNS
 
 
-def test_config_from_dict_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict({"input": "x.csv", "coffee": True})
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict({})
+# `run`'s flags that set a config field, each with the field it sets
+_RUN_FLAGS = {
+    "--input": "input", "--format": "format", "--output-dir": "output_dir",
+    "--start": "start_date", "--end": "end_date", "--keyword": "keyword", "--country": "country",
+    "--stopwords": "stopwords_path", "--abusive-lexicon": "abusive_lexicon_path",
+    "--emotion-lexicon": "emotion_lexicon_path", "--polarity-lexicon": "polarity_lexicon_path",
+    "--shifter-lexicon": "shifter_lexicon_path",
+}
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    file=st.none() | st.dictionaries(st.sampled_from(list(RunConfig.__dataclass_fields__)), _JSON_SCALARS),
+    unknown=st.sets(st.text("xyz", min_size=1, max_size=3), max_size=2),
+    flags=st.dictionaries(st.sampled_from(list(_RUN_FLAGS)), st.text("ab./-", min_size=1, max_size=4)),
+    format=st.none() | st.sampled_from(["csv", "jsonl"]),
+)
+def test_load_puts_the_set_flags_over_the_config_file(tmp_path_factory, file, unknown, flags, format):
+    flags.pop("--format", None)  # a choice flag: drawn on its own
+    if format is not None:
+        flags["--format"] = format
+    argv = ["run", *(f"{flag}={value}" for flag, value in flags.items())]
+    if file is not None:
+        path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        path.write_text(json.dumps({**file, **dict.fromkeys(unknown, 1)}), encoding="utf-8")
+        argv += ["--config", str(path)]
+    args = build_parser().parse_args(argv)
+    want = {**(file or {}), **{_RUN_FLAGS[flag]: value for flag, value in flags.items()}}
+    if unknown and file is not None:
+        with pytest.raises(ConfigError, match=f"^unknown config keys: {', '.join(sorted(unknown))}$"):
+            RunConfig.load(args.config, vars(args))
+    elif "input" not in want:
+        with pytest.raises(ConfigError, match="^config requires 'input'$"):
+            RunConfig.load(args.config, vars(args))
+    else:
+        assert RunConfig.load(args.config, vars(args)) == RunConfig(**want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+    "dup_window_seconds": st.floats(0, 1e9), "burst_per_minute": st.integers(1, 10**6),
+    "min_distinct_tokens": st.integers(0, 50),
+}))
+def test_ingest_flags_and_a_config_give_one_bot_policy(knobs):
+    flags = {"dup_window_seconds": "--dup-window", "burst_per_minute": "--burst-per-minute",
+             "min_distinct_tokens": "--min-distinct-tokens"}
+    argv = ["ingest", "--input", "x.csv", "--output", "x.jsonl"]
+    args = build_parser().parse_args(argv + [f"{flags[name]}={value!r}" for name, value in knobs.items()])
+    policy = pipeline_mod.group(BotPolicy, args)
+    assert policy == pipeline_mod.group(BotPolicy, RunConfig(input="x.csv", **knobs)) == BotPolicy(**knobs)
 
 
 def test_synth_deterministic(tmp_path):
@@ -358,7 +405,7 @@ def _run_matches_the_per_record_run(rows: list[list[str]], **config) -> None:
             assert exc.stage == "bots"
             kept, _ = filter_rows(load_corpus(cfg.input).records, date.fromisoformat(cfg.start_date),
                                   date.fromisoformat(cfg.end_date), cfg.keyword, cfg.country)
-            assert bot_filter(kept, cfg.group(BotPolicy))[0] == []
+            assert bot_filter(kept, pipeline_mod.group(BotPolicy, cfg))[0] == []
             return
         occurrences = per_record_run(cfg, folder / "want")
         assert set(manifest.outputs) == {path.name for path in (folder / "want").iterdir()}
@@ -457,6 +504,18 @@ def test_analysis_keeps_one_result_per_distinct_text_with_its_record_count(golde
     # the records of one text share its profile, which cannot be edited in place
     with pytest.raises(AttributeError):
         analysis.distinct_profiles[0].trust += 1
+
+
+def test_analysis_scores_with_the_scoring_parameters_of_its_options(golden_workdir):
+    cfg = _golden_config(window_before=1, amplifier_weight=1.6, adversative_weight=0.3)
+    run_pipeline(cfg)
+    chain = pipeline_mod.check_filters(cfg.start_date, cfg.end_date, cfg.keyword, cfg.country)
+    corpus = pipeline_mod.load_filtered(cfg.input, cfg.format, chain, BotPolicy())
+    analysis = pipeline_mod.Analysis(corpus, cfg)
+    scores_to_csv(analysis.corpus, analysis.scores, "scores.csv")
+    assert Path("scores.csv").read_bytes() == Path("out/polarity_scores.csv").read_bytes()
+    # the knobs move the scores: the default parameters give others
+    assert analysis.scores != pipeline_mod.Analysis(corpus, None).scores
 
 
 def test_each_analysis_shares_its_tokens_and_no_other_analysis_does(golden_workdir):
