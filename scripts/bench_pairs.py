@@ -22,6 +22,15 @@ file already holds: --trace 0 runs replace the workload's earlier entries in
 metric's entry has both sides' medians, the parent's interquartile range
 and the number of pairs in which the change read better (`change_lower_pairs` or `change_higher_pairs`, from the metric's
 `better` in the change's BENCHMARK.json; ties count for neither side).
+It also states the two acceptance verdicts:
+
+- `gain_shown`: the change won at least 9 of every 10 pairs, and its median
+  is better than the parent's by more than the parent's interquartile range.
+  Only then may a gain in the metric be claimed.
+- `within_bound` (end-to-end metrics only): the change's median is no worse
+  than the parent's by more than the metric's `bound` in BENCHMARK.json,
+  taken as a fraction of the parent's median. A false one is a regression.
+
 Keys the script does not write are kept, so a note added to the file
 survives a later run.
 
@@ -66,11 +75,12 @@ def run_side(checkout: Path, argv: list[str]) -> tuple[dict | None, str, str]:
     return result, checked, machine
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per metric: medians, the parent's interquartile range (inclusive
-    quartiles) and the pairs in which the change read better. `runs` holds
-    both sides' entries of one workload; a pair counts only when both of its
-    runs gave the metric."""
+    quartiles), the pairs in which the change read better, and the verdicts
+    `gain_shown` and, for a metric with a bound in `bounds`, `within_bound`.
+    `runs` holds both sides' entries of one workload; a pair counts only when
+    both of its runs gave the metric."""
     by_pair: dict[int, dict[str, dict]] = {}
     for entry in runs:
         if entry["result"] is not None:
@@ -90,13 +100,18 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         q1, _, q3 = (parent[0],) * 3 if len(parent) < 2 else statistics.quantiles(parent, n=4, method="inclusive")
         direction = better.get(name, "lower")
         won = sum(c < p if direction == "lower" else c > p for p, c in pairs)
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
+        gain = parent_median - change_median if direction == "lower" else change_median - parent_median
         summary[name] = {
-            "parent_median": statistics.median(parent),
-            "change_median": statistics.median(change),
+            "parent_median": parent_median,
+            "change_median": change_median,
             "parent_iqr": q3 - q1,
             "pairs": len(pairs),
             f"change_{direction}_pairs": won,
+            "gain_shown": 10 * won >= 9 * len(pairs) and gain > q3 - q1,
         }
+        if name in bounds:
+            summary[name]["within_bound"] = -gain <= bounds[name] * abs(parent_median)
     return summary
 
 
@@ -125,6 +140,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text("utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     bench_argv = ["--workload", args.workload, "--seed", str(args.seed),
                   "--seconds", f"{args.seconds:g}", "--trace", str(args.trace)]
     command = " ".join(["python3", "perfbench/run.py", *bench_argv])
@@ -143,7 +159,7 @@ def main(argv=None) -> int:
                          "command": command, "result": result})
 
     all_correct = all(r["result"] is not None and r["result"]["correct"] for r in runs)
-    entry = summarize(runs, better)
+    entry = summarize(runs, better, bounds)
     entry["all_correct"] = all_correct
     for side in ("parent", "change"):
         entry[f"{side}_checked_against"] = sorted(checked[side])

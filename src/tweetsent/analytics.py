@@ -135,6 +135,15 @@ def daily_emotion_series(c: Corpus, profiles: list[EmotionProfile]) -> dict:
     return {"days": [day.isoformat() for day in days], "values": values}
 
 
+def polarity_shares(scores: list[PolarityScore]) -> dict:
+    """`{"positive_share", "negative_share", "neutral_share"}` of `scores`, by
+    `classify_polarity`."""
+    if not scores:
+        raise EmptyInputError("distribution over empty score list")
+    labels = Counter(map(classify_polarity, scores))
+    return {f"{label}_share": labels[label] / len(scores) for label in ("positive", "negative", "neutral")}
+
+
 def polarity_distribution(scores: list[PolarityScore]) -> dict:
     """Positive/negative/neutral shares, a fixed-width score histogram and the
     extreme scores: `{"positive_share", "negative_share", "neutral_share",
@@ -145,11 +154,7 @@ def polarity_distribution(scores: list[PolarityScore]) -> dict:
     a `SchemaError`. Of tied extreme values the first is kept: an int 0 (a
     text without sentences) ahead of a float 0.0 writes as 0.
     """
-    if not scores:
-        raise EmptyInputError("distribution over empty score list")
-    labels = Counter(classify_polarity(s) for s in scores)
-    n = len(scores)
-
+    shares = polarity_shares(scores)
     values = [s.value for s in scores]
     low, high = min(values), max(values)
     lo = float(math.floor(low))
@@ -164,9 +169,7 @@ def polarity_distribution(scores: list[PolarityScore]) -> dict:
         counts[idx] += 1
 
     return {
-        "positive_share": labels["positive"] / n,
-        "negative_share": labels["negative"] / n,
-        "neutral_share": labels["neutral"] / n,
+        **shares,
         "histogram": {"lo": lo, "width": HISTOGRAM_BIN_WIDTH, "counts": counts},
         "extremes": {"min": low, "max": high},
     }

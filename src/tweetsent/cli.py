@@ -3,7 +3,7 @@
 Subcommands: ingest, ngrams, sentiment, report, scenario, run, synth.
 Exit codes: 0 success, 2 configuration error (bad flags, paths, parameter
 ranges), 3 data error (schema violations, empty corpora, ties), 4 internal
-error.
+error. An error class takes its code from its base in `tweetsent.errors`.
 """
 
 from __future__ import annotations
@@ -18,16 +18,7 @@ from pathlib import Path
 
 from . import analytics, scenario
 from .corpus import BotPolicy, load_corpus, write_corpus_jsonl
-from .errors import (
-    ConfigError,
-    EmptyCorpusError,
-    EmptyInputError,
-    InvalidNError,
-    InvalidRangeError,
-    PipelineStageError,
-    SchemaError,
-    TiedTrendError,
-)
+from .errors import ConfigError, DataError, PipelineStageError
 from .exports import (
     daily_series_to_csv,
     device_report_to_csv,
@@ -40,10 +31,6 @@ from .exports import (
 from .pipeline import (
     Analysis, RunConfig, check_files, check_filters, check_output, gc_paused, group, load_filtered, run_pipeline,
 )
-
-# an OS error on a path given (missing, a directory, through a file, not permitted) is bad config
-_CONFIG_ERRORS = (ConfigError, OSError, InvalidRangeError, InvalidNError)
-_DATA_ERRORS = (SchemaError, EmptyCorpusError, EmptyInputError, TiedTrendError)
 
 
 def _add_corpus_args(p: argparse.ArgumentParser) -> None:
@@ -97,12 +84,12 @@ def cmd_ngrams(args) -> None:
 def cmd_sentiment(args) -> None:
     analysis = _analysis(args)
     scores = analysis.scores
-    dist = analytics.polarity_distribution(scores)
+    shares = analytics.polarity_shares(scores)  # not the histogram, which sentiment never writes
     scores_to_csv(analysis.corpus, scores, args.output, analysis.profiles)
     print(f"wrote {args.output}")
     print(
-        f"shares positive={dist['positive_share']:.4f} negative={dist['negative_share']:.4f} "
-        f"neutral={dist['neutral_share']:.4f}"
+        f"shares positive={shares['positive_share']:.4f} negative={shares['negative_share']:.4f} "
+        f"neutral={shares['neutral_share']:.4f}"
     )
 
 
@@ -261,6 +248,9 @@ def main(argv=None) -> int:
     printed = io.StringIO()  # the command's stdout, written once it has finished
     try:
         with gc_paused(), redirect_stdout(printed):
+            for name, value in vars(args).items():
+                if value == []:  # argparse before Python 3.13 reads `--flag=--` as [], not "--"
+                    raise ConfigError(f"{name} was given no value")
             if getattr(args, "output", None) is not None:
                 check_output(args.output, "--output")
             args.func(args)
@@ -275,12 +265,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         staged = isinstance(exc, PipelineStageError)
         cause = exc.cause if staged else exc
-        if isinstance(cause, _CONFIG_ERRORS):
-            code = 2
-        elif isinstance(cause, _DATA_ERRORS):
-            code = 3
-        else:
-            code = 4
+        # an OS error on a path given (missing, a directory, through a file, not permitted) is bad config
+        code = 2 if isinstance(cause, (ConfigError, OSError)) else 3 if isinstance(cause, DataError) else 4
         kind = "internal error" if code == 4 and not staged else "error"
         print(f"{kind}: {exc}", file=sys.stderr)
         return code

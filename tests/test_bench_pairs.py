@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py's summary: medians, the parent's interquartile
-range and the pairs each side won, by the metric's direction; and its exit
-code, which needs every run checked against the reference digests."""
+range, the pairs each side won by the metric's direction, and the verdicts
+`gain_shown` and `within_bound`; and its exit code, which needs every run
+checked against the reference digests."""
 
 from __future__ import annotations
 
@@ -38,16 +39,55 @@ def test_summary_counts_pairs_by_direction_and_ties_for_neither():
         _run("parent", 4, 0.19, 95.0), _run("change", 4, None, None),
     ]
     runs[-1]["result"] = None  # a run that printed no result leaves its pair out
-    summary = _summarize()(runs, {"run_s": "lower", "records_per_s": "higher"})
+    summary = _summarize()(runs, {"run_s": "lower", "records_per_s": "higher"}, {"run_s": 0.25})
     assert summary["run_s"] == {
         "parent_median": 0.20,
         "change_median": 0.16,
         "parent_iqr": pytest.approx(0.02),  # inclusive quartiles 0.19 and 0.21
         "pairs": 3,
         "change_lower_pairs": 2,
+        "gain_shown": False,  # 2 of 3 pairs
+        "within_bound": True,
     }
+    assert "within_bound" not in summary["records_per_s"]  # no bound: a per-layer metric
     assert summary["records_per_s"]["change_higher_pairs"] == 1
     assert summary["records_per_s"]["parent_iqr"] == 105.0 - 95.0
+
+
+def _pairs(parent, change):
+    return [_run(side, pair, value, value)
+            for pair, values in enumerate(zip(parent, change), 1)
+            for side, value in zip(("parent", "change"), values)]
+
+
+_PARENT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]  # quartiles 0.99 and 1.01
+
+
+@pytest.mark.parametrize(
+    "change, shown",
+    [
+        ([p - 0.05 for p in _PARENT], True),  # every pair, by more than the IQR of 0.02
+        ([p - 0.05 for p in _PARENT[:9]] + [1.10], True),  # 9 of 10 pairs
+        ([p - 0.05 for p in _PARENT[:8]] + [1.10, 1.10], False),  # 8 of 10 pairs
+        ([p - 0.01 for p in _PARENT], False),  # every pair, by less than the IQR
+    ],
+    ids=["all-pairs", "nine-of-ten", "eight-of-ten", "inside-iqr"],
+)
+def test_gain_shown_needs_nine_tenths_of_the_pairs_and_a_gap_over_the_parent_iqr(change, shown):
+    summary = _summarize()(_pairs(_PARENT, change), {"run_s": "lower", "records_per_s": "higher"}, {})
+    assert summary["run_s"]["gain_shown"] is shown
+    assert summary["records_per_s"]["gain_shown"] is False  # the same values read worse when higher is better
+
+
+@pytest.mark.parametrize(
+    "scale, lower_within, higher_within",
+    [(1.0, True, True), (1.2, True, True), (1.3, False, True), (0.8, True, True), (0.7, True, False)],
+)
+def test_within_bound_allows_the_bound_as_a_fraction_of_the_parent_median(scale, lower_within, higher_within):
+    summary = _summarize()(_pairs(_PARENT, [p * scale for p in _PARENT]),
+                           {"run_s": "lower", "records_per_s": "higher"}, {"run_s": 0.25, "records_per_s": 0.25})
+    assert summary["run_s"]["within_bound"] is lower_within
+    assert summary["records_per_s"]["within_bound"] is higher_within
 
 
 def _checkouts(tmp_path, recorded=("37",)):
@@ -58,7 +98,7 @@ def _checkouts(tmp_path, recorded=("37",)):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text("")
         (tmp_path / side / "perfbench" / "reference_digests.json").write_text(json.dumps(digests))
-    spec = {"end_to_end": [{"name": "run_s", "better": "lower"}], "per_layer": []}
+    spec = {"end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25}], "per_layer": []}
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
 
 

@@ -9,17 +9,23 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tweetsent.cli as cli_mod
+import tweetsent.errors as errors_mod
 import tweetsent.pipeline as pipeline_mod
 from tweetsent.cli import main
 from tweetsent.corpus import BotPolicy, load_corpus
 from tweetsent.emotion import ALL_CATEGORIES
 from tweetsent.errors import (
     ConfigError,
+    DataError,
     EmptyCorpusError,
     InvalidRangeError,
     PipelineStageError,
@@ -145,6 +151,22 @@ def test_sentiment_scores_csv(workdir, capsys):
     assert {"status_id", "value", "label", "trust", "positive"} <= set(rows[0])
     out = capsys.readouterr().out
     assert "shares" in out
+
+
+def test_sentiment_prints_the_shares_of_scores_too_wide_for_a_histogram(workdir, capsys):
+    # sentiment writes no histogram, so the bin bound that `run` and `report`
+    # keep (test_polarity_scores_too_large_to_report_exit_3_and_write_nothing) is not its own
+    _synth(workdir)
+    (workdir / "lex.csv").write_text("term,score\ngood,1000000\nbad,-1000000\n")
+    capsys.readouterr()
+    argv = ["sentiment", "--input", "corpus.csv", "--polarity-lexicon", "lex.csv", "--output", "scores.csv"]
+    assert main(argv) == 0
+    with open(workdir / "scores.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert max(float(row["value"]) for row in rows) - min(float(row["value"]) for row in rows) > 262_144
+    labels = Counter(row["label"] for row in rows)
+    shares = " ".join(f"{label}={labels[label] / 200:.4f}" for label in ("positive", "negative", "neutral"))
+    assert capsys.readouterr().out == f"wrote scores.csv\nshares {shares}\n"
 
 
 @pytest.mark.parametrize(
@@ -357,7 +379,12 @@ def test_exit_code_3_for_empty_corpus(workdir):
             "scores inf",
         ),
         ("1e308", ["great great great reopen now"], ["run", "--output-dir", "o"], "stage 'polarity'"),
-        ("1e200", ["great great great reopen", "reopen now"], ["sentiment", "--output", "s.csv"], "bins"),
+        (
+            "1e200",
+            ["great great great reopen", "reopen now"],
+            ["report", "--what", "distribution", "--output", "d.json"],
+            "bins",
+        ),
         (
             "1e200",
             ["great great great reopen now", "we reopen now"],
@@ -406,6 +433,24 @@ def test_main_maps_each_error_to_its_exit_code(workdir, capsys, monkeypatch, exc
     monkeypatch.setattr(cli_mod, "run_pipeline", fail)
     assert main(["run", "--input", "c.csv"]) == code
     assert capsys.readouterr().err == text + "\n"
+
+
+_ERROR_CLASSES = [
+    cls for cls in vars(errors_mod).values()
+    if isinstance(cls, type) and issubclass(cls, Exception) and cls is not PipelineStageError
+]
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_each_error_class_takes_its_exit_code_from_one_root(workdir, capsys, monkeypatch, cls):
+    assert issubclass(cls, ConfigError) != issubclass(cls, DataError)
+
+    def fail(cfg):
+        raise cls("refused")
+
+    monkeypatch.setattr(cli_mod, "run_pipeline", fail)
+    assert main(["run", "--input", "c.csv"]) == (2 if issubclass(cls, ConfigError) else 3)
+    assert capsys.readouterr().err == "error: refused\n"
 
 
 @pytest.mark.parametrize(
@@ -1232,3 +1277,87 @@ def test_cli_flag_surface_is_pinned(tmp_path, monkeypatch):
             flags[flag] = (default, choices, type_name, action.required)
         surface[command] = flags
     assert surface == _FLAG_SURFACE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--input=--"],
+        ["run", "--config=--", "--input", "c.csv"],
+        ["ingest", "--input=--", "--output", "x.jsonl"],
+        ["ngrams", "--input=--", "--n", "1"],
+        ["sentiment", "--input", "c.csv", "--stopwords=--", "--output", "s.csv"],
+        ["report", "--input", "c.csv", "--what", "mentions", "--polarity-lexicon=--", "--output", "r.json"],
+        ["scenario", "--input=--", "--timing", "now"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_bare_double_dash_for_a_file_read_is_config_error(workdir, capsys, argv):
+    # argparse before Python 3.13 reads `--flag=--` as [] (no value), and 3.13
+    # as "--", a file that does not exist here: both are refused before any work
+    (workdir / "c.csv").write_bytes((DATA / "corpus_1000.csv").read_bytes())
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(path.name for path in workdir.iterdir()) == ["c.csv"]
+
+
+# the drawn-argv property: a working call of each command, with up to three
+# of its flags set from pools of files the commands read (a corpus and a
+# distribution report), bad paths and numbers in and out of their ranges;
+# argparse before Python 3.13 reads a flag's bare `--` as no value
+_ARGV_BASES = {
+    "ingest": {"--input": "c.csv", "--output": "x.jsonl"},
+    "ngrams": {"--input": "c.csv", "--n": "2"},
+    "sentiment": {"--input": "c.csv", "--output": "s.csv"},
+    "report": {"--input": "c.csv", "--what": "daily", "--output": "r.json"},
+    "scenario": {"--input": "d.json", "--timing": "now"},
+    "run": {"--input": "c.csv", "--output-dir": "out"},
+}
+_ARGV_PATHS = ["c.csv", "d.json", "missing.csv", "adir", "c.csv/x", "nodir/x", "/dev/null", "--"]
+_ARGV_NUMBERS = ["2", "0", "-1", "99999999999999999999", "nan", "inf", "--"]
+
+
+def _flag_value(command, flag):
+    default, choices, type_name, _ = _FLAG_SURFACE[command][flag]
+    if default is False:  # a switch
+        return st.just(None)
+    return st.sampled_from([*choices, "--"] if choices else _ARGV_NUMBERS if type_name else _ARGV_PATHS)
+
+
+def _argv(command, flags):
+    return st.tuples(*(_flag_value(command, flag) for flag in flags)).map(
+        lambda values: [command, *(
+            flag if value is None else f"{flag}={value}"
+            for flag, value in {**_ARGV_BASES[command], **dict(zip(flags, values))}.items()
+        )]
+    )
+
+
+_ARGVS = st.sampled_from(list(_ARGV_BASES)).flatmap(
+    lambda command: st.lists(st.sampled_from(list(_FLAG_SURFACE[command])), max_size=3, unique=True).flatmap(
+        lambda flags: _argv(command, flags)
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_ARGVS)
+def test_drawn_argv_exits_0_2_or_3_and_names_the_error(tmp_path_factory, argv):
+    where = tmp_path_factory.mktemp("argv")
+    lines = (DATA / "corpus_1000.csv").read_text("utf-8").splitlines(keepends=True)
+    (where / "c.csv").write_text("".join(lines[:30]), "utf-8")
+    (where / "d.json").write_text(json.dumps({"positive_share": 0.5, "negative_share": 0.25}), "utf-8")
+    (where / "adir").mkdir()
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    os.chdir(where)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse's own refusal
+        code = exc.code
+    finally:
+        os.chdir(home)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code:
+        assert any(line.startswith("error: ") or ": error: " in line for line in err.getvalue().splitlines())

@@ -236,7 +236,10 @@ _JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=
 @given(
     file=st.none() | st.dictionaries(st.sampled_from(list(RunConfig.__dataclass_fields__)), _JSON_SCALARS),
     unknown=st.sets(st.text("xyz", min_size=1, max_size=3), max_size=2),
-    flags=st.dictionaries(st.sampled_from(list(_RUN_FLAGS)), st.text("ab./-", min_size=1, max_size=4)),
+    # argparse before Python 3.13 reads `--flag=--` as [], not "--": test_cli pins what the CLI does then
+    flags=st.dictionaries(
+        st.sampled_from(list(_RUN_FLAGS)), st.text("ab./-", min_size=1, max_size=4).filter(lambda v: v != "--")
+    ),
     format=st.none() | st.sampled_from(["csv", "jsonl"]),
 )
 def test_load_puts_the_set_flags_over_the_config_file(tmp_path_factory, file, unknown, flags, format):
