@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: commands return their files, `main` publishes them.
 
 Subcommands: ingest, ngrams, sentiment, report, scenario, run, synth.
 Exit codes: 0 success, 2 configuration error (bad flags, paths, parameter
@@ -14,11 +14,12 @@ import json
 import os
 import sys
 from contextlib import redirect_stdout, suppress
+from functools import partial
 from pathlib import Path
 
-from . import analytics, scenario
+from . import analytics, ngrams, scenario
 from .corpus import BotPolicy, load_corpus, write_corpus_jsonl
-from .errors import ConfigError, DataError, PipelineStageError
+from .errors import ConfigError, DataError, InvalidRangeError, PipelineStageError
 from .exports import (
     daily_series_to_csv,
     device_report_to_csv,
@@ -29,7 +30,8 @@ from .exports import (
     write_json,
 )
 from .pipeline import (
-    Analysis, RunConfig, check_files, check_filters, check_output, gc_paused, group, load_filtered, run_pipeline,
+    Analysis, RunConfig, check_files, check_filters, check_output, gc_paused, group, load_filtered, publish,
+    run_pipeline,
 )
 
 
@@ -45,7 +47,7 @@ def _add_filter_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--country", help="keep records tagged with this country code")
 
 
-def cmd_ingest(args) -> None:
+def cmd_ingest(args) -> dict:
     chain = check_filters(args.start_date, args.end_date, args.keyword, args.country)
     check_files({"input": args.input})
     prov_path = Path(args.output).with_suffix(".provenance.json")
@@ -53,11 +55,9 @@ def cmd_ingest(args) -> None:
         check_output(prov_path, "--provenance")
     policy = group(BotPolicy, args)  # the bot flags' dests are BotPolicy field names
     corpus = load_filtered(args.input, args.format, chain, policy if args.bots else None)
-    write_corpus_jsonl(corpus, args.output)
-    if args.provenance:
-        write_json(corpus.provenance._asdict(), prov_path)
-    print(f"wrote {args.output}" + (f" and {prov_path}" if args.provenance else ""))
     print(f"records: {len(corpus.records)}")
+    provenance = {prov_path: partial(write_json, corpus.provenance._asdict())} if args.provenance else {}
+    return {args.output: partial(write_corpus_jsonl, corpus), **provenance}
 
 
 def _analysis(args) -> Analysis:
@@ -67,33 +67,32 @@ def _analysis(args) -> Analysis:
     return Analysis(load_corpus(args.input, args.format), args)
 
 
-def cmd_ngrams(args) -> None:
+def cmd_ngrams(args) -> dict | None:
+    ngrams.build_table([], args.n)  # refuses a bad --n, and the check below a bad --top, before the load
+    if args.top < 1:
+        raise InvalidRangeError(f"top must be >= 1, got {args.top}")
     table = _analysis(args).ngram_table(args.n, args.top)
     if args.output:
-        if args.export == "csv":
-            ngram_table_to_csv(table, args.output)
-        else:
-            rows = [{"rank": r, "gram": gram, "count": c} for r, (gram, c) in enumerate(table, 1)]
-            write_json(rows, args.output)
-        print(f"wrote {args.output}")
-    else:
-        for rank, (gram, count) in enumerate(table, 1):
-            print(f"{rank}\t{gram}\t{count}")
+        if args.export == "json":
+            table = [{"rank": r, "gram": gram, "count": c} for r, (gram, c) in enumerate(table, 1)]
+        return {args.output: partial(ngram_table_to_csv if args.export == "csv" else write_json, table)}
+    for rank, (gram, count) in enumerate(table, 1):
+        print(f"{rank}\t{gram}\t{count}")
 
 
-def cmd_sentiment(args) -> None:
+def cmd_sentiment(args) -> dict:
     analysis = _analysis(args)
-    scores = analysis.scores
-    shares = analytics.polarity_shares(scores)  # not the histogram, which sentiment never writes
-    scores_to_csv(analysis.corpus, scores, args.output, analysis.profiles)
-    print(f"wrote {args.output}")
+    shares = analytics.polarity_shares(analysis.scores)  # not the histogram, which sentiment never writes
     print(
         f"shares positive={shares['positive_share']:.4f} negative={shares['negative_share']:.4f} "
         f"neutral={shares['neutral_share']:.4f}"
     )
+    return {args.output: partial(scores_to_csv, analysis.corpus, analysis.scores, profiles=analysis.profiles)}
 
 
-def cmd_report(args) -> None:
+def cmd_report(args) -> dict:
+    if args.top < 1 and args.what in ("mentions", "hashtags", "locations"):  # the ranking's check, before the load
+        raise InvalidRangeError("k must be >= 1")
     analysis = _analysis(args)
     corpus, what = analysis.corpus, args.what
     # a report is the JSON value it is written as, and `to_csv` flattens it;
@@ -112,18 +111,14 @@ def cmd_report(args) -> None:
         report, to_csv = analytics.polarity_distribution(analysis.scores), distribution_to_csv
     else:
         report = analysis.distribution()
-    (to_csv if args.export == "csv" else write_json)(report, args.output)
-    print(f"wrote {args.output}")
+    return {args.output: partial(to_csv if args.export == "csv" else write_json, report)}
 
 
-def cmd_scenario(args) -> None:
-    trend = scenario.load_trend(args.input)
-    payload = scenario.classify_scenario(trend, args.timing)
+def cmd_scenario(args) -> dict | None:
+    payload = scenario.classify_scenario(scenario.load_trend(args.input), args.timing)
     if args.output:
-        write_json(payload, args.output)
-        print(f"wrote {args.output}")
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+        return {args.output: partial(write_json, payload)}
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def cmd_run(args) -> None:
@@ -253,9 +248,13 @@ def main(argv=None) -> int:
                     raise ConfigError(f"{name} was given no value")
             if getattr(args, "output", None) is not None:
                 check_output(args.output, "--output")
-            args.func(args)
+            files = args.func(args) or {}  # a command returns each file it writes, with its writer
+            wrote = f"wrote {' and '.join(map(str, files))}\n" if files else ""
+            with publish(*files) as paths:
+                for path, target in zip(paths, list(files)):
+                    files.pop(target)(path)  # a writer and its data go once written, before the collector resumes
         try:  # a broken pipe here is stdout's; an output file's is an OSError, exit 2
-            sys.stdout.write(printed.getvalue())
+            sys.stdout.write(wrote + printed.getvalue())
             sys.stdout.flush()  # so a closed stdout raises here, not at interpreter exit
         except BrokenPipeError:
             # the reader has gone (`| head`): end quietly, as Unix filters do, with

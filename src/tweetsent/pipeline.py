@@ -16,19 +16,19 @@ the CLI's `ngrams`, `sentiment` and `report`, which read its fields after
 `check_files` has checked their input and lexicon files as `run`'s do.
 
 A run writes every report plus a manifest (stage counts, config echo,
-sha256 per output). All are computed, then written to a staging directory in
-output_dir and moved into place, manifest last: a failed run leaves output_dir
-as it was. Identical config and input produce byte-identical outputs.
+sha256 per output), all computed first, then staged in output_dir and moved
+into place by `publish`, manifest last: a failed run leaves output_dir as it
+was. Identical config and input produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
-import errno
 import gc
 import hashlib
 import json
 import os
 import re
+import stat
 import tempfile
 from collections import Counter, namedtuple
 from contextlib import contextmanager
@@ -45,7 +45,7 @@ from .corpus import (
     load_corpus,
     write_corpus_jsonl,
 )
-from .errors import ConfigError, EmptyCorpusError, InvalidRangeError, PipelineStageError
+from .errors import ConfigError, EmptyCorpusError, PipelineStageError
 from .exports import daily_series_to_csv, ngram_table_to_csv, ranked_table_to_csv, scores_to_csv, write_json
 from .polarity import ScoringParams
 
@@ -120,6 +120,26 @@ def check_output(path: str, label: str, directory: bool = False) -> None:
         raise ConfigError(f"{label}: Is a directory: {path}")
     if not (directory or path.parent.is_dir()):
         raise ConfigError(f"{label} directory not found: {path.parent}")
+
+
+@contextmanager
+def publish(*targets):
+    """Yield the paths at which to write `targets`, which lie in one directory:
+    files in a staging directory there (`.tweetsent-` and a random suffix),
+    moved into place in order by `os.replace` as the block ends, so a failure
+    leaves the directory as it was. A target that exists and is no regular file
+    (a device, FIFO, symlink or directory) is written in place, not replaced."""
+    targets = [Path(t) for t in targets]
+    in_place = [os.path.lexists(t) and not stat.S_ISREG(os.lstat(t).st_mode) for t in targets]
+    if all(in_place):  # no staging directory, in a directory such as /dev that may refuse one
+        yield targets
+        return
+    with tempfile.TemporaryDirectory(dir=targets[0].parent, prefix=".tweetsent-") as staging:
+        paths = [t if kept else Path(staging, t.name) for t, kept in zip(targets, in_place)]
+        yield paths
+        for target, path in zip(targets, paths):
+            if path is not target:
+                os.replace(path, target)
 
 
 # the accepted Python types and the description of each scalar annotation of
@@ -354,8 +374,6 @@ class Analysis:
     def ngram_table(self, n: int, top: int) -> list[tuple[str, int]]:
         """The first `top` >= 1 rows of the n-gram table: over the
         stopword-filtered texts for n <= 2, over the full texts for n >= 3."""
-        if top < 1:
-            raise InvalidRangeError(f"top must be >= 1, got {top}")
         streams = self.distinct_stopped if n <= 2 else self.distinct_full
         return ngrams.build_table(streams, n, top, self.weights)
 
@@ -457,18 +475,12 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
             ("distribution.json", partial(write_json, dist)),
         ]
         # staged and hashed on output_dir's filesystem, then moved into place, the manifest last
-        with stage("write"), tempfile.TemporaryDirectory(dir=out_dir, prefix=".tweetsent-") as staging:
-            staged = Path(staging)
-            for name, write in writers:
-                write(staged / name)
-            outputs = {name: _sha256(staged / name) for name, _ in writers}
+        with stage("write"), publish(*[out_dir / name for name, _ in writers], out_dir / "manifest.json") as paths:
+            for (_, write), path in zip(writers, paths):
+                write(path)
+            outputs = {name: _sha256(path) for (name, _), path in zip(writers, paths)}
             manifest = RunManifest(asdict(cfg), stages, outputs, __version__)
-            with open(staged / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
+            with open(paths[-1], "w", encoding="utf-8", newline="\n") as fh:
                 json.dump(manifest._asdict(), fh, indent=2, sort_keys=True, allow_nan=False)
                 fh.write("\n")
-            names = [*outputs, "manifest.json"]
-            if clash := [out_dir / name for name in names if (out_dir / name).is_dir()]:  # before any move
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(clash[0]))
-            for name in names:
-                os.replace(staged / name, out_dir / name)
         return manifest

@@ -6,6 +6,8 @@ import gc
 import io
 import json
 import os
+import shutil
+import stat
 import subprocess
 import sys
 import threading
@@ -14,7 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tweetsent.cli as cli_mod
@@ -32,7 +34,7 @@ from tweetsent.errors import (
     SchemaError,
 )
 from tweetsent.exports import distribution_to_csv
-from tweetsent.pipeline import Analysis
+from tweetsent.pipeline import Analysis, publish
 from tweetsent.scenario import classify_scenario, trend_from_report
 
 DATA = Path(__file__).parent / "data"
@@ -851,6 +853,120 @@ def test_broken_output_file_is_config_error(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: [Errno 32] Broken pipe\n")
 
 
+# each command that writes files, and the writer of one of them, which a
+# rerun on other input makes write half a file and fail
+_REWRITES = {
+    "ingest-jsonl": (["ingest", "--output", "x.jsonl", "--provenance"], "write_corpus_jsonl"),
+    "ingest-provenance": (["ingest", "--output", "x.jsonl", "--provenance"], "write_json"),
+    "ngrams": (["ngrams", "--n", "2", "--output", "t.csv"], "ngram_table_to_csv"),
+    "ngrams-json": (["ngrams", "--n", "2", "--export", "json", "--output", "t.json"], "write_json"),
+    "sentiment": (["sentiment", "--output", "s.csv"], "scores_to_csv"),
+    "report": (["report", "--what", "mentions", "--output", "m.json"], "write_json"),
+    "report-csv": (["report", "--what", "daily", "--export", "csv", "--output", "d.csv"], "daily_series_to_csv"),
+    "scenario": (["scenario", "--timing", "now", "--output", "s.json"], "write_json"),
+}
+
+
+@pytest.mark.parametrize("argv, writer", _REWRITES.values(), ids=_REWRITES)
+def test_failed_rewrite_leaves_the_earlier_files_in_place(workdir, capsys, monkeypatch, argv, writer):
+    lines = (DATA / "corpus_1000.csv").read_text("utf-8").splitlines(keepends=True)
+    (workdir / "full.csv").write_text("".join(lines), "utf-8")
+    (workdir / "small.csv").write_text("".join(lines[:30]), "utf-8")
+    (workdir / "full.json").write_text(json.dumps({"positive_share": 0.5, "negative_share": 0.25}), "utf-8")
+    (workdir / "small.json").write_text(json.dumps({"positive_share": 0.25, "negative_share": 0.5}), "utf-8")
+    suffix = ".json" if argv[0] == "scenario" else ".csv"
+    assert main([*argv, "--input", "full" + suffix]) == 0
+    before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    capsys.readouterr()
+
+    def half_then_fail(*args, **kwargs):
+        Path(args[-1]).write_text("half")  # a command's writer takes the path last
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli_mod, writer, half_then_fail)
+    assert main([*argv, "--input", "small" + suffix]) == 2
+    assert capsys.readouterr() == ("", "error: disk full\n")
+    assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before  # and no .tweetsent-* entry
+
+
+_TO_DEV_NULL = [
+    ["ingest", "--input", str(DATA / "corpus_1000.csv")],
+    ["ngrams", "--input", str(DATA / "corpus_1000.csv"), "--n", "2"],
+    ["sentiment", "--input", str(DATA / "corpus_1000.csv")],
+    ["report", "--input", str(DATA / "corpus_1000.csv"), "--what", "mentions"],
+    ["scenario", "--input", "d.json", "--timing", "now"],
+]
+
+
+@pytest.mark.parametrize("argv", _TO_DEV_NULL, ids=lambda argv: argv[0])
+def test_dev_null_output_is_written_in_place_without_staging(workdir, capsys, monkeypatch, argv):
+    # a rename onto /dev/null would replace the device: a staged path fails here, before any move
+    with publish("/dev/null") as paths:
+        assert paths == [Path("/dev/null")]
+    (workdir / "d.json").write_text(json.dumps({"positive_share": 0.5, "negative_share": 0.25}), "utf-8")
+
+    def no_staging(*args, **kwargs):
+        raise AssertionError("a staging directory was made")
+
+    monkeypatch.setattr(pipeline_mod.tempfile, "TemporaryDirectory", no_staging)
+    assert main([*argv, "--output", "/dev/null"]) == 0
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+    assert capsys.readouterr().out.startswith("wrote /dev/null\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("kind", ["symlink", "fifo"])
+def test_symlink_or_fifo_output_is_written_in_place(workdir, capsys, kind):
+    argv = ["sentiment", "--input", str(DATA / "corpus_1000.csv"), "--output"]
+    assert main([*argv, "plain.csv"]) == 0
+    output = workdir / "out.csv"
+    if kind == "symlink":
+        (workdir / "target.csv").write_text("old\n")
+        output.symlink_to("target.csv")
+        assert main([*argv, "out.csv"]) == 0
+        assert output.is_symlink()
+        assert (workdir / "target.csv").read_bytes() == (workdir / "plain.csv").read_bytes()
+    else:
+        os.mkfifo(output)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(output.read_bytes()), daemon=True)
+        reader.start()
+        assert main([*argv, "out.csv"]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.lstat(output).st_mode)
+        assert read == [(workdir / "plain.csv").read_bytes()]
+    assert not list(workdir.glob(".tweetsent-*"))
+
+
+_EARLY_REFUSALS = [
+    (["ngrams", "--n", "5"], "n must be in 1..4, got 5"),
+    (["ngrams", "--n", "0"], "n must be in 1..4, got 0"),
+    (["ngrams", "--n", "2", "--top", "0"], "top must be >= 1, got 0"),
+    (["report", "--what", "mentions", "--top", "0", "--output", "r.json"], "k must be >= 1"),
+    (["report", "--what", "hashtags", "--top", "-1", "--output", "r.json"], "k must be >= 1"),
+    (["report", "--what", "locations", "--top", "0", "--output", "r.json"], "k must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _EARLY_REFUSALS, ids=[" ".join(argv) for argv, _ in _EARLY_REFUSALS])
+def test_out_of_range_n_and_top_are_refused_before_the_corpus_is_read(workdir, capsys, monkeypatch, argv,
+                                                                      message):
+    def no_load(*args, **kwargs):
+        raise RuntimeError("the corpus was read")
+
+    monkeypatch.setattr(cli_mod, "load_corpus", no_load)
+    assert main([*argv, "--input", str(DATA / "corpus_1000.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("what", ["daily", "devices", "distribution"])
+def test_report_without_a_ranking_ignores_top(workdir, what):
+    argv = ["report", "--input", str(DATA / "corpus_1000.csv"), "--what", what, "--top", "0"]
+    assert main([*argv, "--output", "r.json"]) == 0
+
+
 @pytest.mark.parametrize("command", ["run", "ingest"])
 @pytest.mark.parametrize(
     "start, end",
@@ -1303,8 +1419,10 @@ def test_bare_double_dash_for_a_file_read_is_config_error(workdir, capsys, argv)
 
 # the drawn-argv property: a working call of each command, with up to three
 # of its flags set from pools of files the commands read (a corpus and a
-# distribution report), bad paths and numbers in and out of their ranges;
-# argparse before Python 3.13 reads a flag's bare `--` as no value
+# distribution report), bad paths, files that are not clean UTF-8 CSV (a
+# byte-order mark, a non-UTF-8 row, a field over the csv module's limit) and
+# numbers in and out of their ranges; argparse before Python 3.13 reads a
+# flag's bare `--` as no value
 _ARGV_BASES = {
     "ingest": {"--input": "c.csv", "--output": "x.jsonl"},
     "ngrams": {"--input": "c.csv", "--n": "2"},
@@ -1313,7 +1431,10 @@ _ARGV_BASES = {
     "scenario": {"--input": "d.json", "--timing": "now"},
     "run": {"--input": "c.csv", "--output-dir": "out"},
 }
-_ARGV_PATHS = ["c.csv", "d.json", "missing.csv", "adir", "c.csv/x", "nodir/x", "/dev/null", "--"]
+_ARGV_PATHS = [
+    "c.csv", "d.json", "missing.csv", "adir", "c.csv/x", "nodir/x", "/dev/null", "--", "bom.csv", "latin1.csv",
+    "big.csv",
+]
 _ARGV_NUMBERS = ["2", "0", "-1", "99999999999999999999", "nan", "inf", "--"]
 
 
@@ -1340,14 +1461,41 @@ _ARGVS = st.sampled_from(list(_ARGV_BASES)).flatmap(
 )
 
 
+def _argv_inputs(where: Path) -> None:
+    lines = (DATA / "corpus_1000.csv").read_text("utf-8").splitlines(keepends=True)
+    corpus = "".join(lines[:30])
+    (where / "c.csv").write_text(corpus, "utf-8")
+    (where / "d.json").write_text(json.dumps({"positive_share": 0.5, "negative_share": 0.25}), "utf-8")
+    (where / "adir").mkdir()
+    (where / "bom.csv").write_bytes(b"\xef\xbb\xbf" + corpus.encode())
+    (where / "latin1.csv").write_bytes(corpus.encode() + lines[30].replace("t", "\xe9").encode("latin-1"))
+    row = next(csv.reader([lines[30]]))
+    row[2] = "a" * (csv.field_size_limit() + 1)  # the text
+    with open(where / "big.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write(corpus)
+        csv.writer(fh, lineterminator="\n").writerow(row)
+
+
+def _tree(root: Path) -> dict:
+    """Each entry under `root`, hidden ones too: a file's bytes, None for a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
 @settings(max_examples=300, deadline=None)
 @given(argv=_ARGVS)
 def test_drawn_argv_exits_0_2_or_3_and_names_the_error(tmp_path_factory, argv):
+    # the provenance file of `--output /dev/null` would go into /dev, out of this test's directory
+    assume(not ("--provenance" in argv and "--output=/dev/null" in argv))
+    # a rename onto /dev/null would replace the device: a staged path fails here, before any move
+    with publish("/dev/null") as paths:
+        assert paths == [Path("/dev/null")]
     where = tmp_path_factory.mktemp("argv")
-    lines = (DATA / "corpus_1000.csv").read_text("utf-8").splitlines(keepends=True)
-    (where / "c.csv").write_text("".join(lines[:30]), "utf-8")
-    (where / "d.json").write_text(json.dumps({"positive_share": 0.5, "negative_share": 0.25}), "utf-8")
-    (where / "adir").mkdir()
+    _argv_inputs(where)
+    before = _tree(where)
     out, err = io.StringIO(), io.StringIO()
     home = os.getcwd()
     os.chdir(where)
@@ -1358,6 +1506,17 @@ def test_drawn_argv_exits_0_2_or_3_and_names_the_error(tmp_path_factory, argv):
         code = exc.code
     finally:
         os.chdir(home)
+    after = _tree(where)
+    shutil.rmtree(where)
     assert code in (0, 2, 3), (argv, err.getvalue())
     if code:
         assert any(line.startswith("error: ") or ": error: " in line for line in err.getvalue().splitlines())
+        assert after == before, argv  # no new entry, and every earlier file as it was
+    assert not [name for name in after if Path(name).name.startswith(".tweetsent-")], argv
+    for name, data in after.items():
+        if name.endswith(".json") and data not in (None, before.get(name)):
+            try:
+                json.loads(data)
+            except ValueError:  # not JSON: a CSV or JSONL output given a .json name
+                continue
+            json.loads(data, parse_constant=_refuse)

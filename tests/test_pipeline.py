@@ -189,6 +189,20 @@ def test_failed_rerun_leaves_the_earlier_run_in_place(golden_workdir, monkeypatc
     assert {name: (out / name).read_bytes() for name in before} == before
 
 
+def test_rerun_writes_through_a_symlinked_output(golden_workdir):
+    # a rename would replace the link with a regular file; it is written in place
+    out = golden_workdir / "out"
+    run_pipeline(_golden_config())
+    kept = golden_workdir / "kept.json"
+    kept.write_text("not the run's\n")
+    (out / "devices.json").unlink()
+    (out / "devices.json").symlink_to(kept)
+    manifest = run_pipeline(_golden_config())
+    assert (out / "devices.json").is_symlink()
+    assert hashlib.sha256(kept.read_bytes()).hexdigest() == manifest.outputs["devices.json"]
+    assert {p.name for p in out.iterdir()} == EXPECTED_OUTPUTS | {"manifest.json"}
+
+
 def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigError):
         RunConfig(input=str(tmp_path / "missing.csv")).validate()
