@@ -1,4 +1,5 @@
-"""Command-line front end: commands return their files, `main` publishes them.
+"""Command-line front end: commands return their files, `main` publishes them;
+`report --what` writes one entry of `pipeline.Analysis.reports`.
 
 Subcommands: ingest, ngrams, sentiment, report, scenario, run, synth.
 Exit codes: 0 success, 2 configuration error (bad flags, paths, parameter
@@ -20,18 +21,10 @@ from pathlib import Path
 from . import analytics, ngrams, scenario
 from .corpus import BotPolicy, load_corpus, write_corpus_jsonl
 from .errors import ConfigError, DataError, InvalidRangeError, PipelineStageError
-from .exports import (
-    daily_series_to_csv,
-    device_report_to_csv,
-    distribution_to_csv,
-    ngram_table_to_csv,
-    ranked_table_to_csv,
-    scores_to_csv,
-    write_json,
-)
+from .exports import ngram_table_to_csv, scores_to_csv, write_json
 from .pipeline import (
-    Analysis, RunConfig, check_files, check_filters, check_output, gc_paused, group, load_filtered, publish,
-    run_pipeline,
+    Analysis, RunConfig, check_files, check_filters, check_output, check_path, gc_paused, group, load_filtered,
+    publish, run_pipeline,
 )
 
 
@@ -51,7 +44,9 @@ def cmd_ingest(args) -> dict:
     chain = check_filters(args.start_date, args.end_date, args.keyword, args.country)
     check_files({"input": args.input})
     prov_path = Path(args.output).with_suffix(".provenance.json")
-    if args.provenance:
+    if args.provenance:  # written beside --output: beside a device, it would go into /dev
+        if Path(args.output).exists() and not Path(args.output).is_file():
+            raise ConfigError(f"--provenance needs a regular file as --output, not {args.output}")
         check_output(prov_path, "--provenance")
     policy = group(BotPolicy, args)  # the bot flags' dests are BotPolicy field names
     corpus = load_filtered(args.input, args.format, chain, policy if args.bots else None)
@@ -90,31 +85,24 @@ def cmd_sentiment(args) -> dict:
     return {args.output: partial(scores_to_csv, analysis.corpus, analysis.scores, profiles=analysis.profiles)}
 
 
+# each --what's file name in `Analysis.reports`
+_REPORTS = {"mentions": "mentions.csv", "hashtags": "hashtags.csv", "locations": "locations_{field}.csv",
+            "devices": "devices.json", "daily": "emotion_daily.csv", "distribution": "distribution.json"}
+
+
 def cmd_report(args) -> dict:
     if args.top < 1 and args.what in ("mentions", "hashtags", "locations"):  # the ranking's check, before the load
         raise InvalidRangeError("k must be >= 1")
     analysis = _analysis(args)
-    corpus, what = analysis.corpus, args.what
-    # a report is the JSON value it is written as, and `to_csv` flattens it;
-    # masking changes only the text, so the rankings read the masked corpus
-    if what == "mentions":
-        report, to_csv = analytics.rank_mentions(corpus, args.top), ranked_table_to_csv
-    elif what == "hashtags":
-        report, to_csv = analytics.rank_hashtags(corpus, args.top), ranked_table_to_csv
-    elif what == "locations":
-        report, to_csv = analytics.rank_locations(corpus, args.top, args.field), ranked_table_to_csv
-    elif what == "devices":
-        report, to_csv = analytics.device_group_report(corpus, analysis.cleaned), device_report_to_csv
-    elif what == "daily":
-        report, to_csv = analytics.daily_emotion_series(corpus, analysis.profiles), daily_series_to_csv
-    elif args.export == "csv":  # the CSV writes no emotion totals, so it classifies no text
-        report, to_csv = analytics.polarity_distribution(analysis.scores), distribution_to_csv
-    else:
-        report = analysis.distribution()
-    return {args.output: partial(to_csv if args.export == "csv" else write_json, report)}
+    _, build, to_csv = analysis.reports(args.top)[_REPORTS[args.what].format(field=args.field)]
+    # a distribution's CSV form holds no emotion totals, so it classifies no text
+    if args.what == "distribution" and args.export == "csv":
+        build = partial(analytics.polarity_distribution, analysis.scores)
+    return {args.output: partial(to_csv if args.export == "csv" else write_json, build())}
 
 
 def cmd_scenario(args) -> dict | None:
+    check_path(args.input, "--input")
     payload = scenario.classify_scenario(scenario.load_trend(args.input), args.timing)
     if args.output:
         return {args.output: partial(write_json, payload)}
@@ -200,11 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="descriptive and distribution reports")
     _add_corpus_args(p)
     _add_lexicon_args(p)
-    p.add_argument(
-        "--what",
-        required=True,
-        choices=["mentions", "hashtags", "locations", "devices", "daily", "distribution"],
-    )
+    p.add_argument("--what", required=True, choices=_REPORTS)
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--field", choices=["tagged", "stated"], default="stated")
     p.add_argument("--export", choices=["csv", "json"], default="json")

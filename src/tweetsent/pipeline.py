@@ -12,8 +12,9 @@ and the valence shifters.
 
 `load_filtered` loads through the filters for `run` and for the CLI's `ingest`;
 `Analysis` composes the text stages, masking to polarity, for `run` and for
-the CLI's `ngrams`, `sentiment` and `report`, which read its fields after
-`check_files` has checked their input and lexicon files as `run`'s do.
+the CLI's `ngrams`, `sentiment` and `report`, once `check_files` has checked
+their files as `run`'s; `run` writes each report of its table `reports`, and
+`report --what` one.
 
 A run writes every report plus a manifest (stage counts, config echo,
 sha256 per output), all computed first, then staged in output_dir and moved
@@ -46,7 +47,10 @@ from .corpus import (
     write_corpus_jsonl,
 )
 from .errors import ConfigError, EmptyCorpusError, PipelineStageError
-from .exports import daily_series_to_csv, ngram_table_to_csv, ranked_table_to_csv, scores_to_csv, write_json
+from .exports import (
+    daily_series_to_csv, device_report_to_csv, distribution_to_csv, ngram_table_to_csv, ranked_table_to_csv,
+    scores_to_csv, write_json,
+)
 from .polarity import ScoringParams
 
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -95,12 +99,19 @@ def check_filters(
     return chain
 
 
+def check_path(path, label: str) -> None:
+    """Refuse a path holding NUL, which no file system takes; the message shows it escaped."""
+    if "\0" in str(path):
+        raise ConfigError(f"{label} holds a NUL character: {str(path)!r}")
+
+
 def check_files(values: dict) -> None:
     """Refuse a missing file or a directory given for `input` or any lexicon
     path (a key ending in `_path`) of `values`; None means the bundled file."""
     for label, value in values.items():
         if value is None or not (label == "input" or label.endswith("_path")):
             continue
+        check_path(value, label)
         if not Path(value).exists():
             raise ConfigError(f"{'input file' if label == 'input' else label} not found: {value}")
         # a directory would fail only at its own stage; a device such as /dev/null is read
@@ -112,6 +123,7 @@ def check_output(path: str, label: str, directory: bool = False) -> None:
     """Refuse an output path that runs through a regular file; a `directory`
     may not be one, and a file output may not be an existing directory nor
     lie in a missing one (a `directory` is created with its parents)."""
+    check_path(path, label)
     path = Path(path)
     for part in [path, *path.parents] if directory else path.parents:
         if part.is_file():
@@ -393,6 +405,26 @@ class Analysis:
         report["emotion_totals"] = self.totals
         return report
 
+    def reports(self, k: int, categories: dict | None = None) -> dict:
+        """Each report by its run file name: (stage, build, to_csv), where `build()`
+        returns the JSON value it is written as and `to_csv(value, path)` its
+        CSV form; `k` is the rankings' length, `categories` the device groups'.
+        Built at each call, so a writer or analytics function replaced is used."""
+        c, rank = self.corpus, partial(analytics.rank_locations, self.corpus, k)
+        return {
+            "emotion_totals.json": ("emotion", lambda: self.totals, None),
+            "polarity_scores.csv": ("polarity", lambda: self.scores, partial(scores_to_csv, c)),
+            "mentions.csv": ("report", partial(analytics.rank_mentions, c, k), ranked_table_to_csv),
+            "hashtags.csv": ("report", partial(analytics.rank_hashtags, c, k), ranked_table_to_csv),
+            "locations_tagged.csv": ("report", partial(rank, "tagged"), ranked_table_to_csv),
+            "locations_stated.csv": ("report", partial(rank, "stated"), ranked_table_to_csv),
+            "devices.json": ("report", lambda: analytics.device_group_report(c, self.cleaned, categories),
+                             device_report_to_csv),
+            "emotion_daily.csv": ("report", lambda: analytics.daily_emotion_series(c, self.profiles),
+                                  daily_series_to_csv),
+            "distribution.json": ("distribution", self.distribution, distribution_to_csv),
+        }
+
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
@@ -402,85 +434,61 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+@gc_paused()  # the run's values die with its frame, before the collector resumes
 def run_pipeline(cfg: RunConfig) -> RunManifest:
-    with gc_paused():
-        chain, policy = cfg.validate()
-        corpus = load_filtered(cfg.input, cfg.format, chain, policy)
+    chain, policy = cfg.validate()
+    corpus = load_filtered(cfg.input, cfg.format, chain, policy)
 
-        with stage("mask"):
-            analysis = Analysis(corpus, cfg)
-        corpus = analysis.corpus
-        # each text stage computes the analysis field that it is named after
-        with stage("tokenize"):
-            analysis.distinct_full
-        with stage("stopwords"):
-            analysis.distinct_stopped
+    with stage("mask"):
+        analysis = Analysis(corpus, cfg)
+    corpus = analysis.corpus
+    # each text stage computes the analysis field that it is named after
+    with stage("tokenize"):
+        analysis.distinct_full
+    with stage("stopwords"):
+        analysis.distinct_stopped
 
-        tables = {}
-        for n in (1, 2, 3, 4):
-            # the unigram table also feeds the word cloud
-            top = max(cfg.ngram_top, cfg.wordcloud_top) if n == 1 else cfg.ngram_top
-            with stage(f"ngrams_{n}"):
-                tables[n] = analysis.ngram_table(n, top)
-        with stage("wordcloud"):
-            cloud = ngrams.word_cloud_weights(tables[1], cfg.wordcloud_top)
+    tables = {}
+    for n in (1, 2, 3, 4):
+        # the unigram table also feeds the word cloud
+        top = max(cfg.ngram_top, cfg.wordcloud_top) if n == 1 else cfg.ngram_top
+        with stage(f"ngrams_{n}"):
+            tables[n] = analysis.ngram_table(n, top)
+    with stage("wordcloud"):
+        cloud = ngrams.word_cloud_weights(tables[1], cfg.wordcloud_top)
 
-        # the n-gram tables above are built before any profile or score exists
-        with stage("emotion"):
-            profiles = analysis.profiles
-            totals = analysis.totals
-        with stage("polarity"):
-            scores = analysis.scores
+    # the n-gram tables above are built before any profile or score exists; each
+    # report is built in its stage, and written by its CSV writer under a .csv name
+    reports = []
+    for name, (stage_name, build, to_csv) in analysis.reports(cfg.rank_top, cfg.device_categories).items():
+        with stage(stage_name):
+            reports.append((name, partial(to_csv if name.endswith(".csv") else write_json, build())))
 
-        with stage("report"):
-            mentions = analytics.rank_mentions(corpus, cfg.rank_top)
-            hashtags = analytics.rank_hashtags(corpus, cfg.rank_top)
-            loc_tagged = analytics.rank_locations(corpus, cfg.rank_top, "tagged")
-            loc_stated = analytics.rank_locations(corpus, cfg.rank_top, "stated")
-            devices = analytics.device_group_report(corpus, analysis.cleaned, cfg.device_categories)
-            daily = analytics.daily_emotion_series(corpus, profiles)
-        with stage("distribution"):
-            dist = analysis.distribution()
+    provenance = corpus.provenance._asdict()
+    stages = {
+        "provenance": provenance,
+        "records_final": len(corpus.records),
+        "mask": {"distinct_terms": len(analysis.masks), "occurrences": analysis.occurrences},
+    }
 
-        provenance = corpus.provenance._asdict()
-        stages = {
-            "provenance": provenance,
-            "records_final": len(corpus.records),
-            "mask": {
-                "distinct_terms": len(analysis.masks),
-                "occurrences": analysis.occurrences,
-            },
-        }
-
-        out_dir = Path(cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        # each output's file name and the writer that takes its path
-        writers = [
-            ("provenance.json", partial(write_json, provenance)),
-            ("filtered_corpus.jsonl", partial(write_corpus_jsonl, corpus)),
-            # the unigram table holds the word cloud's rows too
-            *[
-                (f"ngrams_{n}.csv", partial(ngram_table_to_csv, tables[n][: cfg.ngram_top]))
-                for n in (1, 2, 3, 4)
-            ],
-            ("wordcloud.json", partial(write_json, cloud)),
-            ("mentions.csv", partial(ranked_table_to_csv, mentions)),
-            ("hashtags.csv", partial(ranked_table_to_csv, hashtags)),
-            ("locations_tagged.csv", partial(ranked_table_to_csv, loc_tagged)),
-            ("locations_stated.csv", partial(ranked_table_to_csv, loc_stated)),
-            ("devices.json", partial(write_json, devices)),
-            ("emotion_totals.json", partial(write_json, totals)),
-            ("emotion_daily.csv", partial(daily_series_to_csv, daily)),
-            ("polarity_scores.csv", partial(scores_to_csv, corpus, scores)),
-            ("distribution.json", partial(write_json, dist)),
-        ]
-        # staged and hashed on output_dir's filesystem, then moved into place, the manifest last
-        with stage("write"), publish(*[out_dir / name for name, _ in writers], out_dir / "manifest.json") as paths:
-            for (_, write), path in zip(writers, paths):
-                write(path)
-            outputs = {name: _sha256(path) for (name, _), path in zip(writers, paths)}
-            manifest = RunManifest(asdict(cfg), stages, outputs, __version__)
-            with open(paths[-1], "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(manifest._asdict(), fh, indent=2, sort_keys=True, allow_nan=False)
-                fh.write("\n")
-        return manifest
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # each output's file name and the writer that takes its path
+    writers = [
+        ("provenance.json", partial(write_json, provenance)),
+        ("filtered_corpus.jsonl", partial(write_corpus_jsonl, corpus)),
+        # the unigram table holds the word cloud's rows too
+        *[(f"ngrams_{n}.csv", partial(ngram_table_to_csv, tables[n][: cfg.ngram_top])) for n in (1, 2, 3, 4)],
+        ("wordcloud.json", partial(write_json, cloud)),
+        *reports,
+    ]
+    # staged and hashed on output_dir's filesystem, then moved into place, the manifest last
+    with stage("write"), publish(*[out_dir / name for name, _ in writers], out_dir / "manifest.json") as paths:
+        for (_, write), path in zip(writers, paths):
+            write(path)
+        outputs = {name: _sha256(path) for (name, _), path in zip(writers, paths)}
+        manifest = RunManifest(asdict(cfg), stages, outputs, __version__)
+        with open(paths[-1], "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(manifest._asdict(), fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+    return manifest

@@ -16,7 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tweetsent.cli as cli_mod
@@ -853,22 +853,25 @@ def test_broken_output_file_is_config_error(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: [Errno 32] Broken pipe\n")
 
 
-# each command that writes files, and the writer of one of them, which a
-# rerun on other input makes write half a file and fail
+# each command that writes files, and the module and name of the writer of
+# one of them, which a rerun on other input makes write half a file and fail;
+# a report's CSV writer comes from the pipeline's table
 _REWRITES = {
-    "ingest-jsonl": (["ingest", "--output", "x.jsonl", "--provenance"], "write_corpus_jsonl"),
-    "ingest-provenance": (["ingest", "--output", "x.jsonl", "--provenance"], "write_json"),
-    "ngrams": (["ngrams", "--n", "2", "--output", "t.csv"], "ngram_table_to_csv"),
-    "ngrams-json": (["ngrams", "--n", "2", "--export", "json", "--output", "t.json"], "write_json"),
-    "sentiment": (["sentiment", "--output", "s.csv"], "scores_to_csv"),
-    "report": (["report", "--what", "mentions", "--output", "m.json"], "write_json"),
-    "report-csv": (["report", "--what", "daily", "--export", "csv", "--output", "d.csv"], "daily_series_to_csv"),
-    "scenario": (["scenario", "--timing", "now", "--output", "s.json"], "write_json"),
+    "ingest-jsonl": (["ingest", "--output", "x.jsonl", "--provenance"], cli_mod, "write_corpus_jsonl"),
+    "ingest-provenance": (["ingest", "--output", "x.jsonl", "--provenance"], cli_mod, "write_json"),
+    "ngrams": (["ngrams", "--n", "2", "--output", "t.csv"], cli_mod, "ngram_table_to_csv"),
+    "ngrams-json": (["ngrams", "--n", "2", "--export", "json", "--output", "t.json"], cli_mod, "write_json"),
+    "sentiment": (["sentiment", "--output", "s.csv"], cli_mod, "scores_to_csv"),
+    "report": (["report", "--what", "mentions", "--output", "m.json"], cli_mod, "write_json"),
+    "report-csv": (
+        ["report", "--what", "daily", "--export", "csv", "--output", "d.csv"], pipeline_mod, "daily_series_to_csv"
+    ),
+    "scenario": (["scenario", "--timing", "now", "--output", "s.json"], cli_mod, "write_json"),
 }
 
 
-@pytest.mark.parametrize("argv, writer", _REWRITES.values(), ids=_REWRITES)
-def test_failed_rewrite_leaves_the_earlier_files_in_place(workdir, capsys, monkeypatch, argv, writer):
+@pytest.mark.parametrize("argv, module, writer", _REWRITES.values(), ids=_REWRITES)
+def test_failed_rewrite_leaves_the_earlier_files_in_place(workdir, capsys, monkeypatch, argv, module, writer):
     lines = (DATA / "corpus_1000.csv").read_text("utf-8").splitlines(keepends=True)
     (workdir / "full.csv").write_text("".join(lines), "utf-8")
     (workdir / "small.csv").write_text("".join(lines[:30]), "utf-8")
@@ -883,7 +886,7 @@ def test_failed_rewrite_leaves_the_earlier_files_in_place(workdir, capsys, monke
         Path(args[-1]).write_text("half")  # a command's writer takes the path last
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli_mod, writer, half_then_fail)
+    monkeypatch.setattr(module, writer, half_then_fail)
     assert main([*argv, "--input", "small" + suffix]) == 2
     assert capsys.readouterr() == ("", "error: disk full\n")
     assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before  # and no .tweetsent-* entry
@@ -912,6 +915,18 @@ def test_dev_null_output_is_written_in_place_without_staging(workdir, capsys, mo
     assert main([*argv, "--output", "/dev/null"]) == 0
     assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
     assert capsys.readouterr().out.startswith("wrote /dev/null\n")
+
+
+def test_provenance_beside_a_device_is_config_error(workdir, capsys, monkeypatch):
+    # the provenance file goes beside --output, which for /dev/null is in /dev
+    def no_staging(*args, **kwargs):
+        raise AssertionError("a staging directory was made")
+
+    monkeypatch.setattr(pipeline_mod.tempfile, "TemporaryDirectory", no_staging)
+    argv = ["ingest", "--input", str(DATA / "corpus_1000.csv"), "--output", "/dev/null", "--provenance"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --provenance needs a regular file as --output, not /dev/null\n")
+    assert list(workdir.iterdir()) == []
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
@@ -1417,6 +1432,29 @@ def test_bare_double_dash_for_a_file_read_is_config_error(workdir, capsys, argv)
     assert sorted(path.name for path in workdir.iterdir()) == ["c.csv"]
 
 
+_NUL_PATHS = {
+    "ngrams-output": (["ngrams", "--input", "c.csv", "--n", "1", "--output", "t\x00.csv"], "--output", "t\x00.csv"),
+    "run-output-dir": (["run", "--input", "c.csv", "--output-dir", "o\x00"], "output_dir", "o\x00"),
+    "run-config-output-dir": (["run", "--config", "cfg.json"], "output_dir", "out\x00"),
+    "scenario-input": (["scenario", "--input", "\x00", "--timing", "now"], "--input", "\x00"),
+    "sentiment-input": (["sentiment", "--input", "c\x00.csv", "--output", "s.csv"], "input", "c\x00.csv"),
+    "report-stopwords": (
+        ["report", "--input", "c.csv", "--what", "mentions", "--stopwords", "s\x00", "--output", "r.json"],
+        "stopwords_path", "s\x00",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, label, path", _NUL_PATHS.values(), ids=_NUL_PATHS)
+def test_path_holding_nul_is_config_error(workdir, capsys, argv, label, path):
+    # no file system takes a NUL in a path: refused before any work, and printed escaped
+    (workdir / "c.csv").write_bytes((DATA / "corpus_1000.csv").read_bytes())
+    (workdir / "cfg.json").write_text(json.dumps({"input": "c.csv", "output_dir": "out\x00"}), "utf-8")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {label} holds a NUL character: {path!r}\n")
+    assert sorted(p.name for p in workdir.iterdir()) == ["c.csv", "cfg.json"]
+
+
 # the drawn-argv property: a working call of each command, with up to three
 # of its flags set from pools of files the commands read (a corpus and a
 # distribution report), bad paths, files that are not clean UTF-8 CSV (a
@@ -1460,6 +1498,14 @@ _ARGVS = st.sampled_from(list(_ARGV_BASES)).flatmap(
     )
 )
 
+# the JSON config pool: `run --config cfg.json`, with up to three RunConfig
+# fields given a value of a wrong JSON type, NaN, an infinity, a huge number,
+# an empty string, a string holding NUL, a list or an object
+_CONFIG_VALUES = [True, 7, 0.5, "x", None, float("nan"), float("inf"), 1e300, 2**70, "", "out\x00", ["c.csv"], {}]
+_CONFIGS = st.dictionaries(
+    st.sampled_from(list(pipeline_mod.RunConfig.__dataclass_fields__)), st.sampled_from(_CONFIG_VALUES), max_size=3
+).map(lambda drawn: (["run", "--config=cfg.json"], {"input": "c.csv", "output_dir": "out", **drawn}))
+
 
 def _argv_inputs(where: Path) -> None:
     lines = (DATA / "corpus_1000.csv").read_text("utf-8").splitlines(keepends=True)
@@ -1485,16 +1531,17 @@ def _refuse(constant):
     raise ValueError(f"{constant} is not strict JSON")
 
 
-@settings(max_examples=300, deadline=None)
-@given(argv=_ARGVS)
-def test_drawn_argv_exits_0_2_or_3_and_names_the_error(tmp_path_factory, argv):
-    # the provenance file of `--output /dev/null` would go into /dev, out of this test's directory
-    assume(not ("--provenance" in argv and "--output=/dev/null" in argv))
+@settings(max_examples=600, deadline=None)
+@given(call=_ARGVS.map(lambda argv: (argv, None)) | _CONFIGS)
+def test_drawn_argv_exits_0_2_or_3_and_names_the_error(tmp_path_factory, call):
+    argv, config = call
     # a rename onto /dev/null would replace the device: a staged path fails here, before any move
     with publish("/dev/null") as paths:
         assert paths == [Path("/dev/null")]
     where = tmp_path_factory.mktemp("argv")
     _argv_inputs(where)
+    if config is not None:
+        (where / "cfg.json").write_text(json.dumps(config), "utf-8")  # NaN and Infinity as Python writes them
     before = _tree(where)
     out, err = io.StringIO(), io.StringIO()
     home = os.getcwd()
@@ -1508,11 +1555,12 @@ def test_drawn_argv_exits_0_2_or_3_and_names_the_error(tmp_path_factory, argv):
         os.chdir(home)
     after = _tree(where)
     shutil.rmtree(where)
-    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert code in (0, 2, 3), (call, err.getvalue())
+    assert "\x00" not in err.getvalue(), call
     if code:
         assert any(line.startswith("error: ") or ": error: " in line for line in err.getvalue().splitlines())
-        assert after == before, argv  # no new entry, and every earlier file as it was
-    assert not [name for name in after if Path(name).name.startswith(".tweetsent-")], argv
+        assert after == before, call  # no new entry, and every earlier file as it was
+    assert not [name for name in after if Path(name).name.startswith(".tweetsent-")], call
     for name, data in after.items():
         if name.endswith(".json") and data not in (None, before.get(name)):
             try:

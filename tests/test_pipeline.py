@@ -567,3 +567,24 @@ def test_failed_run_restores_gc(golden_workdir, gc_enabled):
     with pytest.raises(PipelineStageError):
         run_pipeline(_golden_config(keyword="zzzqqq"))
     assert gc.isenabled() is gc_enabled
+
+
+def test_run_frees_its_values_before_the_collector_resumes(golden_workdir):
+    # the objects that each generation-0 pass walks: about 9,000 if the run's
+    # values are still alive when the collector resumes, under 1,000 if not
+    walked = []
+
+    def probe(phase, info):
+        if phase == "start" and info["generation"] == 0:
+            walked.append(len(gc.get_objects(generation=0)))
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(probe)
+    try:
+        run_pipeline(_golden_config())
+        gc.collect(0)  # one pass at least, so that the probe is seen to run
+    finally:
+        gc.callbacks.remove(probe)
+        (gc.enable if was_enabled else gc.disable)()
+    assert walked and max(walked) < 3000, walked
