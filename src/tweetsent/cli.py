@@ -1,5 +1,5 @@
 """Command-line front end: commands return their files, `main` publishes them;
-`report --what` writes one entry of `pipeline.Analysis.reports`.
+`ngrams`, `sentiment` and `report --what` each write one entry of `pipeline.Analysis.reports`.
 
 Subcommands: ingest, ngrams, sentiment, report, scenario, run, synth.
 Exit codes: 0 success, 2 configuration error (bad flags, paths, parameter
@@ -21,7 +21,7 @@ from pathlib import Path
 from . import analytics, ngrams, scenario
 from .corpus import BotPolicy, load_corpus, write_corpus_jsonl
 from .errors import ConfigError, DataError, InvalidRangeError, PipelineStageError
-from .exports import ngram_table_to_csv, scores_to_csv, write_json
+from .exports import write_json
 from .pipeline import (
     Analysis, RunConfig, check_files, check_filters, check_output, check_path, gc_paused, group, load_filtered,
     publish, run_pipeline,
@@ -64,13 +64,14 @@ def _analysis(args) -> Analysis:
 
 def cmd_ngrams(args) -> dict | None:
     ngrams.build_table([], args.n)  # refuses a bad --n, and the check below a bad --top, before the load
-    if args.top < 1:
-        raise InvalidRangeError(f"top must be >= 1, got {args.top}")
-    table = _analysis(args).ngram_table(args.n, args.top)
+    if args.ngram_top < 1:
+        raise InvalidRangeError(f"top must be >= 1, got {args.ngram_top}")
+    _, build, to_csv = _analysis(args).reports()[f"ngrams_{args.n}.csv"]
+    table = build()
     if args.output:
         if args.export == "json":
             table = [{"rank": r, "gram": gram, "count": c} for r, (gram, c) in enumerate(table, 1)]
-        return {args.output: partial(ngram_table_to_csv if args.export == "csv" else write_json, table)}
+        return {args.output: partial(to_csv if args.export == "csv" else write_json, table)}
     for rank, (gram, count) in enumerate(table, 1):
         print(f"{rank}\t{gram}\t{count}")
 
@@ -82,7 +83,8 @@ def cmd_sentiment(args) -> dict:
         f"shares positive={shares['positive_share']:.4f} negative={shares['negative_share']:.4f} "
         f"neutral={shares['neutral_share']:.4f}"
     )
-    return {args.output: partial(scores_to_csv, analysis.corpus, analysis.scores, profiles=analysis.profiles)}
+    _, _, to_csv = analysis.reports()["polarity_scores.csv"]
+    return {args.output: partial(to_csv, analysis.scores, profiles=analysis.profiles)}
 
 
 # each --what's file name in `Analysis.reports`
@@ -91,10 +93,10 @@ _REPORTS = {"mentions": "mentions.csv", "hashtags": "hashtags.csv", "locations":
 
 
 def cmd_report(args) -> dict:
-    if args.top < 1 and args.what in ("mentions", "hashtags", "locations"):  # the ranking's check, before the load
+    if args.rank_top < 1 and args.what in ("mentions", "hashtags", "locations"):  # before the load
         raise InvalidRangeError("k must be >= 1")
     analysis = _analysis(args)
-    _, build, to_csv = analysis.reports(args.top)[_REPORTS[args.what].format(field=args.field)]
+    _, build, to_csv = analysis.reports()[_REPORTS[args.what].format(field=args.field)]
     # a distribution's CSV form holds no emotion totals, so it classifies no text
     if args.what == "distribution" and args.export == "csv":
         build = partial(analytics.polarity_distribution, analysis.scores)
@@ -173,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ngrams", help="ranked n-gram frequency table")
     _add_corpus_args(p)
     p.add_argument("--n", type=int, required=True, help="gram order, 1..4")
-    p.add_argument("--top", type=int, default=25)
+    p.add_argument("--top", dest="ngram_top", type=int, default=25)
     p.add_argument("--export", choices=["csv", "json"], default="csv")
     p.add_argument("--output", help="write table here instead of stdout")
     _add_lexicon_args(p, text_only=True)
@@ -189,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(p)
     _add_lexicon_args(p)
     p.add_argument("--what", required=True, choices=_REPORTS)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", dest="rank_top", type=int, default=10)
     p.add_argument("--field", choices=["tagged", "stated"], default="stated")
     p.add_argument("--export", choices=["csv", "json"], default="json")
     p.add_argument("--output", required=True)

@@ -13,8 +13,8 @@ and the valence shifters.
 `load_filtered` loads through the filters for `run` and for the CLI's `ingest`;
 `Analysis` composes the text stages, masking to polarity, for `run` and for
 the CLI's `ngrams`, `sentiment` and `report`, once `check_files` has checked
-their files as `run`'s; `run` writes each report of its table `reports`, and
-`report --what` one.
+their files as `run`'s; `run` writes each entry of its table `reports` (each
+output but the provenance, corpus and manifest), and the three commands one each.
 
 A run writes every report plus a manifest (stage counts, config echo,
 sha256 per output), all computed first, then staged in output_dir and moved
@@ -35,7 +35,7 @@ from collections import Counter, namedtuple
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 from . import __version__, analytics, emotion, ngrams, polarity, textprep
@@ -239,6 +239,8 @@ class RunConfig:
             raise ConfigError(f"format must be csv or jsonl, got {self.format!r}")
         check_files(vars(self))
         chain = check_filters(self.start_date, self.end_date, self.keyword, self.country)
+        if not self.output_dir:  # Path("") is the working directory
+            raise ConfigError("output_dir must be non-empty")
         check_output(self.output_dir, "output_dir", directory=True)
         if min(self.ngram_top, self.wordcloud_top, self.rank_top) < 1:
             raise ConfigError("top-k values must be >= 1")
@@ -318,9 +320,9 @@ class Analysis:
     and the distribution report (`distribution`). Two input texts that mask
     alike keep two slots with equal results, so the reports count the same.
 
-    Lexicon paths and the scoring parameters are read from `options`, a
-    `RunConfig` or a command's parsed flags: an absent or `None` path means
-    the bundled file, and the parameters are built by `group`.
+    Lexicon paths, scoring parameters and report sizes are read from `options`
+    (a `RunConfig` or a command's parsed flags) by `RunConfig` field name; as
+    in `group`, an absent or `None` one keeps its default (a path: bundled data).
 
     Each field is computed once, on first use; a per-record field expands
     the results of the distinct texts, which nothing mutates, to the records.
@@ -333,7 +335,7 @@ class Analysis:
         self._params = group(ScoringParams, options)
         self.masks: dict[str, str] = {}  # each masked word's mask, in order of first hit
         self.occurrences = 0  # the masked hits over all records
-        pattern = textprep.mask_pattern(textprep.load_abusive_lexicon(self._path("abusive_lexicon_path")))
+        pattern = textprep.mask_pattern(textprep.load_abusive_lexicon(self._option("abusive_lexicon_path")))
         records = corpus.records
         n_records = Counter(r.text for r in records)
         self.weights = list(n_records.values())
@@ -348,8 +350,9 @@ class Analysis:
         masked = [r if (t := texts[s]) == r.text else replace(r, text=t) for r, s in zip(records, self._slots)]
         self.corpus = corpus._replace(records=masked)
 
-    def _path(self, name: str) -> str | None:
-        return getattr(self._options, name, None)
+    def _option(self, name: str):
+        value = getattr(self._options, name, None)
+        return RunConfig.__dataclass_fields__[name].default if value is None else value
 
     def _expand(self, values: list) -> list:
         return list(map(values.__getitem__, self._slots))
@@ -361,12 +364,12 @@ class Analysis:
 
     @cached_property
     def distinct_stopped(self) -> list[textprep.Sentences]:
-        stoplist = textprep.load_stoplist(self._path("stopwords_path"))
+        stoplist = textprep.load_stoplist(self._option("stopwords_path"))
         return [textprep.remove_stopwords(ts, stoplist) for ts in self.distinct_full]
 
     @cached_property
     def distinct_profiles(self) -> list[emotion.EmotionProfile]:
-        lex = emotion.load_emotion_lexicon(self._path("emotion_lexicon_path"))
+        lex = emotion.load_emotion_lexicon(self._option("emotion_lexicon_path"))
         return [emotion.classify(ts, lex) for ts in self.distinct_stopped]
 
     @cached_property
@@ -383,16 +386,10 @@ class Analysis:
         *counts, token_total = emotion.aggregate_profiles(self.distinct_profiles, self.weights)
         return {"counts": dict(zip(emotion.ALL_CATEGORIES, counts)), "token_total": token_total}
 
-    def ngram_table(self, n: int, top: int) -> list[tuple[str, int]]:
-        """The first `top` >= 1 rows of the n-gram table: over the
-        stopword-filtered texts for n <= 2, over the full texts for n >= 3."""
-        streams = self.distinct_stopped if n <= 2 else self.distinct_full
-        return ngrams.build_table(streams, n, top, self.weights)
-
     @cached_property
     def scores(self) -> list[polarity.PolarityScore]:
         lex = polarity.load_polarity_lexicon(
-            self._path("polarity_lexicon_path"), self._path("shifter_lexicon_path")
+            self._option("polarity_lexicon_path"), self._option("shifter_lexicon_path")
         )
         return self._expand(
             [polarity.score_text(ts, lex, self._params) for ts in self.distinct_full]
@@ -405,13 +402,24 @@ class Analysis:
         report["emotion_totals"] = self.totals
         return report
 
-    def reports(self, k: int, categories: dict | None = None) -> dict:
-        """Each report by its run file name: (stage, build, to_csv), where `build()`
-        returns the JSON value it is written as and `to_csv(value, path)` its
-        CSV form; `k` is the rankings' length, `categories` the device groups'.
-        Built at each call, so a writer or analytics function replaced is used."""
+    def reports(self) -> dict:
+        """Each output of `run` but its provenance and corpus, by file name:
+        (stage, build, to_csv), where `build()` returns the JSON value it is
+        written as and `to_csv(value, path)` its CSV form. Built at each call,
+        so a writer or analytics function replaced is used. The n-gram tables
+        come first, so that no profile or score exists while they are counted."""
+        names = ("rank_top", "ngram_top", "wordcloud_top", "device_categories")
+        k, top, cloud_top, categories = map(self._option, names)
         c, rank = self.corpus, partial(analytics.rank_locations, self.corpus, k)
+
+        def table(n: int, rows: int) -> list[tuple[str, int]]:  # n <= 2 over the stopword-filtered texts
+            return ngrams.build_table(self.distinct_stopped if n <= 2 else self.distinct_full, n, rows, self.weights)
+
+        unigrams = cache(partial(table, 1, max(top, cloud_top)))  # counted once, with the word cloud's rows
+        grams = {1: lambda: unigrams()[:top], **{n: partial(table, n, top) for n in (2, 3, 4)}}
         return {
+            **{f"ngrams_{n}.csv": (f"ngrams_{n}", build, ngram_table_to_csv) for n, build in grams.items()},
+            "wordcloud.json": ("wordcloud", lambda: ngrams.word_cloud_weights(unigrams(), cloud_top), None),
             "emotion_totals.json": ("emotion", lambda: self.totals, None),
             "polarity_scores.csv": ("polarity", lambda: self.scores, partial(scores_to_csv, c)),
             "mentions.csv": ("report", partial(analytics.rank_mentions, c, k), ranked_table_to_csv),
@@ -448,22 +456,6 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
     with stage("stopwords"):
         analysis.distinct_stopped
 
-    tables = {}
-    for n in (1, 2, 3, 4):
-        # the unigram table also feeds the word cloud
-        top = max(cfg.ngram_top, cfg.wordcloud_top) if n == 1 else cfg.ngram_top
-        with stage(f"ngrams_{n}"):
-            tables[n] = analysis.ngram_table(n, top)
-    with stage("wordcloud"):
-        cloud = ngrams.word_cloud_weights(tables[1], cfg.wordcloud_top)
-
-    # the n-gram tables above are built before any profile or score exists; each
-    # report is built in its stage, and written by its CSV writer under a .csv name
-    reports = []
-    for name, (stage_name, build, to_csv) in analysis.reports(cfg.rank_top, cfg.device_categories).items():
-        with stage(stage_name):
-            reports.append((name, partial(to_csv if name.endswith(".csv") else write_json, build())))
-
     provenance = corpus.provenance._asdict()
     stages = {
         "provenance": provenance,
@@ -471,22 +463,21 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
         "mask": {"distinct_terms": len(analysis.masks), "occurrences": analysis.occurrences},
     }
 
+    # each output's file name and the writer that takes its path; each table
+    # entry is built in its stage, and written by its CSV writer under a .csv name
+    writers = {"provenance.json": partial(write_json, provenance),
+               "filtered_corpus.jsonl": partial(write_corpus_jsonl, corpus)}
+    for name, (stage_name, build, to_csv) in analysis.reports().items():
+        with stage(stage_name):
+            writers[name] = partial(to_csv if name.endswith(".csv") else write_json, build())
+
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # each output's file name and the writer that takes its path
-    writers = [
-        ("provenance.json", partial(write_json, provenance)),
-        ("filtered_corpus.jsonl", partial(write_corpus_jsonl, corpus)),
-        # the unigram table holds the word cloud's rows too
-        *[(f"ngrams_{n}.csv", partial(ngram_table_to_csv, tables[n][: cfg.ngram_top])) for n in (1, 2, 3, 4)],
-        ("wordcloud.json", partial(write_json, cloud)),
-        *reports,
-    ]
     # staged and hashed on output_dir's filesystem, then moved into place, the manifest last
-    with stage("write"), publish(*[out_dir / name for name, _ in writers], out_dir / "manifest.json") as paths:
-        for (_, write), path in zip(writers, paths):
+    with stage("write"), publish(*[out_dir / name for name in writers], out_dir / "manifest.json") as paths:
+        for write, path in zip(writers.values(), paths):
             write(path)
-        outputs = {name: _sha256(path) for (name, _), path in zip(writers, paths)}
+        outputs = {name: _sha256(path) for name, path in zip(writers, paths)}
         manifest = RunManifest(asdict(cfg), stages, outputs, __version__)
         with open(paths[-1], "w", encoding="utf-8", newline="\n") as fh:
             json.dump(manifest._asdict(), fh, indent=2, sort_keys=True, allow_nan=False)

@@ -855,13 +855,13 @@ def test_broken_output_file_is_config_error(tmp_path):
 
 # each command that writes files, and the module and name of the writer of
 # one of them, which a rerun on other input makes write half a file and fail;
-# a report's CSV writer comes from the pipeline's table
+# a CSV writer of `ngrams`, `sentiment` or `report` comes from the pipeline's table
 _REWRITES = {
     "ingest-jsonl": (["ingest", "--output", "x.jsonl", "--provenance"], cli_mod, "write_corpus_jsonl"),
     "ingest-provenance": (["ingest", "--output", "x.jsonl", "--provenance"], cli_mod, "write_json"),
-    "ngrams": (["ngrams", "--n", "2", "--output", "t.csv"], cli_mod, "ngram_table_to_csv"),
+    "ngrams": (["ngrams", "--n", "2", "--output", "t.csv"], pipeline_mod, "ngram_table_to_csv"),
     "ngrams-json": (["ngrams", "--n", "2", "--export", "json", "--output", "t.json"], cli_mod, "write_json"),
-    "sentiment": (["sentiment", "--output", "s.csv"], cli_mod, "scores_to_csv"),
+    "sentiment": (["sentiment", "--output", "s.csv"], pipeline_mod, "scores_to_csv"),
     "report": (["report", "--what", "mentions", "--output", "m.json"], cli_mod, "write_json"),
     "report-csv": (
         ["report", "--what", "daily", "--export", "csv", "--output", "d.csv"], pipeline_mod, "daily_series_to_csv"
@@ -1236,6 +1236,20 @@ def test_ngrams_json_and_stdout_carry_the_run_csv_rows(golden_run, tmp_path, cap
     assert capsys.readouterr().out == "".join(f"{rank}\t{gram}\t{count}\n" for rank, gram, count in rows)
 
 
+def test_unigram_tables_are_prefixes_of_one_count(golden_run, capsys):
+    # the unigrams are counted at the larger of --top and the word cloud's 100
+    # rows: a smaller --top prints a prefix, and a larger one holds run's table
+    argv = ["ngrams", "--n", "1", "--input", str(golden_run / "filtered_corpus.jsonl"), "--format", "jsonl"]
+    capsys.readouterr()
+    assert main([*argv, "--top", "150"]) == 0
+    wide = capsys.readouterr().out.splitlines()
+    assert main([*argv, "--top", "5"]) == 0
+    assert capsys.readouterr().out.splitlines() == wide[:5]
+    _, *rows = _csv_rows(golden_run / "ngrams_1.csv")
+    assert len(wide) == 150 and len(rows) == 100
+    assert wide[:100] == ["\t".join(row) for row in rows]
+
+
 def test_report_daily_json_is_run_emotion_daily(golden_run, tmp_path):
     assert _project(golden_run, ["report", "--what", "daily"], tmp_path / "d.json") == 0
     (_, *classes), *rows = _csv_rows(golden_run / "emotion_daily.csv")
@@ -1452,6 +1466,16 @@ def test_path_holding_nul_is_config_error(workdir, capsys, argv, label, path):
     (workdir / "cfg.json").write_text(json.dumps({"input": "c.csv", "output_dir": "out\x00"}), "utf-8")
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {label} holds a NUL character: {path!r}\n")
+    assert sorted(p.name for p in workdir.iterdir()) == ["c.csv", "cfg.json"]
+
+
+@pytest.mark.parametrize("argv", [["--output-dir", ""], ["--config", "cfg.json"]], ids=["flag", "config"])
+def test_empty_output_dir_is_config_error(workdir, capsys, argv):
+    # Path("") is the working directory: a run there would write its files among the inputs
+    (workdir / "c.csv").write_bytes((DATA / "corpus_1000.csv").read_bytes())
+    (workdir / "cfg.json").write_text(json.dumps({"input": "c.csv", "output_dir": ""}), "utf-8")
+    assert main(["run", "--input", "c.csv", *argv]) == 2
+    assert capsys.readouterr() == ("", "error: output_dir must be non-empty\n")
     assert sorted(p.name for p in workdir.iterdir()) == ["c.csv", "cfg.json"]
 
 

@@ -189,6 +189,43 @@ def test_failed_rerun_leaves_the_earlier_run_in_place(golden_workdir, monkeypatc
     assert {name: (out / name).read_bytes() for name in before} == before
 
 
+# a builder of each table entry, by the module that `pipeline` reads it from,
+# and the stage that it fails under; the n-gram counter fails for n = 3 only
+_BUILDERS = [
+    ("ngrams", "build_table", "ngrams_3"),
+    ("ngrams", "word_cloud_weights", "wordcloud"),
+    ("emotion", "classify", "emotion"),
+    ("polarity", "score_text", "polarity"),
+    ("analytics", "rank_hashtags", "report"),
+    ("analytics", "device_group_report", "report"),
+    ("analytics", "daily_emotion_series", "report"),
+    ("analytics", "polarity_distribution", "distribution"),
+]
+
+
+@pytest.mark.parametrize("module, name, stage", _BUILDERS, ids=[name for _, name, _ in _BUILDERS])
+def test_each_table_entry_fails_under_its_own_stage(golden_workdir, monkeypatch, capsys, module, name, stage):
+    # an earlier run over a smaller corpus: a rerun that moved any file into place would change its bytes
+    lines = (golden_workdir / "corpus_1000.csv").read_text("utf-8").splitlines(keepends=True)
+    (golden_workdir / "small.csv").write_text("".join(lines[:400]), "utf-8")
+    argv = ["run", "--abusive-lexicon", "abusive_fixture.txt", "--output-dir", "out", "--input"]
+    assert main([*argv, "small.csv"]) == 0
+    out = golden_workdir / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real = getattr(getattr(pipeline_mod, module), name)
+
+    def broken(*args, **kwargs):
+        if name == "build_table" and args[1] != 3:
+            return real(*args, **kwargs)
+        raise RuntimeError("broken builder")
+
+    monkeypatch.setattr(getattr(pipeline_mod, module), name, broken)
+    capsys.readouterr()
+    assert main([*argv, "corpus_1000.csv"]) == 4
+    assert capsys.readouterr() == ("", f"error: stage '{stage}' failed: broken builder\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_rerun_writes_through_a_symlinked_output(golden_workdir):
     # a rename would replace the link with a regular file; it is written in place
     out = golden_workdir / "out"
