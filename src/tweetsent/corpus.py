@@ -332,8 +332,6 @@ def load_corpus(path, format: str = "csv", filters=()) -> Corpus:
     valid row is an EmptyCorpusError.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     if format not in ("csv", "jsonl"):
         raise SchemaError(f"unknown corpus format {format!r}")
 

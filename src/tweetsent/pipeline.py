@@ -479,7 +479,5 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
             write(path)
         outputs = {name: _sha256(path) for name, path in zip(writers, paths)}
         manifest = RunManifest(asdict(cfg), stages, outputs, __version__)
-        with open(paths[-1], "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(manifest._asdict(), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        write_json(manifest._asdict(), paths[-1])
     return manifest

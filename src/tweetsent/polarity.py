@@ -62,9 +62,13 @@ PolarityScore = namedtuple("PolarityScore", "value n_sentences")
 
 
 def _rows(text: str, name: str):
-    """The rows of a lexicon CSV; an unreadable row is a `SchemaError` of the `name` lexicon."""
+    """Each (term, row) of a lexicon CSV, the term stripped and lowercased; a bad row or empty term raises."""
     try:
-        yield from csv.DictReader(text.splitlines())
+        for row in csv.DictReader(text.splitlines()):
+            term = (row.get("term") or "").strip().lower()
+            if not term:
+                raise SchemaError(f"{name} lexicon: empty term")
+            yield term, row
     except csv.Error as exc:
         raise SchemaError(f"{name} lexicon: {exc}") from exc
 
@@ -80,10 +84,7 @@ def load_polarity_lexicon(polarity_path=None, shifter_path=None) -> PolarityLexi
     shift_text = read_lexicon(shifter_path, "shifters.csv")
 
     entries: dict[str, float] = {}
-    for row in _rows(pol_text, "polarity"):
-        term = (row.get("term") or "").strip().lower()
-        if not term:
-            raise SchemaError("polarity lexicon: empty term")
+    for term, row in _rows(pol_text, "polarity"):
         try:
             score = float(row.get("score") or "")
         except ValueError as exc:
@@ -93,10 +94,7 @@ def load_polarity_lexicon(polarity_path=None, shifter_path=None) -> PolarityLexi
         entries[term] = score
 
     shifters: dict[str, str] = {}
-    for row in _rows(shift_text, "shifter"):
-        term = (row.get("term") or "").strip().lower()
-        if not term:
-            raise SchemaError("shifter lexicon: empty term")
+    for term, row in _rows(shift_text, "shifter"):
         kind_code = (row.get("kind") or "").strip()
         if kind_code not in _SHIFTER_CODES:
             raise SchemaError(f"shifter lexicon: kind for {term!r} must be 1..4")

@@ -89,8 +89,12 @@ def test_load_missing_column_is_schema_error(tmp_path):
 
 
 def test_load_missing_file(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        load_corpus(tmp_path / "nope.csv", "csv")
+    missing = tmp_path / "nope.csv"
+    with pytest.raises(FileNotFoundError, match=f"No such file or directory: '{re.escape(str(missing))}'$"):
+        load_corpus(missing, "csv")
+    # the format is checked before the file is opened
+    with pytest.raises(SchemaError, match="^unknown corpus format 'xml'$"):
+        load_corpus(missing, "xml")
 
 
 def test_load_skips_bad_timestamp_and_duplicate_id(tmp_path):

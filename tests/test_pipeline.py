@@ -9,6 +9,7 @@ import re
 import tempfile
 from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from oracles import bot_filter, filter_rows, per_record_run
 from tweetsent.cli import build_parser, main
 from tweetsent.corpus import CSV_COLUMNS, BotPolicy, load_corpus
 from tweetsent.errors import ConfigError, EmptyCorpusError, PipelineStageError
-from tweetsent.exports import scores_to_csv
+from tweetsent.exports import scores_to_csv, write_json
 from tweetsent.pipeline import RunConfig, run_pipeline
 from tweetsent.synth import ABUSIVE_POOL, generate_synthetic_corpus, write_synthetic_corpus
 
@@ -94,6 +95,18 @@ def test_manifest_version_is_the_package_and_project_version(golden_workdir):
     pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
     project = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)[1]
     assert written == tweetsent.__version__ == project
+
+
+def test_manifest_is_written_by_write_json(golden_workdir):
+    # a non-ASCII input path is spelled as provenance.json spells it, not as a \u escape
+    (golden_workdir / "données.csv").write_bytes((DATA / "corpus_1000.csv").read_bytes())
+    manifest = run_pipeline(_golden_config(input="données.csv"))
+    write_json(manifest._asdict(), golden_workdir / "want.json")
+    written = (golden_workdir / "out" / "manifest.json").read_bytes()
+    assert written == (golden_workdir / "want.json").read_bytes()
+    spelled = '"données.csv"'.encode()
+    assert spelled in written and spelled in (golden_workdir / "out" / "provenance.json").read_bytes()
+    assert b"\\u00e9" not in written
 
 
 def test_pipeline_outputs_complete_and_hashed(golden_workdir):
@@ -443,29 +456,42 @@ _SHARED_TEXTS = [
 ]
 
 
+def _matches_the_per_record_run(cfg: RunConfig, folder: Path) -> None:
+    """Run `cfg`, whose output_dir is `folder`/out: every output byte and the
+    mask occurrence count equal those of `per_record_run` into `folder`/want;
+    or the first filter that leaves no record stops the run in its stage, and
+    the oracles' filters leave no record either."""
+    try:
+        manifest = run_pipeline(cfg)
+    except PipelineStageError as exc:
+        records = load_corpus(cfg.input, cfg.format).records
+        kept, removed = filter_rows(records, date.fromisoformat(cfg.start_date),
+                                    date.fromisoformat(cfg.end_date), cfg.keyword, cfg.country)
+        assert bot_filter(kept, pipeline_mod.group(BotPolicy, cfg))[0] == []
+        # removed is in chain order; the bot filter runs last
+        left = [len(records) - total for total in accumulate(removed.values())]
+        assert exc.stage == next((name for name, n in zip(removed, left) if not n), "bots")
+        assert isinstance(exc.cause, EmptyCorpusError)
+        return
+    occurrences = per_record_run(cfg, folder / "want")
+    assert set(manifest.outputs) == {path.name for path in (folder / "want").iterdir()}
+    for name in manifest.outputs:
+        assert (folder / "out" / name).read_bytes() == (folder / "want" / name).read_bytes(), name
+    assert manifest.stages["mask"]["occurrences"] == occurrences
+
+
 def _run_matches_the_per_record_run(rows: list[list[str]], **config) -> None:
-    """Run the golden config with `config` over a corpus of `rows`; every
-    output byte and the mask occurrence count equal `per_record_run`'s."""
+    """Run the golden config with `config` over a corpus of `rows`, as
+    `_matches_the_per_record_run` checks it."""
     with tempfile.TemporaryDirectory() as folder:
         folder = Path(folder)
         with open(folder / "drawn.csv", "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows([_HEADER, *rows])
-        cfg = _golden_config(input=str(folder / "drawn.csv"), output_dir=str(folder / "out"),
-                             abusive_lexicon_path=str(DATA / "abusive_fixture.txt"), **config)
-        try:
-            manifest = run_pipeline(cfg)
-        except PipelineStageError as exc:
-            # only the bot filter may leave no record, and then the oracle's leaves none either
-            assert exc.stage == "bots"
-            kept, _ = filter_rows(load_corpus(cfg.input).records, date.fromisoformat(cfg.start_date),
-                                  date.fromisoformat(cfg.end_date), cfg.keyword, cfg.country)
-            assert bot_filter(kept, pipeline_mod.group(BotPolicy, cfg))[0] == []
-            return
-        occurrences = per_record_run(cfg, folder / "want")
-        assert set(manifest.outputs) == {path.name for path in (folder / "want").iterdir()}
-        for name in manifest.outputs:
-            assert (folder / "out" / name).read_bytes() == (folder / "want" / name).read_bytes(), name
-        assert manifest.stages["mask"]["occurrences"] == occurrences
+        _matches_the_per_record_run(
+            _golden_config(input=str(folder / "drawn.csv"), output_dir=str(folder / "out"),
+                           abusive_lexicon_path=str(DATA / "abusive_fixture.txt"), **config),
+            folder,
+        )
 
 
 @settings(max_examples=50, deadline=None)
@@ -531,6 +557,36 @@ def test_drawn_configs_give_the_per_record_run(picks, tops, categories, windows,
         amplifier_weight=weights[0], adversative_weight=weights[1],
         dup_window_seconds=bots[0], burst_per_minute=bots[1], min_distinct_tokens=bots[2],
     )
+
+
+# the generator's nine-day window, one day of it, or a window after the data
+_WINDOWS = st.one_of(
+    st.just(("2020-04-30", "2020-05-08")),
+    st.integers(0, 8).map(lambda i: (str(date(2020, 4, 30) + timedelta(days=i)),) * 2),
+    st.just(("2020-06-01", "2020-06-30")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    format=st.sampled_from(["csv", "jsonl"]),
+    window=_WINDOWS,
+    # keywords in upper and lower case, and one that no text holds
+    keyword=st.sampled_from(["reopen", "REOPEN", "Economy", "the", "zzzqqq"]),
+    country=st.sampled_from(["US", "us", "CA"]),
+)
+def test_synthetic_corpora_under_drawn_filters_give_the_per_record_run(seed, n, format, window, keyword, country):
+    with tempfile.TemporaryDirectory() as folder:
+        folder = Path(folder)
+        corpus, lexicon = folder / f"drawn.{format}", folder / "abusive.txt"
+        write_synthetic_corpus(corpus, seed=seed, n=n, format=format)
+        lexicon.write_text("\n".join(ABUSIVE_POOL) + "\n", encoding="utf-8")
+        cfg = _golden_config(input=str(corpus), format=format, start_date=window[0], end_date=window[1],
+                             keyword=keyword, country=country, abusive_lexicon_path=str(lexicon),
+                             output_dir=str(folder / "out"))
+        _matches_the_per_record_run(cfg, folder)
 
 
 def test_analysis_keeps_one_result_per_distinct_text_with_its_record_count(golden_workdir):

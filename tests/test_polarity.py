@@ -75,11 +75,13 @@ def test_loader_rejects_bad_kind(tmp_path):
         load_polarity_lexicon(pol, shift)
 
 
-def test_loader_rejects_empty_shifter_term(tmp_path):
-    shift = tmp_path / "s.csv"
-    shift.write_text("term,kind\n,1\nnot,1\n")
-    with pytest.raises(SchemaError, match="^shifter lexicon: empty term$"):
-        load_polarity_lexicon(None, shift)
+@pytest.mark.parametrize("name, header", [("polarity", "term,score"), ("shifter", "term,kind")])
+def test_loader_rejects_empty_term(tmp_path, name, header):
+    # a term of spaces is empty once stripped; the other lexicon is the bundled one
+    lexicon = tmp_path / "lexicon.csv"
+    lexicon.write_text(f"{header}\n  ,1\n")
+    with pytest.raises(SchemaError, match=f"^{name} lexicon: empty term$"):
+        load_polarity_lexicon(**{f"{name}_path": lexicon})
 
 
 # ---------------------------------------------------------------------------
